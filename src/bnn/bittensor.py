@@ -1,17 +1,18 @@
-"""Bit-packed binary tensors and the XNOR/popcount dot-product kernels.
+"""Bit-packed binary tensors and the XOR/popcount dot-product kernels.
 
 A real-valued tensor is binarized with sign (0 maps to +1) and stored as
 packed bits: bit value 1 encodes +1, bit value 0 encodes -1.  Each
-innermost row is padded up to a whole number of 64-bit words; padding
-bits are always set to 1 so the inner loop stays branch-free, and the
-known padding contribution is subtracted from the popcount afterwards.
+innermost row is padded up to a whole number of 64-bit words, and every
+padding bit is set to 1.
 
-The dot product of two {-1,+1} vectors of length n packed this way is
+Two {-1,+1} vectors of length n agree at n - d positions and disagree at
+the d positions where their bits differ, so their dot product is
 
-    2 * popcount(xnor(x, w)) - n - 2 * pad_bits
+    n - 2 * popcount(x XOR w)
 
-which is exact integer arithmetic, so results match a float reference
-bit for bit.
+Both operands pad with 1-bits, so the padding XORs to 0 and adds nothing
+to the popcount: no correction term is needed.  This is exact integer
+arithmetic, so results match a float reference bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import ShapeError
 
 WORD_BITS = 64
 
-_BYTE_SHIFTS = (np.arange(8, dtype=np.uint64) * np.uint64(8))
 _POPCOUNT_TABLE = np.array(
     [bin(i).count("1") for i in range(256)], dtype=np.uint8
 )
@@ -42,7 +42,8 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
 def popcount_words_portable(words: np.ndarray) -> np.ndarray:
     """Table-driven popcount fallback; bit-exact equal to the fast path."""
     as_bytes = words.view(np.uint8).reshape(words.shape + (8,))
-    return _POPCOUNT_TABLE[as_bytes].sum(axis=-1, dtype=np.uint64)
+    # uint8 like np.bitwise_count, so counts add into an int32 accumulator
+    return _POPCOUNT_TABLE[as_bytes].sum(axis=-1, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -85,28 +86,27 @@ class BitTensor:
         return self.words.reshape(self.outer_size, self.words_per_row)
 
 
-def _bits_to_words(bits: np.ndarray) -> np.ndarray:
-    """Pack a (rows, n) uint8 {0,1} array into (rows, wpr) uint64 words.
+def pack_rows(values: np.ndarray) -> np.ndarray:
+    """Sign-binarize a (rows, n) array into (rows, wpr) uint64 words.
 
-    Padding bits (to the next word boundary) are set to 1.
+    Bit i of a row is bit i % 64 of word i // 64 (LSB-first, little-endian
+    words), so the byte view of a word row is the BNN1 file row padded
+    with 0xFF bytes.  Padding bits (to the next word boundary) are 1.
     """
-    rows, n = bits.shape
-    wpr = max(1, -(-n // WORD_BITS))
-    padded = np.ones((rows, wpr * WORD_BITS), dtype=np.uint8)
-    padded[:, :n] = bits
-    packed = np.packbits(padded, axis=1, bitorder="little")  # (rows, wpr*8)
-    as_u64 = packed.reshape(rows, wpr, 8).astype(np.uint64)
-    return np.bitwise_or.reduce(as_u64 << _BYTE_SHIFTS, axis=-1)
+    rows, n = values.shape
+    bits = np.ones((rows, max(1, -(-n // WORD_BITS)) * WORD_BITS), dtype=bool)
+    np.greater_equal(values, 0, out=bits[:, :n])
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
-def _words_to_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """Unpack (rows, wpr) uint64 words into a (rows, n) uint8 {0,1} array."""
-    rows, wpr = words.shape
-    as_bytes = (
-        (words[:, :, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)
-    ).astype(np.uint8).reshape(rows, wpr * 8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :n]
+def unpack_rows(row_bytes: np.ndarray, n: int) -> np.ndarray:
+    """Expand (rows, nbytes) LSB-first packed bytes into float32 (rows, n).
+
+    Accepts the byte view of pack_rows words or any byte prefix of it
+    that covers n bits.
+    """
+    bits = np.unpackbits(row_bytes, axis=1, count=n, bitorder="little")
+    return bits.astype(np.float32) * 2.0 - 1.0
 
 
 def pack(src: np.ndarray) -> BitTensor:
@@ -116,23 +116,20 @@ def pack(src: np.ndarray) -> BitTensor:
         raise ValueError("cannot pack an empty tensor")
     if src.shape == ():
         raise ValueError("cannot pack a 0-d tensor")
-    bits = (src >= 0).astype(np.uint8)
-    n = src.shape[-1]
-    rows = bits.reshape(-1, n)
-    return BitTensor(shape=src.shape, words=_bits_to_words(rows).reshape(-1))
+    words = pack_rows(src.reshape(-1, src.shape[-1]))
+    return BitTensor(shape=src.shape, words=words.reshape(-1))
 
 
 def unpack(src: BitTensor) -> np.ndarray:
     """Expand a BitTensor back to dense float32 values in {-1.0, +1.0}."""
     if src.logical_len == 0:
         raise ValueError("cannot unpack a BitTensor with logical_len 0")
-    bits = _words_to_bits(src.row_words(), src.logical_len)
-    out = bits.astype(np.float32) * 2.0 - 1.0
-    return out.reshape(src.shape)
+    row_bytes = src.row_words().view(np.uint8)
+    return unpack_rows(row_bytes, src.logical_len).reshape(src.shape)
 
 
 def binary_dot(x: BitTensor, w: BitTensor) -> int:
-    """Exact {-1,+1} dot product of two packed rows via XNOR + popcount."""
+    """Exact {-1,+1} dot product of two packed rows via XOR + popcount."""
     if len(x.shape) != 1 or len(w.shape) != 1:
         raise ShapeError("binary_dot expects 1-D BitTensors")
     n = x.logical_len
@@ -140,45 +137,43 @@ def binary_dot(x: BitTensor, w: BitTensor) -> int:
         raise ShapeError(
             f"length mismatch: {n} vs {w.logical_len}"
         )
-    agree = np.bitwise_not(np.bitwise_xor(x.words, w.words))
-    raw = int(popcount_words(agree).sum())
-    return 2 * raw - n - 2 * x.pad_bits_per_row
+    differ = int(popcount_words(np.bitwise_xor(x.words, w.words)).sum())
+    return n - 2 * differ
 
 
-# Cap on the xnor scratch buffer used by binary_gemm (bytes).
-_GEMM_CHUNK_BYTES = 64 << 20
+# Output rows per block of binary_gemm.  The (rows, N) uint64 XOR tile and
+# int32 accumulator are reused by every block; at the N of the conv layers
+# (64 to 176) 1024 rows keep them within a cache-sized 0.5-2 MB.
+_ROW_BLOCK = 1024
 
 
-def binary_gemm(
-    a: BitTensor, b: BitTensor, transposed_b: bool = True
-) -> np.ndarray:
-    """Multiply packed matrices; returns float32 (M, N) of exact integers.
+def binary_gemm(a: BitTensor, b: BitTensor) -> np.ndarray:
+    """Multiply packed (M, K) a by the transpose of packed (N, K) b.
 
-    a is (M, K).  With transposed_b (the fast layout) b is (N, K) so each
-    output column's operand is a contiguous bit row; otherwise b is (K, N)
-    and is repacked internally.
+    Returns float32 (M, N) of exact integers K - 2 * popcount(a XOR b),
+    accumulated one 64-bit word column at a time over blocks of rows.
     """
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise ShapeError("binary_gemm expects 2-D BitTensors")
-    if not transposed_b:
-        b = pack(unpack(b).T)
     m, k = a.shape
     n_out, k_b = b.shape
     if k_b != k:
         raise ShapeError(f"inner dimension mismatch: {k} vs {k_b}")
 
-    aw = a.row_words()
-    bw = b.row_words()
-    wpr = a.words_per_row
-    correction = k + 2 * a.pad_bits_per_row
+    # word-major copies: row j holds word j of every operand row
+    aw = np.ascontiguousarray(a.row_words().T)
+    bw = np.ascontiguousarray(b.row_words().T)
 
     out = np.empty((m, n_out), dtype=np.float32)
-    chunk = max(1, _GEMM_CHUNK_BYTES // max(1, n_out * wpr * 8))
-    for start in range(0, m, chunk):
-        stop = min(m, start + chunk)
-        agree = np.bitwise_not(
-            np.bitwise_xor(aw[start:stop, None, :], bw[None, :, :])
-        )
-        raw = popcount_words(agree).sum(axis=-1, dtype=np.int64)
-        out[start:stop] = (2 * raw - correction).astype(np.float32)
+    block = min(m, _ROW_BLOCK)
+    diff = np.empty((block, n_out), dtype=np.uint64)
+    count = np.empty((block, n_out), dtype=np.int32)
+    for start in range(0, m, block):
+        stop = min(m, start + block)
+        d, c = diff[: stop - start], count[: stop - start]
+        c.fill(0)
+        for j in range(a.words_per_row):
+            np.bitwise_xor(aw[j, start:stop, None], bw[j], out=d)
+            c += popcount_words(d)
+        out[start:stop] = k - 2 * c
     return out

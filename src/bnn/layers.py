@@ -438,19 +438,28 @@ class MaxPool2d(Layer):
 
     def forward(self, tape, x, training=True):
         k, s = self.kernel, self.stride
-        n, c, h, w = x.value.shape
+        xv = x.value
+        n, c, h, w = xv.shape
         oh = (h - k) // s + 1
         ow = (w - k) // s + 1
-        sn, sc, sh, sw = x.value.strides
-        view = as_strided(
-            x.value, (n, c, oh, ow, k, k), (sn, sc, sh * s, sw * s, sh, sw)
-        ).reshape(n, c, oh, ow, k * k)
-        arg = view.argmax(axis=-1)
-        y = np.take_along_axis(view, arg[..., None], axis=-1)[..., 0]
-        out = Slot(np.ascontiguousarray(y), name=self.name)
+        windows = [
+            xv[:, :, di: di + s * oh: s, dj: dj + s * ow: s]
+            for di in range(k) for dj in range(k)
+        ]
+        y = windows[0].copy()
+        for window in windows[1:]:
+            # np.maximum returns its second operand on a -0.0/+0.0 tie, so
+            # y keeps the first maximum in window order, as argmax would
+            np.maximum(window, y, out=y)
+        out = Slot(y, name=self.name)
 
         def backward_fn(g_y):
-            ki, kj = np.divmod(arg, k)
+            # first maximum in row-major window order, as argmax breaks ties
+            sn, sc, sh, sw = xv.strides
+            view = as_strided(
+                xv, (n, c, oh, ow, k, k), (sn, sc, sh * s, sw * s, sh, sw)
+            ).reshape(n, c, oh, ow, k * k)
+            ki, kj = np.divmod(view.argmax(axis=-1), k)
             ohi = np.arange(oh)[None, None, :, None]
             owi = np.arange(ow)[None, None, None, :]
             rows = ohi * s + ki

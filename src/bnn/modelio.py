@@ -34,10 +34,9 @@ import zlib
 
 import numpy as np
 
-from . import arch
+from . import arch, bittensor
 from .errors import ModelFormatError
 from .layers import QConv2d, QDense
-from .bittensor import pack as _bitpack  # noqa: F401  (kernel-level packing lives in bittensor)
 
 MAGIC = b"BNN1"
 VERSION = 1
@@ -68,22 +67,18 @@ def _payload_nbytes(shape, storage) -> int:
 
 
 def _pack_rows(values: np.ndarray) -> bytes:
-    """Sign-binarize and pack row-wise, LSB-first, rows padded with 1s."""
+    """Sign-binarize and pack row-wise: byte prefixes of bittensor's words."""
     rows = values.shape[0]
     flat = values.reshape(rows, -1)
-    n = flat.shape[1]
-    padded_len = ((n + 7) // 8) * 8
-    bits = np.ones((rows, padded_len), dtype=np.uint8)
-    bits[:, :n] = flat >= 0
-    return np.packbits(bits, axis=1, bitorder="little").tobytes()
+    row_bytes = bittensor.pack_rows(flat).view(np.uint8)
+    return row_bytes[:, : (flat.shape[1] + 7) // 8].tobytes()
 
 
 def _unpack_rows(blob: bytes, shape) -> np.ndarray:
     rows = shape[0]
     n = int(np.prod(shape[1:], dtype=np.int64)) if len(shape) > 1 else 1
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(rows, (n + 7) // 8)
-    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :n]
-    return (bits.astype(np.float32) * 2.0 - 1.0).reshape(shape)
+    return bittensor.unpack_rows(raw, n).reshape(shape)
 
 
 def _descriptor(g: arch.ModelGraph, binary_storage: bool) -> dict:

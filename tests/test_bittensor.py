@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnn.bittensor import (
+    _ROW_BLOCK,
     WORD_BITS,
     BitTensor,
     binary_dot,
@@ -147,24 +148,44 @@ def test_binary_gemm_matches_float(m, k, n):
     assert np.array_equal(out, a_s @ b_s.T)
 
 
-def test_binary_gemm_untransposed_b():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((6, 70)).astype(np.float32)
-    b = rng.standard_normal((70, 5)).astype(np.float32)
-    a_s = np.where(a >= 0, 1.0, -1.0)
-    b_s = np.where(b >= 0, 1.0, -1.0)
-    out = binary_gemm(pack(a), pack(b), transposed_b=False)
-    assert np.array_equal(out, a_s @ b_s)
+def sign_operand(rng, shape):
+    """float32 operand of -1, 0 and +1 (0 binarizes to +1)."""
+    return rng.integers(-1, 2, shape).astype(np.float32)
 
 
-def test_binary_gemm_chunking_consistent(monkeypatch):
+def sign_of(v):
+    return np.where(v >= 0, 1.0, -1.0).astype(np.float32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 64),
+        st.sampled_from([_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1]),
+    ),
+    st.one_of(st.integers(1, 200), st.sampled_from([800, 3312])),
+    st.integers(1, 200),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_binary_gemm_property(m, k, n, seed):
+    rng = np.random.default_rng(seed)
+    a = sign_operand(rng, (m, k))
+    b = sign_operand(rng, (n, k))
+    out = binary_gemm(pack(a), pack(b))
+    assert out.dtype == np.float32
+    assert np.array_equal(out, sign_of(a) @ sign_of(b).T)
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 800, 3312])
+def test_kernels_with_portable_popcount(monkeypatch, k):
     import bnn.bittensor as bt
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((40, 100)).astype(np.float32)
-    b = rng.standard_normal((30, 100)).astype(np.float32)
-    full = binary_gemm(pack(a), pack(b))
-    monkeypatch.setattr(bt, "_GEMM_CHUNK_BYTES", 1)  # force 1-row chunks
-    assert np.array_equal(binary_gemm(pack(a), pack(b)), full)
+    monkeypatch.setattr(bt, "_HAVE_HW_POPCOUNT", False)
+    rng = np.random.default_rng(k)
+    a = sign_operand(rng, (5, k))
+    b = sign_operand(rng, (7, k))
+    expected = sign_of(a) @ sign_of(b).T
+    assert np.array_equal(binary_gemm(pack(a), pack(b)), expected)
+    assert binary_dot(pack(a[0]), pack(b[0])) == int(expected[0, 0])
 
 
 class TestErrors:

@@ -273,6 +273,42 @@ class TestPooling:
         assert out.value.shape == (2, 3, 3, 3)
         assert out.value[0, 0, 0, 0] == x[0, 0, :3, :3].max()
 
+    @staticmethod
+    def _pool_grad(x, kernel=2, stride=None):
+        """Input gradient of sum(MaxPool2d(x))."""
+        tape = Tape()
+        xs = Slot(x)
+        out = MaxPool2d(kernel, stride).forward(tape, xs)
+        loss = Slot(np.array(out.value.sum(), dtype=np.float32))
+        tape.record(loss, (out,), lambda g: (np.ones_like(out.value) * g,))
+        tape.backward(loss)
+        return xs.grad[0, 0]
+
+    def test_maxpool_ties_route_to_first_maximum(self):
+        # constant window: all four tie, the first in row-major order wins
+        x = np.full((1, 1, 2, 2), 2.0, dtype=np.float32)
+        assert np.array_equal(self._pool_grad(x), [[1, 0], [0, 0]])
+        # [[3, 3], [1, 3]]: three-way tie at 3 goes to the top-left one
+        x = np.array([[[[3, 3], [1, 3]]]], dtype=np.float32)
+        assert np.array_equal(self._pool_grad(x), [[1, 0], [0, 0]])
+
+    @pytest.mark.parametrize("kernel,stride,h,w", [
+        (2, 2, 8, 8), (3, 2, 9, 9), (2, 2, 7, 9), (3, 2, 8, 10), (2, 2, 5, 4),
+    ])
+    def test_maxpool_equals_window_max(self, kernel, stride, h, w):
+        rng = np.random.default_rng(kernel * 100 + h * 10 + w)
+        x = rng.standard_normal((2, 3, h, w)).astype(np.float32)
+        out = MaxPool2d(kernel, stride).forward(Tape(), Slot(x)).value
+        oh = (h - kernel) // stride + 1
+        ow = (w - kernel) // stride + 1
+        expected = np.empty((2, 3, oh, ow), dtype=np.float32)
+        for i in range(oh):
+            for j in range(ow):
+                r, c = i * stride, j * stride
+                expected[:, :, i, j] = x[:, :, r: r + kernel, c: c + kernel].max(axis=(2, 3))
+        assert out.dtype == x.dtype
+        assert np.array_equal(out, expected)
+
     def test_avgpool(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         out = AvgPool2d(2).forward(Tape(), Slot(x))
