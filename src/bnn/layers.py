@@ -15,6 +15,10 @@ The activation gradient is never scaled.
 
 Spatial padding is applied after binarization with the value +1, which
 is identical to padding the pre-sign activations with 0 (sign(0) = +1).
+
+im2col columns are in (ki, kj, c) order, channel innermost; convolution
+weights stay (O, C, kh, kw), as stored in the model file, and are
+flattened to match with w.transpose(0, 2, 3, 1).reshape(O, -1).
 """
 
 from __future__ import annotations
@@ -72,49 +76,43 @@ def compute_scaling_factor(w: np.ndarray) -> float:
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(N,C,H,W) -> (N*OH*OW, C*kh*kw) patch matrix (row per output pixel)."""
+    """(N,C,H,W) -> (N*OH*OW, kh*kw*C) patch matrix, one row per output
+    pixel, columns in (ki, kj, c) order with the channel innermost."""
     n, c, h, w = x.shape
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    sn, sc, sh, sw = x.strides
+    xl = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    sn, sh, sw, sc = xl.strides
     view = as_strided(
-        x, (n, c, oh, ow, kh, kw), (sn, sc, sh * stride, sw * stride, sh, sw)
+        xl, (n, oh, ow, kh, kw, c), (sn, sh * stride, sw * stride, sh, sw, sc)
     )
-    return np.ascontiguousarray(view.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * oh * ow, c * kh * kw
-    )
+    return np.ascontiguousarray(view).reshape(n * oh * ow, kh * kw * c)
 
 
-_col2im_index_cache: dict = {}
+# col2im accumulates this many bytes of images at a time, so that its
+# float64 sums stay in cache across the kh*kw slice adds
+_COL2IM_BLOCK_BYTES = 1 << 20
 
 
 def col2im(
     g_cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int
 ) -> np.ndarray:
-    """Scatter-add patch gradients back to the (padded) input."""
+    """Adjoint of im2col: add patch gradients back onto the (padded) input,
+    one strided slice per kernel offset, accumulated in float64."""
     n, c, h, w = x_shape
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    key = (n, c, h, w, kh, kw, stride)
-    flat_idx = _col2im_index_cache.get(key)
-    if flat_idx is None:
-        ci, ki, kj = np.meshgrid(
-            np.arange(c), np.arange(kh), np.arange(kw), indexing="ij"
-        )
-        per_patch = (ci * h * w + ki * w + kj).reshape(-1)  # (c*kh*kw,)
-        ohi, owi = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-        patch_origin = (ohi * stride * w + owi * stride).reshape(-1)
-        per_image = patch_origin[:, None] + per_patch[None, :]
-        flat_idx = (
-            np.arange(n)[:, None, None] * (c * h * w) + per_image[None, :, :]
-        ).reshape(-1)
-        if len(_col2im_index_cache) > 32:
-            _col2im_index_cache.clear()
-        _col2im_index_cache[key] = flat_idx
-    acc = np.bincount(
-        flat_idx, weights=g_cols.astype(np.float64).ravel(), minlength=n * c * h * w
-    )
-    return acc.reshape(x_shape).astype(g_cols.dtype)
+    g = g_cols.reshape(n, oh, ow, kh, kw, c)
+    out = np.empty(x_shape, dtype=g_cols.dtype)
+    step = max(1, _COL2IM_BLOCK_BYTES // (h * w * c * 8))
+    for b in range(0, n, step):
+        acc = np.zeros((min(step, n - b), h, w, c))
+        for i in range(kh):
+            rows = slice(i, i + stride * oh, stride)
+            for j in range(kw):
+                acc[:, rows, j: j + stride * ow: stride] += g[b: b + step, :, :, i, j]
+        out[b: b + step] = acc.transpose(0, 3, 1, 2)
+    return out
 
 
 def _pad_spatial(x: np.ndarray, p: int, value: float) -> np.ndarray:
@@ -193,7 +191,8 @@ class QConv2d(Layer):
         ow = (padded.shape[3] - kw) // cfg.stride + 1
         cols = im2col(padded, kh, kw, cfg.stride)
 
-        w_flat = self.weight.value.reshape(cfg.out_channels, -1)
+        # (O, C, kh, kw) -> (O, kh*kw*C), matching the im2col column order
+        w_flat = self.weight.value.transpose(0, 2, 3, 1).reshape(cfg.out_channels, -1)
         if self.binary:
             wb = autodiff.sign_forward(w_flat)
             if cfg.binarize_input:
@@ -224,17 +223,14 @@ class QConv2d(Layer):
             p = cfg.padding
             g_x = g_padded[:, :, p: g_padded.shape[2] - p, p: g_padded.shape[3] - p] if p else g_padded
             # weight gradient through the weight-sign STE
-            g_wb = g_mat.T @ cols
+            g_wb = (g_mat.T @ cols).reshape(cfg.out_channels, kh, kw, -1)
+            g_wb = np.ascontiguousarray(g_wb.transpose(0, 3, 1, 2))
             if self.binary:
-                g_w = autodiff.sign_backward(
-                    g_wb.reshape(self.weight.value.shape),
-                    self.weight.value,
-                    self.ste,
-                )
+                g_w = autodiff.sign_backward(g_wb, self.weight.value, self.ste)
                 if cfg.scaling_mode in ("B", "FB"):
                     g_w = g_w * alpha
             else:
-                g_w = g_wb.reshape(self.weight.value.shape)
+                g_w = g_wb
             return (g_x, g_w)
 
         return tape.record(out, (x, self.weight), backward_fn)
@@ -442,37 +438,29 @@ class MaxPool2d(Layer):
         n, c, h, w = xv.shape
         oh = (h - k) // s + 1
         ow = (w - k) // s + 1
-        windows = [
-            xv[:, :, di: di + s * oh: s, dj: dj + s * ow: s]
+        slices = [
+            np.s_[..., di: di + s * oh: s, dj: dj + s * ow: s]
             for di in range(k) for dj in range(k)
         ]
-        y = windows[0].copy()
-        for window in windows[1:]:
+        y = xv[slices[0]].copy()
+        for sl in slices[1:]:
             # np.maximum returns its second operand on a -0.0/+0.0 tie, so
             # y keeps the first maximum in window order, as argmax would
-            np.maximum(window, y, out=y)
+            np.maximum(xv[sl], y, out=y)
         out = Slot(y, name=self.name)
 
         def backward_fn(g_y):
-            # first maximum in row-major window order, as argmax breaks ties
-            sn, sc, sh, sw = xv.strides
-            view = as_strided(
-                xv, (n, c, oh, ow, k, k), (sn, sc, sh * s, sw * s, sh, sw)
-            ).reshape(n, c, oh, ow, k * k)
-            ki, kj = np.divmod(view.argmax(axis=-1), k)
-            ohi = np.arange(oh)[None, None, :, None]
-            owi = np.arange(ow)[None, None, None, :]
-            rows = ohi * s + ki
-            cols_ = owi * s + kj
-            base = (
-                np.arange(n)[:, None, None, None] * (c * h * w)
-                + np.arange(c)[None, :, None, None] * (h * w)
-            )
-            flat = (base + rows * w + cols_).ravel()
-            g_x = np.bincount(
-                flat, weights=g_y.astype(np.float64).ravel(), minlength=n * c * h * w
-            )
-            return (g_x.reshape(n, c, h, w).astype(g_y.dtype),)
+            # each output's gradient goes to the first input in row-major
+            # window order equal to its maximum, as argmax breaks ties;
+            # overlapping windows (k > s) share inputs, so sum in float64.
+            # g_y * hit is +-0.0 where not hit, which leaves the sum as is
+            g_x = np.zeros((n, c, h, w), np.float64 if k > s else g_y.dtype)
+            free = np.ones(y.shape, dtype=bool)
+            for sl in slices:
+                hit = (xv[sl] == y) & free
+                free &= ~hit
+                g_x[sl] += g_y * hit
+            return (g_x.astype(g_y.dtype, copy=False),)
 
         return tape.record(out, (x,), backward_fn)
 

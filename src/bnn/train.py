@@ -176,11 +176,18 @@ def set_scaling_mode(model: ModelGraph, mode: str):
 
 
 def _find_nan_layer(model, images):
+    """Name of the first node whose training-mode output holds a NaN; the
+    BatchNorm running statistics this forward updates are restored."""
+    saved = [(buf, buf.copy()) for layer in model.layers()
+             for buf in layer.buffers().values()]
     collected = []
     try:
         model.forward(images, training=True, collect=collected)
     except NumericError:
         pass
+    finally:
+        for buf, copy in saved:
+            buf[...] = copy
     for name, value in collected:
         if np.isnan(value).any():
             return name

@@ -3,6 +3,8 @@ against finite differences, scaling-mode algebra."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnn.autodiff import STEConfig, Slot, Tape, sign_forward
 from bnn.errors import ShapeError
@@ -49,7 +51,8 @@ class TestIm2col:
         x = rng.standard_normal((2, 3, 7, 7)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
         cols = im2col(x, 3, 3, 2)
-        out = (cols @ w.reshape(4, -1).T).reshape(2, 3, 3, 4).transpose(0, 3, 1, 2)
+        w_flat = w.transpose(0, 2, 3, 1).reshape(4, -1)  # (ki, kj, c) columns
+        out = (cols @ w_flat.T).reshape(2, 3, 3, 4).transpose(0, 3, 1, 2)
         ref = conv2d_reference(x, w, stride=2, padding=0)
         np.testing.assert_allclose(out, ref, rtol=1e-5)
 
@@ -63,6 +66,60 @@ class TestIm2col:
         lhs = (cols * y).sum()
         rhs = (x * col2im(y, shape, 3, 3, 1)).sum()
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
+
+
+def col2im_bincount(g_cols, x_shape, kh, kw, stride):
+    """Oracle: scatter-add every patch entry to its input position with
+    np.bincount, in float64 (columns in (ki, kj, c) order)."""
+    n, c, h, w = x_shape
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    ki, kj, ci = np.meshgrid(
+        np.arange(kh), np.arange(kw), np.arange(c), indexing="ij"
+    )
+    per_patch = (ci * h * w + ki * w + kj).reshape(-1)
+    ohi, owi = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
+    origin = (ohi * stride * w + owi * stride).reshape(-1)
+    flat = (np.arange(n)[:, None, None] * (c * h * w)
+            + origin[None, :, None] + per_patch[None, None, :]).reshape(-1)
+    acc = np.bincount(flat, weights=g_cols.astype(np.float64).ravel(),
+                      minlength=n * c * h * w)
+    return acc.reshape(x_shape).astype(g_cols.dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 5]),
+    st.sampled_from([1, 2, 3, 5]),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([1, 3, 64]),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_col2im_matches_bincount_and_is_adjoint(kh, kw, stride, c, dh, dw, seed):
+    rng = np.random.default_rng(seed)
+    # odd H and W, at least one kernel tall and wide
+    h = kh + 2 * dh + (kh + 1) % 2
+    w = kw + 2 * dw + (kw + 1) % 2
+    shape = (2, c, h, w)
+    x = rng.standard_normal(shape).astype(np.float32)
+    cols = im2col(x, kh, kw, stride)
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    assert cols.shape == (2 * oh * ow, kh * kw * c)
+    # row (b, i, j), column (ki, kj, ch) holds x[b, ch, i*s + ki, j*s + kj]
+    b, i, j = rng.integers(2), rng.integers(oh), rng.integers(ow)
+    ki, kj, ch = rng.integers(kh), rng.integers(kw), rng.integers(c)
+    assert cols[(b * oh + i) * ow + j, (ki * kw + kj) * c + ch] == \
+        x[b, ch, i * stride + ki, j * stride + kj]
+    y = rng.standard_normal(cols.shape).astype(np.float32)
+    back = col2im(y, shape, kh, kw, stride)
+    oracle = col2im_bincount(y, shape, kh, kw, stride)
+    assert back.dtype == np.float32 and back.flags.c_contiguous
+    assert back.tobytes() == oracle.tobytes()
+    lhs = (cols.astype(np.float64) * y).sum()
+    rhs = (x.astype(np.float64) * back).sum()
+    assert abs(lhs - rhs) <= 1e-5 * max(1.0, np.abs(cols * y).sum())
 
 
 class TestQConv2d:
@@ -113,6 +170,49 @@ class TestQConv2d:
         g = layer.weight.grad
         assert np.all(g[np.abs(layer.weight.value) > 0.5] == 0.0)
         assert np.any(g[np.abs(layer.weight.value) <= 0.5] != 0.0)
+
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        ((2, 3), 1, 0), ((2, 3), 2, 1), ((3, 1), 1, 1), ((1, 2), 2, 0),
+    ])
+    def test_non_square_kernel_matches_reference(self, kernel, stride, padding):
+        # a transpose over the wrong weight axes would break these
+        rng = np.random.default_rng(sum(kernel) * 10 + stride + padding)
+        x = rng.standard_normal((2, 3, 7, 8)).astype(np.float32)
+        layer = QConv2d(QLayerConfig(3, 5, kernel, stride, padding), rng=rng)
+        out = layer.forward(Tape(), Slot(x)).value
+        xs = np.where(x >= 0, 1.0, -1.0)
+        ws = np.where(layer.weight.value >= 0, 1.0, -1.0)
+        ref = conv2d_reference(xs, ws, stride, padding, pad_value=1.0)
+        assert np.array_equal(out, ref.astype(np.float32))
+
+        cfg = QLayerConfig(3, 5, kernel, stride, padding, binarize_input=False)
+        layer = QConv2d(cfg, binary=False, rng=rng)
+        w = layer.weight.value = layer.weight.value.astype(np.float64)
+        x = x.astype(np.float64)
+        tape = Tape()
+        xs = Slot(x)
+        out = layer.forward(tape, xs)
+        ref = conv2d_reference(x, w, stride, padding)
+        np.testing.assert_allclose(out.value, ref, rtol=1e-12, atol=1e-12)
+        proj = rng.standard_normal(out.value.shape)
+        loss = Slot(np.array((out.value * proj).sum()))
+        tape.record(loss, (out,), lambda g: (proj * float(g),))
+        tape.backward(loss)
+        # d loss / d w and d loss / d x, patch by patch
+        kh, kw = kernel
+        p = padding
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        g_w = np.zeros_like(w)
+        g_xp = np.zeros_like(xp)
+        for i in range(proj.shape[2]):
+            for j in range(proj.shape[3]):
+                r, c = i * stride, j * stride
+                win = np.s_[:, :, r: r + kh, c: c + kw]
+                g_w += np.einsum("no,nckl->ockl", proj[:, :, i, j], xp[win])
+                g_xp[win] += np.einsum("no,ockl->nckl", proj[:, :, i, j], w)
+        np.testing.assert_allclose(layer.weight.grad, g_w, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(xs.grad, g_xp[:, :, p: p + 7, p: p + 8],
+                                   rtol=1e-12, atol=1e-12)
 
     def test_channel_mismatch_raises(self):
         layer = QConv2d(QLayerConfig(3, 4, (3, 3)))
@@ -308,6 +408,73 @@ class TestPooling:
                 expected[:, :, i, j] = x[:, :, r: r + kernel, c: c + kernel].max(axis=(2, 3))
         assert out.dtype == x.dtype
         assert np.array_equal(out, expected)
+
+    @staticmethod
+    def _argmax_routing(x, g_y, k, s):
+        """Oracle: route each output gradient to its window's argmax (the
+        first maximum in row-major order), summed with np.bincount."""
+        n, c, h, w = x.shape
+        oh, ow = g_y.shape[2:]
+        sn, sc, sh, sw = x.strides
+        view = np.lib.stride_tricks.as_strided(
+            x, (n, c, oh, ow, k, k), (sn, sc, sh * s, sw * s, sh, sw)
+        ).reshape(n, c, oh, ow, k * k)
+        ki, kj = np.divmod(view.argmax(axis=-1), k)
+        rows = np.arange(oh)[:, None] * s + ki
+        cols = np.arange(ow)[None, :] * s + kj
+        base = (np.arange(n)[:, None, None, None] * c
+                + np.arange(c)[None, :, None, None]) * (h * w)
+        acc = np.bincount((base + rows * w + cols).ravel(),
+                          weights=g_y.astype(np.float64).ravel(),
+                          minlength=n * c * h * w)
+        return acc.reshape(x.shape).astype(g_y.dtype)
+
+    @staticmethod
+    def _pool_backward(x, g_y, k, s):
+        tape = Tape()
+        xs = Slot(x)
+        out = MaxPool2d(k, s).forward(tape, xs)
+        loss = Slot(np.array(0.0, dtype=np.float32))
+        tape.record(loss, (out,), lambda g: (g_y,))
+        tape.backward(loss)
+        return xs.grad
+
+    @pytest.mark.parametrize("k,s,h,w", [
+        (2, 2, 8, 8), (2, 2, 7, 9), (3, 2, 9, 9), (3, 2, 8, 10), (3, 1, 6, 7),
+        (2, 1, 5, 5), (3, 3, 9, 11),
+    ])
+    @pytest.mark.parametrize("values", ["normal", "few"])
+    def test_maxpool_backward_matches_argmax_oracle(self, k, s, h, w, values):
+        rng = np.random.default_rng(k * 1000 + s * 100 + h * 10 + w)
+        x = rng.standard_normal((2, 3, h, w)).astype(np.float32)
+        if values == "few":  # ties everywhere, including -0.0 against +0.0
+            x = rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), size=x.shape)
+        oh, ow = (h - k) // s + 1, (w - k) // s + 1
+        g_y = rng.standard_normal((2, 3, oh, ow)).astype(np.float32)
+        got = self._pool_backward(x, g_y, k, s)
+        assert got.tobytes() == self._argmax_routing(x, g_y, k, s).tobytes()
+
+    def test_maxpool_backward_shared_tied_maximum(self):
+        # k3/s2 on 5x5: the centre (2, 2) lies in all four windows and holds
+        # the maximum 5 of each; ties at (0, 0) and (2, 1) come first in the
+        # windows (0, 0) and (1, 0), so only (0, 1) and (1, 1) route there
+        x = np.zeros((1, 1, 5, 5), dtype=np.float32)
+        x[0, 0, 0, 0] = x[0, 0, 2, 1] = x[0, 0, 2, 2] = 5.0
+        g_y = np.float32([[[[1.0, 2.0], [4.0, 8.0]]]])
+        got = self._pool_backward(x, g_y, 3, 2)
+        expected = np.zeros((5, 5), dtype=np.float32)
+        expected[0, 0], expected[2, 1], expected[2, 2] = 1.0, 4.0, 10.0
+        assert got[0, 0].tobytes() == expected.tobytes()
+        assert got.tobytes() == self._argmax_routing(x, g_y, 3, 2).tobytes()
+
+    @pytest.mark.parametrize("first,second", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_maxpool_backward_signed_zero_tie(self, first, second):
+        # -0.0 == +0.0, so the first of the two takes the gradient
+        x = np.float32([[[[first, second], [-1.0, -2.0]]]])
+        g_y = np.float32([[[[3.0]]]])
+        got = self._pool_backward(x, g_y, 2, 2)
+        assert got.tobytes() == np.float32([[[[3.0, 0.0], [0.0, 0.0]]]]).tobytes()
+        assert got.tobytes() == self._argmax_routing(x, g_y, 2, 2).tobytes()
 
     def test_avgpool(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)

@@ -19,6 +19,7 @@ from bnn.train import (
     softmax_cross_entropy,
     sweep_tclip,
     train,
+    _find_nan_layer,
     write_scaling_csv,
     write_tclip_csv,
 )
@@ -271,3 +272,23 @@ def test_set_helpers():
         if hasattr(layer, "ste"):
             assert layer.ste.t_clip == 1.25
     assert model.build_args["scaling_mode"] == "FB"
+
+
+@pytest.mark.parametrize("where", ["input", "conv0"])
+def test_find_nan_layer_keeps_model_state(where):
+    tr, _ = tiny_pair()
+    model = arch.build_lenet(seed=0)
+    model.forward(tr.images[:20], training=True)  # non-default running stats
+    images = tr.images[:20].copy()
+    if where == "input":
+        images[3, 0, 5, 5] = np.nan
+    else:
+        model.layers()[0].weight.value[0, 0, 0, 0] = np.nan
+
+    def snapshot():
+        return [{k: v.tobytes() for k, v in layer.buffers().items()}
+                for layer in model.layers()]
+
+    before = snapshot()
+    assert _find_nan_layer(model, images) == where
+    assert snapshot() == before
