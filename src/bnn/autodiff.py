@@ -113,7 +113,10 @@ def sign_forward(r_i: np.ndarray) -> np.ndarray:
     r_i = np.asarray(r_i)
     if np.isnan(r_i).any():
         raise NumericError("sign_forward received NaN input")
-    return np.where(r_i >= 0, 1.0, -1.0).astype(np.float32)
+    out = (r_i >= 0).astype(np.float32)
+    out *= 2
+    out -= 1
+    return out
 
 
 def sign_backward(

@@ -13,6 +13,11 @@ the d positions where their bits differ, so their dot product is
 Both operands pad with 1-bits, so the padding XORs to 0 and adds nothing
 to the popcount: no correction term is needed.  This is exact integer
 arithmetic, so results match a float reference bit for bit.
+
+Convolutions pack along channels instead (pack_channels), so im2col of
+the bytes gives rows ready for binary_gemm.  When C % 8 != 0 a patch row
+also holds the 1-pad bits of each of its kh*kw pixels, in both operands;
+each adds +1 to the result, and the caller subtracts their count.
 """
 
 from __future__ import annotations
@@ -97,6 +102,31 @@ def pack_rows(values: np.ndarray) -> np.ndarray:
     bits = np.ones((rows, max(1, -(-n // WORD_BITS)) * WORD_BITS), dtype=bool)
     np.greater_equal(values, 0, out=bits[:, :n])
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def pack_channels(x: np.ndarray) -> np.ndarray:
+    """Sign bits of (N, C, H, W) x along C: (N, H, W, ceil(C/8)) uint8.
+
+    Bit c % 8 of byte c // 8 is channel c (LSB-first, as in pack_rows),
+    pad bits are 1.  An (O, C, kh, kw) weight packs the same way.
+    """
+    n, c, h, w = x.shape
+    bits = np.ones((n, -(-c // 8) * 8, h, w), dtype=bool)
+    np.greater_equal(x, 0, out=bits[:, :c])
+    planes = bits.view(np.uint8).reshape(n, -1, 8, h, w)  # 8 channels a byte
+    out = planes[:, :, 0].copy()
+    for i in range(1, 8):
+        out |= planes[:, :, i] << i
+    return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
+
+
+def from_row_bytes(row_bytes: np.ndarray) -> BitTensor:
+    """(rows, nbytes) LSB-first packed bytes as a (rows, 8*nbytes)
+    BitTensor, each row padded to whole words with 0xFF bytes."""
+    rows, nbytes = row_bytes.shape
+    words = np.full((rows, -(-nbytes // 8) * 8), 0xFF, dtype=np.uint8)
+    words[:, :nbytes] = row_bytes
+    return BitTensor(shape=(rows, 8 * nbytes), words=words.view("<u8").reshape(-1))
 
 
 def unpack_rows(row_bytes: np.ndarray, n: int) -> np.ndarray:

@@ -13,12 +13,15 @@ weight):
   FB - forward output and weight gradient both multiplied by the factor.
 The activation gradient is never scaled.
 
-Spatial padding is applied after binarization with the value +1, which
-is identical to padding the pre-sign activations with 0 (sign(0) = +1).
+A binary convolution packs its sign activations along channels once
+(bittensor.pack_channels), pads them with 0xFF (+1) bytes and gathers
+packed patch rows with im2col; when C % 8 != 0 the 1-pad bits of each
+kernel position add +1 each, in both operands, and are subtracted.  The
++-1 float patches exist only in backward, for the weight gradient.
 
-im2col columns are in (ki, kj, c) order, channel innermost; convolution
-weights stay (O, C, kh, kw), as stored in the model file, and are
-flattened to match with w.transpose(0, 2, 3, 1).reshape(O, -1).
+im2col takes channels-last input of any dtype; its columns are in
+(ki, kj, c) order.  Weights stay (O, C, kh, kw), as stored in the model
+file, and flatten to match with w.transpose(0, 2, 3, 1).reshape(O, -1).
 """
 
 from __future__ import annotations
@@ -76,15 +79,14 @@ def compute_scaling_factor(w: np.ndarray) -> float:
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(N,C,H,W) -> (N*OH*OW, kh*kw*C) patch matrix, one row per output
-    pixel, columns in (ki, kj, c) order with the channel innermost."""
-    n, c, h, w = x.shape
+    """Channels-last (N,H,W,C) -> (N*OH*OW, kh*kw*C) patch matrix of any
+    dtype, one row per output pixel, columns in (ki, kj, c) order."""
+    n, h, w, c = x.shape
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    xl = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-    sn, sh, sw, sc = xl.strides
+    sn, sh, sw, sc = x.strides
     view = as_strided(
-        xl, (n, oh, ow, kh, kw, c), (sn, sh * stride, sw * stride, sh, sw, sc)
+        x, (n, oh, ow, kh, kw, c), (sn, sh * stride, sw * stride, sh, sw, sc)
     )
     return np.ascontiguousarray(view).reshape(n * oh * ow, kh * kw * c)
 
@@ -94,31 +96,32 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 _COL2IM_BLOCK_BYTES = 1 << 20
 
 
-def col2im(
-    g_cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int
-) -> np.ndarray:
-    """Adjoint of im2col: add patch gradients back onto the (padded) input,
-    one strided slice per kernel offset, accumulated in float64."""
-    n, c, h, w = x_shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    g = g_cols.reshape(n, oh, ow, kh, kw, c)
-    out = np.empty(x_shape, dtype=g_cols.dtype)
-    step = max(1, _COL2IM_BLOCK_BYTES // (h * w * c * 8))
+def col2im(g_mat: np.ndarray, w: np.ndarray, x_shape: tuple, kh: int, kw: int,
+           stride: int) -> np.ndarray:
+    """Adjoint of im2col applied to the patch gradients g_mat @ w, added
+    back onto the (padded) (N,C,H,W) input one strided slice per kernel
+    offset, in float64.  g_mat @ w is formed one block of images at a
+    time, so the whole patch-gradient matrix never exists at once."""
+    n, c, h, wd = x_shape
+    oh, ow = (h - kh) // stride + 1, (wd - kw) // stride + 1
+    out = np.empty(x_shape, dtype=g_mat.dtype)
+    step = max(1, _COL2IM_BLOCK_BYTES // (h * wd * c * 8))
     for b in range(0, n, step):
-        acc = np.zeros((min(step, n - b), h, w, c))
+        nb = min(step, n - b)
+        g = (g_mat[b * oh * ow: (b + nb) * oh * ow] @ w).reshape(nb, oh, ow, kh, kw, c)
+        acc = np.zeros((nb, h, wd, c))
         for i in range(kh):
             rows = slice(i, i + stride * oh, stride)
             for j in range(kw):
-                acc[:, rows, j: j + stride * ow: stride] += g[b: b + step, :, :, i, j]
-        out[b: b + step] = acc.transpose(0, 3, 1, 2)
+                acc[:, rows, j: j + stride * ow: stride] += g[:, :, :, i, j]
+        out[b: b + nb] = acc.transpose(0, 3, 1, 2)
     return out
 
 
-def _pad_spatial(x: np.ndarray, p: int, value: float) -> np.ndarray:
+def _pad_spatial(x: np.ndarray, p: int, value) -> np.ndarray:  # (N,H,W,C)
     if p == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=value)
+    return np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)), constant_values=value)
 
 
 class Layer:
@@ -176,54 +179,55 @@ class QConv2d(Layer):
     def forward(self, tape, x, training=True):
         cfg = self.cfg
         kh, kw = cfg.kernel
-        if x.value.shape[1] != cfg.in_channels:
+        c, o, s = cfg.in_channels, cfg.out_channels, cfg.stride
+        if x.value.shape[1] != c:
             raise ShapeError(
-                f"{self.name}: expected {cfg.in_channels} input channels, "
+                f"{self.name}: expected {c} input channels, "
                 f"got {x.value.shape[1]}"
             )
         if cfg.binarize_input:
+            # sign bits packed along C; 0xFF pad bytes are +1 pixels
             x = autodiff.sign(tape, x, self.ste)
-            padded = _pad_spatial(x.value, cfg.padding, 1.0)
+            padded = _pad_spatial(bittensor.pack_channels(x.value), cfg.padding, 0xFF)
         else:
-            padded = _pad_spatial(x.value, cfg.padding, 0.0)
-        n = padded.shape[0]
-        oh = (padded.shape[2] - kh) // cfg.stride + 1
-        ow = (padded.shape[3] - kw) // cfg.stride + 1
-        cols = im2col(padded, kh, kw, cfg.stride)
+            xl = np.ascontiguousarray(x.value.transpose(0, 2, 3, 1))
+            padded = _pad_spatial(xl, cfg.padding, 0.0)
+        n, hp, wp = padded.shape[:3]
+        oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
+        cols = im2col(padded, kh, kw, s)
+
+        def float_cols():  # packed patches are rebuilt as +-1 floats
+            if not cfg.binarize_input:
+                return cols
+            signs = bittensor.unpack_rows(padded.reshape(n * hp * wp, -1), c)
+            return im2col(signs.reshape(n, hp, wp, c), kh, kw, s)
 
         # (O, C, kh, kw) -> (O, kh*kw*C), matching the im2col column order
-        w_flat = self.weight.value.transpose(0, 2, 3, 1).reshape(cfg.out_channels, -1)
-        if self.binary:
-            wb = autodiff.sign_forward(w_flat)
-            if cfg.binarize_input:
-                out_mat = bittensor.binary_gemm(
-                    bittensor.pack(cols), bittensor.pack(wb)
-                )
-            else:
-                out_mat = cols @ wb.T
+        w_flat = self.weight.value.transpose(0, 2, 3, 1).reshape(o, -1)
+        wb = autodiff.sign_forward(w_flat) if self.binary else w_flat
+        if self.binary and cfg.binarize_input:
+            w_rows = bittensor.pack_channels(self.weight.value).reshape(o, -1)
+            out_mat = bittensor.binary_gemm(bittensor.from_row_bytes(cols),
+                                            bittensor.from_row_bytes(w_rows))
+            out_mat -= cols.shape[1] * 8 - w_flat.shape[1]  # pad bits
+            cols = None  # not kept for backward
         else:
-            wb = w_flat
-            out_mat = cols @ wb.T
+            out_mat = float_cols() @ wb.T
 
         alpha = compute_scaling_factor(self.weight.value)
         if self.binary and cfg.scaling_mode == "FB":
             out_mat = out_mat * alpha
-        y = out_mat.reshape(n, oh, ow, cfg.out_channels).transpose(0, 3, 1, 2)
+        y = out_mat.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
         out = Slot(np.ascontiguousarray(y), name=self.name)
 
-        padded_shape = padded.shape
-
         def backward_fn(g_y):
-            g_mat = np.ascontiguousarray(
-                g_y.transpose(0, 2, 3, 1)
-            ).reshape(-1, cfg.out_channels)
+            g_mat = np.ascontiguousarray(g_y.transpose(0, 2, 3, 1)).reshape(-1, o)
             # activation gradient: never scaled by alpha
-            g_cols = g_mat @ wb
-            g_padded = col2im(g_cols, padded_shape, kh, kw, cfg.stride)
+            g_padded = col2im(g_mat, wb, (n, c, hp, wp), kh, kw, s)
             p = cfg.padding
-            g_x = g_padded[:, :, p: g_padded.shape[2] - p, p: g_padded.shape[3] - p] if p else g_padded
+            g_x = g_padded[:, :, p: hp - p, p: wp - p] if p else g_padded
             # weight gradient through the weight-sign STE
-            g_wb = (g_mat.T @ cols).reshape(cfg.out_channels, kh, kw, -1)
+            g_wb = (g_mat.T @ float_cols()).reshape(o, kh, kw, c)
             g_wb = np.ascontiguousarray(g_wb.transpose(0, 3, 1, 2))
             if self.binary:
                 g_w = autodiff.sign_backward(g_wb, self.weight.value, self.ste)

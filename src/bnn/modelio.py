@@ -224,29 +224,28 @@ def load(path):
         desc = json.loads(data[desc_start:desc_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"corrupt descriptor: {exc}") from exc
-
-    g = _rebuild(desc["build_args"])
-    if desc["storage_mode"] == "float32" and any(p.binary for p in g.params()):
+    try:
+        g = _rebuild(desc["build_args"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"cannot rebuild the model from build_args: "
+                               f"{type(exc).__name__}: {exc}") from exc
+    if desc.get("storage_mode") == "float32" and any(p.binary for p in g.params()):
         raise ModelFormatError(
             "storage-class mismatch: file stores float32 weights but the "
             "graph has binary layers (this is an export_fp file; load "
             "expects the deployment format)"
         )
-    expect_desc = _descriptor(g, desc["storage_mode"] == "packed_binary")
-    for got, want in zip(desc["layers"], expect_desc["layers"]):
-        for pg, pw in zip(got["params"], want["params"]):
-            if pg["storage"] != pw["storage"]:
-                raise ModelFormatError(
-                    f"storage-class mismatch for {pg['name']}: file has "
-                    f"{pg['storage']}, graph expects {pw['storage']}"
-                )
-            if pg["shape"] != pw["shape"]:
-                raise ModelFormatError(
-                    f"shape mismatch for {pg['name']}: {pg['shape']} vs "
-                    f"{pw['shape']}"
-                )
+    # every field, down to each parameter's shape and storage, as save() writes it
+    expect_desc = _descriptor(g, desc.get("storage_mode") == "packed_binary")
+    if desc != expect_desc:
+        key = min(k for k in desc.keys() | expect_desc.keys()
+                  if desc.get(k) != expect_desc.get(k))
+        raise ModelFormatError(
+            f"descriptor field {key!r} does not match the graph rebuilt "
+            f"from build_args"
+        )
 
-    sizes = list(_payload_sizes(desc))
+    sizes = list(_payload_sizes(expect_desc))
     blob = data[desc_end:-4]
     if len(blob) != sum(sizes):
         raise ModelFormatError(

@@ -1,5 +1,6 @@
 """Shared fixtures: synthetic datasets and raw data-file writers."""
 
+import json
 import os
 import struct
 
@@ -20,6 +21,18 @@ def mnist_dir():
 def cifar_dir():
     d = os.environ.get("BNN_CIFAR_DIR", os.path.join(REPO_ROOT, "data", "cifar10"))
     return d if os.path.isdir(d) else None
+
+
+def edit_descriptor(path, edit):
+    """Rewrite the JSON descriptor of a saved model file in place with
+    edit(desc); the payload and its CRC are untouched."""
+    blob = open(path, "rb").read()
+    n = struct.unpack_from("<I", blob, 6)[0]
+    desc = json.loads(blob[10:10 + n])
+    edit(desc)
+    new = json.dumps(desc, sort_keys=True, separators=(",", ":")).encode()
+    open(path, "wb").write(blob[:6] + struct.pack("<I", len(new)) + new
+                           + blob[10 + n:])
 
 
 def make_synth_dataset(n, class_count=10, shape=(1, 28, 28), seed=0,

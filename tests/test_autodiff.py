@@ -26,6 +26,19 @@ class TestSignForward:
         with pytest.raises(NumericError):
             sign_forward(np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_where_form_bitwise(self, dtype):
+        info = np.finfo(dtype)
+        tiny = info.smallest_subnormal
+        r = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny,
+                      info.tiny, -info.tiny, np.inf, -np.inf, info.max,
+                      -info.max, 1.0, -1.0], dtype=dtype)
+        r = np.stack([r, r[::-1]])  # 2-D, both orders
+        out = sign_forward(r)
+        ref = np.where(r >= 0, 1.0, -1.0).astype(np.float32)
+        assert out.dtype == np.float32 and out.shape == r.shape
+        assert out.tobytes() == ref.tobytes()
+
 
 class TestSignBackward:
     def test_indicator_formula(self):

@@ -15,7 +15,10 @@ from bnn.bittensor import (
     BitTensor,
     binary_dot,
     binary_gemm,
+    from_row_bytes,
     pack,
+    pack_channels,
+    pack_rows,
     popcount_words,
     popcount_words_portable,
     unpack,
@@ -216,3 +219,41 @@ class TestErrors:
     def test_bittensor_word_count_checked(self):
         with pytest.raises(ShapeError):
             BitTensor(shape=(2, 70), words=np.zeros(2, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("c", [8, 16, 64, 352])
+def test_pack_channels_bytes_equal_pack_rows_of_nhwc_signs(c):
+    rng = np.random.default_rng(c)
+    x = rng.standard_normal((2, c, 5, 3)).astype(np.float32)
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    packed = pack_channels(x)
+    assert packed.shape == (2, 5, 3, c // 8) and packed.dtype == np.uint8
+    rows = pack_rows(x.transpose(0, 2, 3, 1).reshape(-1, c)).view(np.uint8)
+    assert np.array_equal(packed.reshape(-1, c // 8), rows[:, : c // 8])
+
+
+@pytest.mark.parametrize("c", [1, 3, 7, 9, 13, 65])
+def test_pack_channels_pads_with_one_bits(c):
+    rng = np.random.default_rng(c)
+    x = rng.standard_normal((3, c, 2, 4))
+    packed = pack_channels(x)
+    cb = -(-c // 8)
+    bits = np.unpackbits(packed, axis=-1, bitorder="little")
+    assert bits.shape == (3, 2, 4, 8 * cb)
+    assert np.array_equal(bits[..., :c], (x >= 0).transpose(0, 2, 3, 1))
+    assert np.all(bits[..., c:] == 1)
+
+
+@pytest.mark.parametrize("nbytes", [1, 7, 8, 9, 100, 104])
+def test_from_row_bytes_pads_rows_to_words(nbytes):
+    rng = np.random.default_rng(nbytes)
+    a = rng.integers(0, 256, (5, nbytes), dtype=np.uint8)
+    b = rng.integers(0, 256, (3, nbytes), dtype=np.uint8)
+    ta, tb = from_row_bytes(a), from_row_bytes(b)
+    assert ta.shape == (5, 8 * nbytes)
+    assert np.all(ta.row_words().view(np.uint8)[:, nbytes:] == 0xFF)
+    unpacked = [np.unpackbits(m, axis=1, bitorder="little").astype(np.float32) * 2 - 1
+                for m in (a, b)]
+    assert np.array_equal(unpack(ta), unpacked[0])
+    assert np.array_equal(binary_gemm(ta, tb), unpacked[0] @ unpacked[1].T)

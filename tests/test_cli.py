@@ -1,13 +1,15 @@
 """CLI subcommands and exit codes, driven in-process."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from bnn import cli
+from bnn import arch, cli, modelio
 
-from conftest import write_mnist_dir
+from conftest import REPO_ROOT, edit_descriptor, write_mnist_dir
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +173,36 @@ def test_usage_error_on_no_command():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def _run_module(*args):
+    """Run ``python -m bnn`` with src importable, as an installed bnn is."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "bnn", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_bnn_help():
+    proc = _run_module("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: bnn" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_malformed_descriptor_exits_3_without_traceback(tmp_path, mnist_data,
+                                                         command):
+    # a CRC-valid file whose descriptor has no build_args
+    path = str(tmp_path / "m.bnn")
+    modelio.save(arch.build_lenet(seed=1), path)
+    edit_descriptor(path, lambda desc: desc.pop("build_args"))
+    extra = (["--dataset", "mnist", "--data-dir", mnist_data]
+             if command == "eval" else ["--out", str(tmp_path / "fp.bnn")])
+    proc = _run_module(command, "--model-file", path, *extra)
+    assert proc.returncode == cli.EXIT_DATA
+    assert "Traceback" not in proc.stderr
+    assert "build_args" in proc.stderr
 
 
 def test_entry_point_installed():

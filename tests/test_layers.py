@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnn import layers
 from bnn.autodiff import STEConfig, Slot, Tape, sign_forward
 from bnn.errors import ShapeError
 from bnn.layers import (
@@ -50,21 +51,22 @@ class TestIm2col:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 3, 7, 7)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        cols = im2col(x, 3, 3, 2)
+        cols = im2col(x.transpose(0, 2, 3, 1), 3, 3, 2)  # channels-last
         w_flat = w.transpose(0, 2, 3, 1).reshape(4, -1)  # (ki, kj, c) columns
         out = (cols @ w_flat.T).reshape(2, 3, 3, 4).transpose(0, 3, 1, 2)
         ref = conv2d_reference(x, w, stride=2, padding=0)
         np.testing.assert_allclose(out, ref, rtol=1e-5)
 
     def test_col2im_is_adjoint(self):
-        # <im2col(x), y> == <x, col2im(y)> for all x, y
+        # <im2col(x), g @ w> == <x, col2im(g, w)> for all x, g, w
         rng = np.random.default_rng(1)
         shape = (2, 3, 8, 8)
         x = rng.standard_normal(shape)
-        cols = im2col(x, 3, 3, 1)
-        y = rng.standard_normal(cols.shape)
-        lhs = (cols * y).sum()
-        rhs = (x * col2im(y, shape, 3, 3, 1)).sum()
+        cols = im2col(x.transpose(0, 2, 3, 1), 3, 3, 1)
+        g = rng.standard_normal((cols.shape[0], 4))
+        w = rng.standard_normal((4, cols.shape[1]))
+        lhs = (cols * (g @ w)).sum()
+        rhs = (x * col2im(g, w, shape, 3, 3, 1)).sum()
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
 
 
@@ -95,16 +97,17 @@ def col2im_bincount(g_cols, x_shape, kh, kw, stride):
     st.sampled_from([1, 3, 64]),
     st.integers(0, 4),
     st.integers(0, 4),
+    st.sampled_from([5, 64]),
     st.integers(0, 2 ** 32 - 1),
 )
-def test_col2im_matches_bincount_and_is_adjoint(kh, kw, stride, c, dh, dw, seed):
+def test_col2im_matches_bincount_and_is_adjoint(kh, kw, stride, c, dh, dw, o, seed):
     rng = np.random.default_rng(seed)
     # odd H and W, at least one kernel tall and wide
     h = kh + 2 * dh + (kh + 1) % 2
     w = kw + 2 * dw + (kw + 1) % 2
     shape = (2, c, h, w)
     x = rng.standard_normal(shape).astype(np.float32)
-    cols = im2col(x, kh, kw, stride)
+    cols = im2col(x.transpose(0, 2, 3, 1), kh, kw, stride)
     oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
     assert cols.shape == (2 * oh * ow, kh * kw * c)
     # row (b, i, j), column (ki, kj, ch) holds x[b, ch, i*s + ki, j*s + kj]
@@ -112,11 +115,23 @@ def test_col2im_matches_bincount_and_is_adjoint(kh, kw, stride, c, dh, dw, seed)
     ki, kj, ch = rng.integers(kh), rng.integers(kw), rng.integers(c)
     assert cols[(b * oh + i) * ow + j, (ki * kw + kj) * c + ch] == \
         x[b, ch, i * stride + ki, j * stride + kj]
-    y = rng.standard_normal(cols.shape).astype(np.float32)
-    back = col2im(y, shape, kh, kw, stride)
+    # one nonzero +-2^k per row of g, so every entry of g @ wt is exact
+    # whatever order a BLAS sums it in (col2im forms it block by block)
+    m = cols.shape[0]
+    g = np.zeros((m, o), dtype=np.float32)
+    g[np.arange(m), rng.integers(o, size=m)] = (
+        rng.choice([-1.0, 1.0], m) * 2.0 ** rng.integers(-3, 4, m))
+    wt = rng.standard_normal((o, cols.shape[1])).astype(np.float32)
+    y = g @ wt
+    back = col2im(g, wt, shape, kh, kw, stride)
     oracle = col2im_bincount(y, shape, kh, kw, stride)
     assert back.dtype == np.float32 and back.flags.c_contiguous
     assert back.tobytes() == oracle.tobytes()
+    saved, layers._COL2IM_BLOCK_BYTES = layers._COL2IM_BLOCK_BYTES, 1
+    try:  # one image per block
+        assert col2im(g, wt, shape, kh, kw, stride).tobytes() == oracle.tobytes()
+    finally:
+        layers._COL2IM_BLOCK_BYTES = saved
     lhs = (cols.astype(np.float64) * y).sum()
     rhs = (x.astype(np.float64) * back).sum()
     assert abs(lhs - rhs) <= 1e-5 * max(1.0, np.abs(cols * y).sum())
@@ -222,6 +237,63 @@ class TestQConv2d:
     def test_binary_init_inside_clip_range(self):
         layer = QConv2d(QLayerConfig(64, 128, (3, 3)), rng=np.random.default_rng(0))
         assert np.all(np.abs(layer.weight.value) <= 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 3, 7, 8, 9, 13, 64, 65]),
+    st.sampled_from([(1, 1), (2, 3), (3, 3), (5, 5)]),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from(["N", "FB"]),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_packed_conv_matches_patch_reference(c, kernel, stride, padding, dh, dw,
+                                             mode, seed):
+    """Channel-packed forward == float conv of the sign operands, exactly,
+    for every C % 8; the backward's +-1 patches come from the same bits."""
+    rng = np.random.default_rng(seed)
+    kh, kw = kernel
+    h, w = max(1, kh - 2 * padding) + dh, max(1, kw - 2 * padding) + dw
+    x = rng.standard_normal((2, c, h, w)).astype(np.float32)
+    x[rng.random(x.shape) < 0.15] = 0.0
+    x[rng.random(x.shape) < 0.15] = -0.0  # sign(-0.0) = +1 too
+    layer = QConv2d(QLayerConfig(c, 3, kernel, stride, padding, scaling_mode=mode),
+                    rng=rng)
+    tape = Tape()
+    xs = Slot(x)
+    out = layer.forward(tape, xs)
+    signs = np.where(x >= 0, 1.0, -1.0)
+    ws = np.where(layer.weight.value >= 0, 1.0, -1.0)
+    ref = conv2d_reference(signs, ws, stride, padding, pad_value=1.0)
+    if mode == "FB":
+        ref = ref.astype(np.float32) * compute_scaling_factor(layer.weight.value)
+    assert out.value.dtype == np.float32
+    assert np.array_equal(out.value, ref.astype(np.float32))
+
+    # small integer upstream gradients keep every sum exact in float32
+    proj = rng.integers(-3, 4, out.value.shape).astype(np.float32)
+    loss = Slot(np.array((out.value * proj).sum(), dtype=np.float32))
+    tape.record(loss, (out,), lambda g: (proj * g,))
+    tape.backward(loss)
+    p = padding
+    sp = np.pad(signs, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=1.0)
+    g_w = np.zeros_like(ws)
+    g_sp = np.zeros_like(sp)
+    for i in range(proj.shape[2]):
+        for j in range(proj.shape[3]):
+            win = np.s_[:, :, i * stride: i * stride + kh, j * stride: j * stride + kw]
+            g_w += np.einsum("no,nckl->ockl", proj[:, :, i, j], sp[win])
+            g_sp[win] += np.einsum("no,ockl->nckl", proj[:, :, i, j], ws)
+    g_s = g_sp[:, :, p: p + h, p: p + w]
+    t = layer.ste.t_clip
+    if mode == "FB":
+        g_w = g_w.astype(np.float32) * compute_scaling_factor(layer.weight.value)
+    assert np.array_equal(layer.weight.grad,
+                          np.where(np.abs(layer.weight.value) <= t, g_w, 0.0))
+    assert np.array_equal(xs.grad, np.where(np.abs(x) <= t, g_s, 0.0))
 
 
 class TestQDense:

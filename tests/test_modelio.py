@@ -8,6 +8,8 @@ import pytest
 from bnn import arch, modelio
 from bnn.errors import ModelFormatError
 
+from conftest import edit_descriptor
+
 
 @pytest.fixture
 def lenet():
@@ -214,6 +216,52 @@ class TestCorruption:
         open(path, "wb").write(new)
         with pytest.raises(ModelFormatError, match="unknown model"):
             modelio.load(path)
+
+
+def _set(*keys, value):
+    def edit(desc):
+        for k in keys[:-1]:
+            desc = desc[k]
+        desc[keys[-1]] = value
+    return edit
+
+
+class TestMalformedDescriptor:
+    @pytest.mark.parametrize("edit,match", [
+        (lambda d: d.pop("build_args"), "cannot rebuild.*KeyError: 'build_args'"),
+        (_set("build_args", "dropout", value=0.1), "cannot rebuild.*TypeError"),
+        (_set("build_args", "num_classes", value="10"), "cannot rebuild.*TypeError"),
+        (lambda d: d["build_args"].pop("model"), "cannot rebuild.*KeyError"),
+        (_set("build_args", "model", value=7), "unknown model kind"),
+        (_set("build_args", value=[]), "cannot rebuild.*KeyError: 'model'"),
+        (lambda d: d.clear() or d.update(build_args=5), "cannot rebuild.*TypeError"),
+        (_set("extra", value=1), "field 'extra'"),
+        (lambda d: d.pop("name"), "field 'name'"),
+        (_set("storage_mode", value="bits"), "does not match the graph"),
+        (_set("norm_channels", value=3), "field 'norm_channels'"),
+        (_set("layers", 0, "params", 0, "shape", value=[32, "1", 5, 5]), "field 'layers'"),
+        (_set("layers", 3, "params", 0, "storage", value="float32"), "field 'layers'"),
+        (_set("layers", 0, "params", value=[]), "field 'layers'"),
+        (_set("layers", 2, "buffers", value=[]), "field 'layers'"),
+        (lambda d: d["layers"].pop(), "field 'layers'"),
+        (lambda d: d["layers"].append(d["layers"][-1]), "field 'layers'"),
+    ], ids=["missing-build-args", "unknown-build-arg", "string-num-classes",
+            "missing-model", "model-not-str", "build-args-list", "build-args-int",
+            "extra-key", "missing-key", "bad-storage-mode", "norm-channels", "bad-shape",
+            "storage-class", "params-dropped", "buffers-dropped",
+            "layer-dropped", "layer-added"])
+    def test_raises_model_format_error(self, tmp_path, edit, match):
+        path = str(tmp_path / "m.bnn")
+        modelio.save(arch.build_lenet(seed=1), path)
+        edit_descriptor(path, edit)
+        with pytest.raises(ModelFormatError, match=match):
+            modelio.load(path)
+
+    def test_unedited_file_loads(self, tmp_path):
+        path = str(tmp_path / "m.bnn")
+        modelio.save(arch.build_lenet(seed=1), path)
+        edit_descriptor(path, lambda d: None)
+        modelio.load(path)
 
 
 def test_storage_class():
