@@ -142,8 +142,3 @@ def sign(tape: Tape, x: Slot, cfg: STEConfig) -> Slot:
         return (sign_backward(g_out, r_i, cfg),)
 
     return tape.record(out, (x,), backward_fn)
-
-
-def backward(tape: Tape, loss: Slot) -> dict:
-    """Module-level alias for Tape.backward."""
-    return tape.backward(loss)

@@ -18,10 +18,20 @@ Convolutions pack along channels instead (pack_channels), so im2col of
 the bytes gives rows ready for binary_gemm.  When C % 8 != 0 a patch row
 also holds the 1-pad bits of each of its kh*kw pixels, in both operands;
 each adds +1 to the result, and the caller subtracts their count.
+
+binary_gemm and layers.col2im run the C kernels of _kernels.c, compiled
+on first use with $CC -O3 -march=native into $XDG_CACHE_HOME/bnnkit and
+keyed on the CPU's flags too (see native_kernels); if that fails, their
+numpy code runs, with the same results.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shlex
+import subprocess
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +45,52 @@ _POPCOUNT_TABLE = np.array(
 )
 
 _HAVE_HW_POPCOUNT = hasattr(np, "bitwise_count")
+
+_KERNELS_C = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
+_CFLAGS = ["-O3", "-march=native", "-shared", "-fPIC"]
+_native = None  # ctypes.CDLL of _kernels.c; False once it failed to build
+kernel_status = "numpy (native kernels not loaded yet)"
+
+
+def native_kernels():
+    """The compiled _kernels.c, built on the first call; None (for good,
+    in this process) when it cannot be built or loaded."""
+    global _native, kernel_status
+    if _native is None:
+        try:
+            path = _build_kernels()
+            lib = ctypes.CDLL(path)
+            lib.xnor_gemm.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4
+            lib.col2im_add.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 9
+            lib.xnor_gemm.restype = lib.col2im_add.restype = None
+            _native, kernel_status = lib, f"native ({path})"
+        except (OSError, AttributeError, ValueError) as e:
+            _native, kernel_status = False, f"numpy ({e})"
+    return _native or None
+
+
+def _build_kernels() -> str:
+    """Path of the cached shared library, compiled first if missing."""
+    with open(_KERNELS_C, "rb") as f:
+        key = hashlib.sha256(f.read() + " ".join(_CFLAGS).encode())
+    if os.path.exists("/proc/cpuinfo"):  # -march=native: this CPU's flags
+        with open("/proc/cpuinfo", "rb") as f:
+            key.update(next((ln for ln in f if ln.startswith((b"flags", b"Features"))), b""))
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or
+                         os.path.join(os.path.expanduser("~"), ".cache"), "bnnkit")
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    st = os.stat(cache)  # else another user could plant a library we load
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise OSError(f"{cache} is writable by other users")
+    path = os.path.join(cache, f"kernels-{key.hexdigest()[:32]}.so")
+    if not os.path.exists(path):
+        cc, so = shlex.split(os.environ.get("CC") or "cc"), f"{path}.{os.getpid()}"
+        done = subprocess.run(cc + _CFLAGS + ["-o", so, _KERNELS_C], capture_output=True)
+        if done.returncode:
+            err = " ".join(done.stderr.decode(errors="replace").split())[:200]
+            raise OSError(f"{cc[0]} exited with status {done.returncode}. {err}".strip())
+        os.replace(so, path)  # whole, so a concurrent build cannot tear it
+    return path
 
 
 def popcount_words(words: np.ndarray) -> np.ndarray:
@@ -180,8 +236,8 @@ _ROW_BLOCK = 1024
 def binary_gemm(a: BitTensor, b: BitTensor) -> np.ndarray:
     """Multiply packed (M, K) a by the transpose of packed (N, K) b.
 
-    Returns float32 (M, N) of exact integers K - 2 * popcount(a XOR b),
-    accumulated one 64-bit word column at a time over blocks of rows.
+    Returns float32 (M, N) of exact integers K - 2 * popcount(a XOR b);
+    numpy accumulates them one 64-bit word column at a time.
     """
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise ShapeError("binary_gemm expects 2-D BitTensors")
@@ -191,10 +247,15 @@ def binary_gemm(a: BitTensor, b: BitTensor) -> np.ndarray:
         raise ShapeError(f"inner dimension mismatch: {k} vs {k_b}")
 
     # word-major copies: row j holds word j of every operand row
-    aw = np.ascontiguousarray(a.row_words().T)
-    bw = np.ascontiguousarray(b.row_words().T)
-
+    bw = np.ascontiguousarray(b.row_words().T, dtype=np.uint64)
     out = np.empty((m, n_out), dtype=np.float32)
+    lib = native_kernels()
+    if lib:
+        aw = np.ascontiguousarray(a.row_words(), dtype=np.uint64)
+        lib.xnor_gemm(aw.ctypes.data, bw.ctypes.data, out.ctypes.data,
+                      m, n_out, a.words_per_row, k)
+        return out
+    aw = np.ascontiguousarray(a.row_words().T)
     block = min(m, _ROW_BLOCK)
     diff = np.empty((block, n_out), dtype=np.uint64)
     count = np.empty((block, n_out), dtype=np.int32)

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import arch, bench, data, modelio, train as train_mod
+from . import arch, bench, bittensor, data, modelio, train as train_mod
 from .errors import DataFormatError, ModelFormatError, NumericError
 
 DATASETS = ("mnist", "cifar10")
@@ -85,6 +85,7 @@ def cmd_eval(args):
 
 def cmd_bench(args):
     rows = bench.run_bench(sizes=tuple(args.sizes), seed=args.seed)
+    print(f"kernel: {bittensor.kernel_status}")
     print("equality check passed: packed kernel == float reference, exact")
     print(bench.format_table(rows))
     return EXIT_OK

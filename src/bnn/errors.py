@@ -19,9 +19,5 @@ class ModelFormatError(ValueError):
     """A model file is malformed: bad magic, version, checksum or truncation."""
 
 
-class StateError(RuntimeError):
-    """Operation called in the wrong order (e.g. backward before forward)."""
-
-
 class NumericError(ArithmeticError):
     """NaN or divergence detected during computation."""

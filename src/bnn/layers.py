@@ -22,6 +22,9 @@ kernel position add +1 each, in both operands, and are subtracted.  The
 im2col takes channels-last input of any dtype; its columns are in
 (ki, kj, c) order.  Weights stay (O, C, kh, kw), as stored in the model
 file, and flatten to match with w.transpose(0, 2, 3, 1).reshape(O, -1).
+col2im adds float32 patch gradients back with the native col2im_add
+kernel when it loads (bittensor.native_kernels), in the same order, so
+with the same sums, as its numpy strided slice adds.
 """
 
 from __future__ import annotations
@@ -105,15 +108,20 @@ def col2im(g_mat: np.ndarray, w: np.ndarray, x_shape: tuple, kh: int, kw: int,
     n, c, h, wd = x_shape
     oh, ow = (h - kh) // stride + 1, (wd - kw) // stride + 1
     out = np.empty(x_shape, dtype=g_mat.dtype)
+    lib = bittensor.native_kernels()
     step = max(1, _COL2IM_BLOCK_BYTES // (h * wd * c * 8))
     for b in range(0, n, step):
         nb = min(step, n - b)
         g = (g_mat[b * oh * ow: (b + nb) * oh * ow] @ w).reshape(nb, oh, ow, kh, kw, c)
         acc = np.zeros((nb, h, wd, c))
-        for i in range(kh):
-            rows = slice(i, i + stride * oh, stride)
-            for j in range(kw):
-                acc[:, rows, j: j + stride * ow: stride] += g[:, :, :, i, j]
+        if lib and g.dtype == np.float32:  # same sums, same order
+            lib.col2im_add(g.ctypes.data, acc.ctypes.data, nb, h, wd, c, oh, ow,
+                           kh, kw, stride)
+        else:
+            for i in range(kh):
+                rows = slice(i, i + stride * oh, stride)
+                for j in range(kw):
+                    acc[:, rows, j: j + stride * ow: stride] += g[:, :, :, i, j]
         out[b: b + nb] = acc.transpose(0, 3, 1, 2)
     return out
 

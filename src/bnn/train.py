@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -297,7 +297,7 @@ def sweep_tclip(build_model, train_ds, test_ds, thresholds, cfg: TrainConfig,
     rows = []
     for t in thresholds:
         model = build_model(t)
-        run_cfg = TrainConfig(**{**cfg.__dict__, "t_clip": t})
+        run_cfg = replace(cfg, t_clip=t)
         report = train(model, train_ds, test_ds, run_cfg, log=log)
         accs = [r.test_top1 for r in report.records]
         rows.append((t, accs[-1], max(accs)))
@@ -317,7 +317,7 @@ def compare_scaling_modes(build_model, train_ds, test_ds, cfg: TrainConfig,
     columns = {}
     for mode in modes:
         model = build_model(mode)
-        run_cfg = TrainConfig(**{**cfg.__dict__, "scaling_mode": mode})
+        run_cfg = replace(cfg, scaling_mode=mode)
         report = train(model, train_ds, test_ds, run_cfg, log=log)
         columns[mode] = [r.test_top1 for r in report.records]
     return modes, columns

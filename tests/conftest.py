@@ -1,5 +1,6 @@
 """Shared fixtures: synthetic datasets and raw data-file writers."""
 
+import contextlib
 import json
 import os
 import struct
@@ -7,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from bnn import bittensor
 from bnn.data import Dataset
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -21,6 +23,17 @@ def mnist_dir():
 def cifar_dir():
     d = os.environ.get("BNN_CIFAR_DIR", os.path.join(REPO_ROOT, "data", "cifar10"))
     return d if os.path.isdir(d) else None
+
+
+@contextlib.contextmanager
+def numpy_kernels():
+    """Run the numpy code instead of the native kernels, as when they
+    cannot be built."""
+    saved, bittensor._native = bittensor._native, False
+    try:
+        yield
+    finally:
+        bittensor._native = saved
 
 
 def edit_descriptor(path, edit):

@@ -4,11 +4,15 @@ The float dot product of sign vectors is the oracle everywhere; the
 packed kernel must agree exactly (integer arithmetic, no tolerance).
 """
 
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnn import bittensor
 from bnn.bittensor import (
     _ROW_BLOCK,
     WORD_BITS,
@@ -24,6 +28,12 @@ from bnn.bittensor import (
     unpack,
 )
 from bnn.errors import ShapeError
+
+from conftest import REPO_ROOT, numpy_kernels
+
+# output columns per tile of the native xnor_gemm
+with open(bittensor._KERNELS_C) as _f:
+    _N_TILE = int(re.search(r"#define N_TILE (\d+)", _f.read()).group(1))
 
 
 def all_sign_vectors(n):
@@ -167,28 +177,45 @@ def sign_of(v):
         st.sampled_from([_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1]),
     ),
     st.one_of(st.integers(1, 200), st.sampled_from([800, 3312])),
-    st.integers(1, 200),
+    st.one_of(
+        st.integers(1, 200),
+        st.sampled_from([_N_TILE - 1, _N_TILE, _N_TILE + 1]),
+    ),
     st.integers(0, 2 ** 32 - 1),
 )
 def test_binary_gemm_property(m, k, n, seed):
     rng = np.random.default_rng(seed)
     a = sign_operand(rng, (m, k))
     b = sign_operand(rng, (n, k))
-    out = binary_gemm(pack(a), pack(b))
-    assert out.dtype == np.float32
-    assert np.array_equal(out, sign_of(a) @ sign_of(b).T)
+    expected = sign_of(a) @ sign_of(b).T
+    out = binary_gemm(pack(a), pack(b))  # native kernel, when it builds
+    with numpy_kernels():
+        out_numpy = binary_gemm(pack(a), pack(b))
+    for got in (out, out_numpy):
+        assert got.dtype == np.float32
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("k", [1, 63, 64, 65, 800, 3312])
 def test_kernels_with_portable_popcount(monkeypatch, k):
-    import bnn.bittensor as bt
-    monkeypatch.setattr(bt, "_HAVE_HW_POPCOUNT", False)
+    monkeypatch.setattr(bittensor, "_HAVE_HW_POPCOUNT", False)
+    monkeypatch.setattr(bittensor, "_native", False)  # the numpy word loop
     rng = np.random.default_rng(k)
     a = sign_operand(rng, (5, k))
     b = sign_operand(rng, (7, k))
     expected = sign_of(a) @ sign_of(b).T
     assert np.array_equal(binary_gemm(pack(a), pack(b)), expected)
     assert binary_dot(pack(a[0]), pack(b[0])) == int(expected[0, 0])
+
+
+def test_kernel_source_ships_with_the_package():
+    # native_kernels compiles the C file next to bittensor.py, so an
+    # installed package must carry it
+    here = os.path.dirname(os.path.abspath(bittensor.__file__))
+    assert bittensor._KERNELS_C == os.path.join(here, "_kernels.c")
+    assert os.path.isfile(bittensor._KERNELS_C)
+    with open(os.path.join(REPO_ROOT, "pyproject.toml")) as f:
+        assert '[tool.setuptools.package-data]\nbnn = ["*.c"]\n' in f.read()
 
 
 class TestErrors:

@@ -1,13 +1,14 @@
 """CLI subcommands and exit codes, driven in-process."""
 
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from bnn import arch, cli, modelio
+from bnn import arch, bittensor, cli, modelio
 
 from conftest import REPO_ROOT, edit_descriptor, write_mnist_dir
 
@@ -138,6 +139,12 @@ class TestBench:
         assert "equality check passed" in out
         assert "vs naive" in out
 
+    def test_reports_which_kernel_ran(self, capsys):
+        assert cli.main(["bench", "--sizes", "64"]) == cli.EXIT_OK
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line == f"kernel: {bittensor.kernel_status}"
+        assert line.startswith(("kernel: native (", "kernel: numpy ("))
+
 
 class TestSweep:
     def test_tclip_sweep(self, mnist_data, tmp_path, capsys):
@@ -175,11 +182,17 @@ def test_usage_error_on_no_command():
     assert exc.value.code == 2
 
 
-def _run_module(*args):
-    """Run ``python -m bnn`` with src importable, as an installed bnn is."""
+def _run_module(*args, env_changes=()):
+    """Run ``python -m bnn`` with src importable, as an installed bnn is;
+    env_changes maps variables to new values, or to None to unset them."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")]))
+    for name, value in dict(env_changes).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run([sys.executable, "-m", "bnn", *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -206,6 +219,55 @@ def test_malformed_descriptor_exits_3_without_traceback(tmp_path, mnist_data,
 
 
 def test_entry_point_installed():
-    import shutil
     exe = shutil.which("bnn")
     assert exe is not None
+
+
+def _bench_in_subprocess(cache, cc):
+    """bnn bench in a fresh process with its kernel cache under cache;
+    it must succeed, check exactness and print no traceback."""
+    proc = _run_module("bench", "--sizes", "64",
+                       env_changes={"XDG_CACHE_HOME": str(cache), "CC": cc})
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "equality check passed" in proc.stdout
+    return proc.stdout.splitlines()[0]
+
+
+def test_no_compiler_falls_back_to_numpy(tmp_path):
+    line = _bench_in_subprocess(tmp_path, "false")
+    assert line == "kernel: numpy (false exited with status 1.)"
+
+
+def test_unwritable_cache_falls_back_to_numpy(tmp_path):
+    # a file where the cache directory should be: no user can create it
+    (tmp_path / "bnnkit").write_text("")
+    line = _bench_in_subprocess(tmp_path, None)
+    assert line.startswith("kernel: numpy (")
+
+
+def test_read_only_cache_directory(tmp_path):
+    cache = tmp_path / "bnnkit"
+    cache.mkdir(mode=0o500)
+    try:  # numpy, except for root, whom the mode does not stop
+        line = _bench_in_subprocess(tmp_path, None)
+    finally:
+        cache.chmod(0o700)
+    assert line.startswith("kernel: numpy (") or os.geteuid() == 0
+
+
+def test_shared_cache_directory_is_not_used(tmp_path):
+    # another user could plant a library there, which bnn would run
+    cache = tmp_path / "bnnkit"
+    cache.mkdir()
+    cache.chmod(0o777)
+    line = _bench_in_subprocess(tmp_path, None)
+    assert line == f"kernel: numpy ({cache} is writable by other users)"
+    assert list(cache.iterdir()) == []
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+def test_cached_kernel_loads_without_compiler(tmp_path):
+    built = _bench_in_subprocess(tmp_path, None)  # the system cc builds it
+    assert built.startswith(f"kernel: native ({tmp_path / 'bnnkit'}{os.sep}")
+    assert _bench_in_subprocess(tmp_path, "false") == built
