@@ -105,7 +105,7 @@ class ModelGraph:
         slots = {}
         for node in self.nodes:
             if node.op == "input":
-                slots[node.id] = Slot(np.asarray(x, dtype=np.float32), "input")
+                slots[node.id] = Slot(np.asarray(x, np.float32), "input", requires_grad=False)
             elif node.op == "concat":
                 slots[node.id] = concat(tape, [slots[i] for i in node.inputs])
             elif node.op == "add":

@@ -33,14 +33,16 @@ class STEConfig:
 
 
 class Slot:
-    """A value on the tape plus its gradient accumulator."""
+    """A value on the tape plus its gradient accumulator, which stays
+    None if requires_grad is False (a model's input batch)."""
 
-    __slots__ = ("value", "grad", "name")
+    __slots__ = ("value", "grad", "name", "requires_grad")
 
-    def __init__(self, value, name=""):
+    def __init__(self, value, name="", requires_grad=True):
         self.value = np.asarray(value)
         self.grad = None
         self.name = name
+        self.requires_grad = requires_grad
 
     def add_grad(self, g):
         if g.shape != self.value.shape:
@@ -69,7 +71,7 @@ class Tape:
 
     def record(self, output: Slot, inputs, backward_fn) -> Slot:
         """Append a node; backward_fn maps the output gradient to one
-        gradient array (or None) per input slot."""
+        gradient array per input slot, or None where it needs none."""
         self.nodes.append(_Node(output, tuple(inputs), backward_fn))
         return output
 
@@ -98,7 +100,7 @@ class Tape:
                     f"{len(node.inputs)} inputs"
                 )
             for slot, g in zip(node.inputs, grads):
-                if g is not None:
+                if g is not None and slot.requires_grad:
                     slot.add_grad(np.asarray(g))
         table = {}
         for node in self.nodes:

@@ -19,6 +19,12 @@ packed patch rows with im2col; when C % 8 != 0 the 1-pad bits of each
 kernel position add +1 each, in both operands, and are subtracted.  The
 +-1 float patches exist only in backward, for the weight gradient.
 
+A convolution with a float input (the stem) gathers pixel-innermost
+patches, (N, kh*kw*C, OH*OW) in the same (ki, kj, c) order, so one
+batched GEMM w @ cols writes NCHW; its weight gradient sums over n*P in
+the same order, and it skips the gradient of an input slot with
+requires_grad=False (the image batch), so col2im never runs for it.
+
 im2col takes channels-last input of any dtype; its columns are in
 (ki, kj, c) order.  Weights stay (O, C, kh, kw), as stored in the model
 file, and flatten to match with w.transpose(0, 2, 3, 1).reshape(O, -1).
@@ -81,9 +87,11 @@ def compute_scaling_factor(w: np.ndarray) -> float:
     return float(np.mean(np.abs(w)))
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
+           pixels_inner: bool = False) -> np.ndarray:
     """Channels-last (N,H,W,C) -> (N*OH*OW, kh*kw*C) patch matrix of any
-    dtype, one row per output pixel, columns in (ki, kj, c) order."""
+    dtype, one row per output pixel, columns in (ki, kj, c) order; or,
+    with pixels_inner, (N, kh*kw*C, OH*OW).  x may be a strided view."""
     n, h, w, c = x.shape
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
@@ -91,6 +99,9 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     view = as_strided(
         x, (n, oh, ow, kh, kw, c), (sn, sh * stride, sw * stride, sh, sw, sc)
     )
+    if pixels_inner:
+        view = view.transpose(0, 3, 4, 5, 1, 2)
+        return np.ascontiguousarray(view).reshape(n, kh * kw * c, oh * ow)
     return np.ascontiguousarray(view).reshape(n * oh * ow, kh * kw * c)
 
 
@@ -124,12 +135,6 @@ def col2im(g_mat: np.ndarray, w: np.ndarray, x_shape: tuple, kh: int, kw: int,
                     acc[:, rows, j: j + stride * ow: stride] += g[:, :, :, i, j]
         out[b: b + nb] = acc.transpose(0, 3, 1, 2)
     return out
-
-
-def _pad_spatial(x: np.ndarray, p: int, value) -> np.ndarray:  # (N,H,W,C)
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)), constant_values=value)
 
 
 class Layer:
@@ -187,56 +192,64 @@ class QConv2d(Layer):
     def forward(self, tape, x, training=True):
         cfg = self.cfg
         kh, kw = cfg.kernel
-        c, o, s = cfg.in_channels, cfg.out_channels, cfg.stride
+        c, o, s, p = cfg.in_channels, cfg.out_channels, cfg.stride, cfg.padding
         if x.value.shape[1] != c:
             raise ShapeError(
                 f"{self.name}: expected {c} input channels, "
                 f"got {x.value.shape[1]}"
             )
-        if cfg.binarize_input:
-            # sign bits packed along C; 0xFF pad bytes are +1 pixels
-            x = autodiff.sign(tape, x, self.ste)
-            padded = _pad_spatial(bittensor.pack_channels(x.value), cfg.padding, 0xFF)
-        else:
-            xl = np.ascontiguousarray(x.value.transpose(0, 2, 3, 1))
-            padded = _pad_spatial(xl, cfg.padding, 0.0)
-        n, hp, wp = padded.shape[:3]
+        n, _, h, w = x.value.shape
+        hp, wp = h + 2 * p, w + 2 * p
         oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
-        cols = im2col(padded, kh, kw, s)
-
-        def float_cols():  # packed patches are rebuilt as +-1 floats
-            if not cfg.binarize_input:
-                return cols
-            signs = bittensor.unpack_rows(padded.reshape(n * hp * wp, -1), c)
-            return im2col(signs.reshape(n, hp, wp, c), kh, kw, s)
-
         # (O, C, kh, kw) -> (O, kh*kw*C), matching the im2col column order
         w_flat = self.weight.value.transpose(0, 2, 3, 1).reshape(o, -1)
         wb = autodiff.sign_forward(w_flat) if self.binary else w_flat
-        if self.binary and cfg.binarize_input:
-            w_rows = bittensor.pack_channels(self.weight.value).reshape(o, -1)
-            out_mat = bittensor.binary_gemm(bittensor.from_row_bytes(cols),
-                                            bittensor.from_row_bytes(w_rows))
-            out_mat -= cols.shape[1] * 8 - w_flat.shape[1]  # pad bits
-            cols = None  # not kept for backward
+        if cfg.binarize_input:
+            # sign bits packed along C; 0xFF pad bytes are +1 pixels
+            x = autodiff.sign(tape, x, self.ste)
+            padded = bittensor.pack_channels(x.value)
+            if p:
+                padded = np.pad(padded, ((0, 0), (p, p), (p, p), (0, 0)),
+                                constant_values=0xFF)
+            cols = im2col(padded, kh, kw, s)
+
+            def float_cols():  # packed patches are rebuilt as +-1 floats
+                signs = bittensor.unpack_rows(padded.reshape(n * hp * wp, -1), c)
+                return im2col(signs.reshape(n, hp, wp, c), kh, kw, s)
+
+            if self.binary:
+                w_rows = bittensor.pack_channels(self.weight.value).reshape(o, -1)
+                out_mat = bittensor.binary_gemm(bittensor.from_row_bytes(cols),
+                                                bittensor.from_row_bytes(w_rows))
+                out_mat -= cols.shape[1] * 8 - w_flat.shape[1]  # pad bits
+                cols = None  # not kept for backward
+            else:
+                out_mat = float_cols() @ wb.T
+            y = out_mat.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
         else:
-            out_mat = float_cols() @ wb.T
+            # pixel-innermost patches: one batched GEMM writes NCHW directly
+            xv = np.pad(x.value, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.value
+            cols = im2col(xv.transpose(0, 2, 3, 1), kh, kw, s, pixels_inner=True)
+            y = np.matmul(wb, cols).reshape(n, o, oh, ow)
 
         alpha = compute_scaling_factor(self.weight.value)
         if self.binary and cfg.scaling_mode == "FB":
-            out_mat = out_mat * alpha
-        y = out_mat.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+            y = y * alpha
         out = Slot(np.ascontiguousarray(y), name=self.name)
 
         def backward_fn(g_y):
-            g_mat = np.ascontiguousarray(g_y.transpose(0, 2, 3, 1)).reshape(-1, o)
-            # activation gradient: never scaled by alpha
-            g_padded = col2im(g_mat, wb, (n, c, hp, wp), kh, kw, s)
-            p = cfg.padding
-            g_x = g_padded[:, :, p: hp - p, p: wp - p] if p else g_padded
-            # weight gradient through the weight-sign STE
-            g_wb = (g_mat.T @ float_cols()).reshape(o, kh, kw, c)
-            g_wb = np.ascontiguousarray(g_wb.transpose(0, 3, 1, 2))
+            g_x = None
+            if x.requires_grad:  # False only for the image batch, never a sign output
+                g_mat = np.ascontiguousarray(g_y.transpose(0, 2, 3, 1)).reshape(-1, o)
+                # activation gradient: never scaled by alpha
+                g_padded = col2im(g_mat, wb, (n, c, hp, wp), kh, kw, s)
+                g_x = g_padded[:, :, p: hp - p, p: wp - p] if p else g_padded
+            # weight gradient through the weight-sign STE, summed in n*P order
+            if cfg.binarize_input:
+                g_wb = g_mat.T @ float_cols()
+            else:
+                g_wb = np.tensordot(g_y.reshape(n, o, -1), cols, ((0, 2), (0, 2)))
+            g_wb = np.ascontiguousarray(g_wb.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
             if self.binary:
                 g_w = autodiff.sign_backward(g_wb, self.weight.value, self.ste)
                 if cfg.scaling_mode in ("B", "FB"):

@@ -28,6 +28,7 @@ predicted by file_size().
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import zlib
@@ -181,20 +182,22 @@ def export_fp(g: arch.ModelGraph, path, normalization=None):
     _write(g, path, binary_storage=False, normalization=normalization)
 
 
-def _rebuild(build_args: dict) -> arch.ModelGraph:
+def _builder(build_args: dict):
+    """The call that rebuilds the graph build_args describe: the model
+    kind and the densenet spec are checked now, the rest when it runs."""
     args = dict(build_args)
     model = args.pop("model")
     if model == "lenet":
-        return arch.build_lenet(**args)
+        return functools.partial(arch.build_lenet, **args)
     if model == "resnet":
-        return arch.build_resnet(**args)
+        return functools.partial(arch.build_resnet, **args)
     if model == "densenet":
         spec = arch.DenseNetSpec(
             k=args.pop("k"), b=args.pop("b"),
             reduction=args.pop("reduction"),
             num_classes=args.pop("num_classes"),
         )
-        return arch.build_densenet(spec, **args)
+        return functools.partial(arch.build_densenet, spec, **args)
     raise ModelFormatError(f"unknown model kind {model!r} in file")
 
 
@@ -225,7 +228,30 @@ def load(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"corrupt descriptor: {exc}") from exc
     try:
-        g = _rebuild(desc["build_args"])
+        build = _builder(desc["build_args"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"cannot rebuild the model from build_args: "
+                               f"{type(exc).__name__}: {exc}") from exc
+    # the file's own descriptor must account for its payload before a
+    # graph of the size build_args ask for is allocated
+    try:
+        sizes = list(_payload_sizes(desc))
+        expected = sum(sizes)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"corrupt descriptor: cannot size the payload: "
+                               f"{type(exc).__name__}: {exc}") from exc
+    blob = data[desc_end:-4]
+    if len(blob) != expected:
+        raise ModelFormatError(
+            f"payload is {len(blob)} bytes, but descriptor field 'layers' and "
+            f"field 'norm_channels' give {expected}: the file is truncated or "
+            f"its descriptor is wrong"
+        )
+    (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
+    if zlib.crc32(blob) != crc_stored:
+        raise ModelFormatError("checksum failure: payload corrupted")
+    try:
+        g = build()
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"cannot rebuild the model from build_args: "
                                f"{type(exc).__name__}: {exc}") from exc
@@ -244,17 +270,6 @@ def load(path):
             f"descriptor field {key!r} does not match the graph rebuilt "
             f"from build_args"
         )
-
-    sizes = list(_payload_sizes(expect_desc))
-    blob = data[desc_end:-4]
-    if len(blob) != sum(sizes):
-        raise ModelFormatError(
-            f"file truncated: payload is {len(blob)} bytes, "
-            f"expected {sum(sizes)}"
-        )
-    (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(blob) != crc_stored:
-        raise ModelFormatError("checksum failure: payload corrupted")
 
     offset = 0
     blobs = []

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnn import layers
-from bnn.autodiff import STEConfig, Slot, Tape, sign_forward
+from bnn import arch, layers, train
+from bnn.autodiff import STEConfig, Slot, Tape, sign_backward, sign_forward
 from bnn.errors import ShapeError
 from bnn.layers import (
     AvgPool2d,
@@ -298,6 +298,158 @@ def test_packed_conv_matches_patch_reference(c, kernel, stride, padding, dh, dw,
     assert np.array_equal(layer.weight.grad,
                           np.where(np.abs(layer.weight.value) <= t, g_w, 0.0))
     assert np.array_equal(xs.grad, np.where(np.abs(x) <= t, g_s, 0.0))
+
+
+def channels_last_conv(layer, tape, x):
+    """Oracle for a convolution with a float input, as it was computed
+    before the pixel-innermost path: channels-last patches, one row per
+    output pixel, (N*P, K) @ wb.T and the NHWC result transposed to NCHW;
+    backward forms the (N*P, O) gradient matrix, the weight gradient
+    g_mat.T @ cols and, always, the input gradient with col2im."""
+    cfg = layer.cfg
+    kh, kw = cfg.kernel
+    c, o, s, p = cfg.in_channels, cfg.out_channels, cfg.stride, cfg.padding
+    xl = np.ascontiguousarray(x.value.transpose(0, 2, 3, 1))
+    xl = np.pad(xl, ((0, 0), (p, p), (p, p), (0, 0)))
+    n, hp, wp = xl.shape[:3]
+    oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
+    cols = im2col(xl, kh, kw, s)
+    w_flat = layer.weight.value.transpose(0, 2, 3, 1).reshape(o, -1)
+    wb = sign_forward(w_flat) if layer.binary else w_flat
+    out_mat = cols @ wb.T
+    alpha = compute_scaling_factor(layer.weight.value)
+    if layer.binary and cfg.scaling_mode == "FB":
+        out_mat = out_mat * alpha
+    y = out_mat.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+
+    def backward_fn(g_y):
+        g_mat = np.ascontiguousarray(g_y.transpose(0, 2, 3, 1)).reshape(-1, o)
+        g_x = col2im(g_mat, wb, (n, c, hp, wp), kh, kw, s)[:, :, p: hp - p, p: wp - p]
+        g_wb = (g_mat.T @ cols).reshape(o, kh, kw, c)
+        g_wb = np.ascontiguousarray(g_wb.transpose(0, 3, 1, 2))
+        if not layer.binary:
+            return g_x, g_wb
+        g_w = sign_backward(g_wb, layer.weight.value, layer.ste)
+        return g_x, g_w * alpha if cfg.scaling_mode in ("B", "FB") else g_w
+
+    out = Slot(np.ascontiguousarray(y), name=layer.name)
+    return tape.record(out, (x, layer.weight), backward_fn)
+
+
+def _step(forward, weight, x, g_y, requires_grad=True):
+    """One forward and backward with upstream gradient g_y; returns the
+    output, the input slot and the weight gradient."""
+    tape = Tape()
+    xs = Slot(x, requires_grad=requires_grad)
+    out = forward(tape, xs)
+    loss = Slot(np.array(0.0, dtype=np.float32))
+    tape.record(loss, (out,), lambda g: (g_y,))
+    tape.backward(loss)
+    return out.value, xs, weight.grad.copy()
+
+
+@pytest.mark.parametrize("shape,o,kernel,stride,padding,binary,mode", [
+    ((8, 1, 28, 28), 32, (5, 5), 1, 0, False, "N"),
+    ((4, 3, 32, 32), 32, (3, 3), 1, 1, False, "N"),
+    ((2, 3, 45, 45), 16, (7, 7), 2, 3, False, "N"),
+    ((3, 3, 13, 11), 8, (3, 3), 2, 1, False, "N"),
+    ((4, 3, 32, 32), 32, (3, 3), 1, 1, True, "N"),
+    ((3, 3, 13, 11), 8, (3, 3), 2, 1, True, "FB"),
+], ids=["lenet-stem", "cifar-stem", "imagenet-stem", "odd-hw-stride-2",
+        "binary-weights", "binary-weights-fb"])
+def test_float_input_conv_matches_channels_last_oracle(shape, o, kernel, stride,
+                                                       padding, binary, mode):
+    """The pixel-innermost float path gives the same bytes as the
+    channels-last one: output, weight gradient and input gradient."""
+    rng = np.random.default_rng(shape[0] * 100 + o)
+    cfg = QLayerConfig(shape[1], o, kernel, stride, padding, scaling_mode=mode,
+                       binarize_input=False)
+    layer = QConv2d(cfg, binary=binary, rng=rng)
+    x = rng.standard_normal(shape).astype(np.float32)
+    out_shape = (shape[0], o) + layer.out_shape(shape[1:])[1:]
+    g_y = rng.standard_normal(out_shape).astype(np.float32)
+    y, xs, g_w = _step(layer.forward, layer.weight, x, g_y)
+    y_ref, xs_ref, g_w_ref = _step(lambda t, v: channels_last_conv(layer, t, v),
+                                   layer.weight, x, g_y)
+    assert y.dtype == np.float32 and y.shape == out_shape and y.flags.c_contiguous
+    assert y.tobytes() == y_ref.tobytes()
+    assert g_w.tobytes() == g_w_ref.tobytes()
+    assert xs.grad.tobytes() == xs_ref.grad.tobytes()
+    # an input that needs no gradient gets none; the weight gradient holds
+    y, xs, g_w = _step(layer.forward, layer.weight, x, g_y, requires_grad=False)
+    assert xs.grad is None
+    assert y.tobytes() == y_ref.tobytes() and g_w.tobytes() == g_w_ref.tobytes()
+
+
+def _train_step(model, x, labels):
+    tape = Tape()
+    logits = model.forward(x, tape=tape, training=True)
+    tape.backward(train.softmax_cross_entropy(tape, logits, labels))
+    return tape
+
+
+def _counting_col2im(monkeypatch):
+    calls = []
+    orig = layers.col2im
+
+    def counted(g_mat, w, x_shape, *args):
+        calls.append(x_shape)
+        return orig(g_mat, w, x_shape, *args)
+
+    monkeypatch.setattr(layers, "col2im", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["lenet", "densenet:k=16,b=2"])
+def test_tape_stops_at_the_image(spec, monkeypatch):
+    """A training step computes no gradient for the image batch: col2im
+    runs once per binary conv and never for the float stem, and every
+    parameter gradient is the one the channels-last stem gives."""
+    model = arch.build_model(spec, num_classes=10, seed=3, preset="cifar")
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((4,) + model.input_shape).astype(np.float32)
+    labels = rng.integers(0, 10, 4)
+    calls = _counting_col2im(monkeypatch)
+    tape = _train_step(model, x, labels)
+    monkeypatch.undo()
+    images = {id(s): s for node in tape.nodes for s in node.inputs if s.name == "input"}
+    assert len(images) == 1
+    assert next(iter(images.values())).grad is None
+    stem = model.layers()[0]
+    assert isinstance(stem, QConv2d) and not stem.binary
+    binary_convs = [l for l in model.layers() if isinstance(l, QConv2d) and l.binary]
+    assert len(calls) == len(binary_convs)
+    assert all(c != stem.cfg.in_channels for _, c, _, _ in calls)
+
+    reference = arch.build_model(spec, num_classes=10, seed=3, preset="cifar")
+    ref_stem = reference.layers()[0]
+    ref_stem.forward = lambda tape, x, training=True: channels_last_conv(ref_stem, tape, x)
+    _train_step(reference, x, labels)
+    for p, q in zip(model.params(), reference.params()):
+        assert p.name == q.name and p.grad.tobytes() == q.grad.tobytes()
+
+
+def test_inner_float_conv_keeps_its_input_gradient(monkeypatch):
+    """In lenet-fp only the stem's input is the image: the inner float
+    conv still routes its gradient to its input, patch by patch."""
+    model = arch.build_lenet(binary=False, seed=3)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((4, 1, 28, 28)).astype(np.float32)
+    calls = _counting_col2im(monkeypatch)
+    tape = _train_step(model, x, rng.integers(0, 10, 4))
+    monkeypatch.undo()
+    node = next(n for n in tape.nodes if n.output.name == "conv1")
+    conv = next(l for l in model.layers() if l.name == "conv1")
+    assert calls == [node.inputs[0].value.shape]
+    g_y = node.output.grad.astype(np.float64)
+    w = conv.weight.value.astype(np.float64)
+    kh, kw = conv.cfg.kernel
+    g_x = np.zeros(node.inputs[0].value.shape)
+    for i in range(g_y.shape[2]):
+        for j in range(g_y.shape[3]):
+            g_x[:, :, i: i + kh, j: j + kw] += np.einsum("no,ockl->nckl", g_y[:, :, i, j], w)
+    np.testing.assert_allclose(node.inputs[0].grad, g_x, rtol=1e-5,
+                               atol=1e-6 * np.abs(g_x).max())
 
 
 class TestQDense:

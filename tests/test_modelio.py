@@ -264,6 +264,41 @@ class TestMalformedDescriptor:
         modelio.load(path)
 
 
+class TestSizeCheckedBeforeBuild:
+    """A small, CRC-valid file whose build_args ask for a huge DenseNet is
+    refused from its own descriptor, before any graph is allocated."""
+
+    @pytest.mark.parametrize("edit,match", [
+        # the huge model's stem (2k = 8192 channels) over the small payload
+        (_set("layers", 0, "params", 0, "shape", value=[8192, 3, 3, 3]),
+         "payload is .* bytes, but descriptor field 'layers'"),
+        (_set("layers", value=5), "cannot size the payload: TypeError"),
+        (_set("layers", 0, "params", 0, "shape", value=[10 ** 30]),
+         "cannot size the payload: OverflowError"),
+        (lambda d: d["layers"][0].pop("buffers"), "cannot size the payload: KeyError"),
+        (_set("norm_channels", value="3"), "cannot size the payload: TypeError"),
+    ], ids=["short-payload", "layers-not-a-list", "shape-overflow", "no-buffers",
+            "norm-channels-str"])
+    def test_refused_without_building(self, tmp_path, monkeypatch, edit, match):
+        path = str(tmp_path / "d.bnn")
+        small = arch.build_densenet(arch.DenseNetSpec(k=4, b=1, num_classes=10),
+                                    preset="cifar")
+        modelio.save(small, path)
+
+        def huge(desc):
+            desc["build_args"].update(k=4096, b=64)
+            edit(desc)
+
+        edit_descriptor(path, huge)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_densenet was called")
+
+        monkeypatch.setattr(arch, "build_densenet", refuse)
+        with pytest.raises(ModelFormatError, match=match):
+            modelio.load(path)
+
+
 def test_storage_class():
     model = arch.build_lenet()
     classes = [modelio.storage_class(l) for l in model.layers()]
