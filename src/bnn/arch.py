@@ -106,20 +106,23 @@ class ModelGraph:
         for node in self.nodes:
             if node.op == "input":
                 slots[node.id] = Slot(np.asarray(x, np.float32), "input", requires_grad=False)
-            elif node.op == "concat":
-                slots[node.id] = concat(tape, [slots[i] for i in node.inputs])
-            elif node.op == "add":
-                a, b = (slots[i] for i in node.inputs)
-                slots[node.id] = residual_add(tape, a, b)
             else:
-                slots[node.id] = node.op.forward(
-                    tape, slots[node.inputs[0]], training=training
-                )
+                slots[node.id] = apply_node(node, tape, [slots[i] for i in node.inputs],
+                                            training)
             if collect is not None:
                 op = node.op
                 nm = op if isinstance(op, str) else op.name
                 collect.append((nm, slots[node.id].value))
         return slots[self.output_id]
+
+
+def apply_node(node: GraphNode, tape: Tape, inputs: list, training=False) -> Slot:
+    """Run one non-input node on its input slots, recording on tape."""
+    if node.op == "concat":
+        return concat(tape, inputs)
+    if node.op == "add":
+        return residual_add(tape, *inputs)
+    return node.op.forward(tape, inputs[0], training=training)
 
 
 class _Builder:
@@ -368,13 +371,6 @@ def count_params(g: ModelGraph) -> int:
     return sum(p.value.size for p in g.params())
 
 
-def count_qlayers(g: ModelGraph) -> int:
-    return sum(
-        1 for layer in g.layers()
-        if isinstance(layer, (QConv2d, QDense)) and layer.binary
-    )
-
-
 def model_size_bytes(g: ModelGraph, binary_storage: bool = True) -> int:
     """Exact on-disk size of the serialized model (matches modelio.save)."""
     from . import modelio
@@ -404,21 +400,6 @@ def summary(g: ModelGraph) -> str:
         f"fp file: {model_size_bytes(g, False):,} B"
     )
     return "\n".join(lines)
-
-
-def summary_table(g: ModelGraph) -> list:
-    """Machine-readable layer table."""
-    from . import modelio
-
-    rows = []
-    for layer in g.layers():
-        rows.append({
-            "name": layer.name,
-            "kind": layer.spec()["kind"],
-            "params": int(sum(p.value.size for p in layer.params())),
-            "storage": modelio.storage_class(layer),
-        })
-    return rows
 
 
 MODEL_SPEC_HELP = (

@@ -138,10 +138,6 @@ class BitTensor:
     def words_per_row(self) -> int:
         return max(1, -(-self.logical_len // WORD_BITS))
 
-    @property
-    def pad_bits_per_row(self) -> int:
-        return self.words_per_row * WORD_BITS - self.logical_len
-
     def row_words(self) -> np.ndarray:
         """words as a 2-D (rows, words_per_row) view."""
         return self.words.reshape(self.outer_size, self.words_per_row)
@@ -160,15 +156,18 @@ def pack_rows(values: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
-def pack_channels(x: np.ndarray) -> np.ndarray:
+def pack_channels(x: np.ndarray, thresholds=None) -> np.ndarray:
     """Sign bits of (N, C, H, W) x along C: (N, H, W, ceil(C/8)) uint8.
 
     Bit c % 8 of byte c // 8 is channel c (LSB-first, as in pack_rows),
-    pad bits are 1.  An (O, C, kh, kw) weight packs the same way.
+    pad bits are 1.  An (O, C, kh, kw) weight packs the same way.  With
+    per-channel thresholds (C,), bit c is x[:, c] >= thresholds[c]
+    instead of x[:, c] >= 0.
     """
     n, c, h, w = x.shape
     bits = np.ones((n, -(-c // 8) * 8, h, w), dtype=bool)
-    np.greater_equal(x, 0, out=bits[:, :c])
+    thr = 0 if thresholds is None else thresholds.reshape(-1, 1, 1)
+    np.greater_equal(x, thr, out=bits[:, :c])
     planes = bits.view(np.uint8).reshape(n, -1, 8, h, w)  # 8 channels a byte
     out = planes[:, :, 0].copy()
     for i in range(1, 8):

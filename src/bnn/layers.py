@@ -7,7 +7,7 @@ the same GEMM).  Gradients reach the latent weights through the
 straight-through estimator.
 
 Scaling modes (single scalar per layer, the mean absolute latent
-weight):
+weight, computed only where a mode reads it):
   N  - no scaling anywhere (default),
   B  - weight gradient multiplied by the factor in backward only,
   FB - forward output and weight gradient both multiplied by the factor.
@@ -31,6 +31,13 @@ file, and flatten to match with w.transpose(0, 2, 3, 1).reshape(O, -1).
 col2im adds float32 patch gradients back with the native col2im_add
 kernel when it loads (bittensor.native_kernels), in the same order, so
 with the same sums, as its numpy strided slice adds.
+
+These forwards serve training and ModelGraph.forward.  Evaluation runs
+plan.InferencePlan instead: it calls the forward of every layer that is
+not binary, on a throwaway tape, and does the binary layers' work itself
+on packed bits, with each weight packed once and a BatchNorm before them
+turned into a per-channel threshold; it gathers with im2col and
+multiplies with bittensor.binary_gemm, as QConv2d does.
 """
 
 from __future__ import annotations
@@ -232,8 +239,10 @@ class QConv2d(Layer):
             cols = im2col(xv.transpose(0, 2, 3, 1), kh, kw, s, pixels_inner=True)
             y = np.matmul(wb, cols).reshape(n, o, oh, ow)
 
-        alpha = compute_scaling_factor(self.weight.value)
-        if self.binary and cfg.scaling_mode == "FB":
+        # alpha is read only by the FB forward and the B/FB weight gradient
+        scaled = self.binary and cfg.scaling_mode in ("B", "FB")
+        alpha = compute_scaling_factor(self.weight.value) if scaled else None
+        if scaled and cfg.scaling_mode == "FB":
             y = y * alpha
         out = Slot(np.ascontiguousarray(y), name=self.name)
 
@@ -252,7 +261,7 @@ class QConv2d(Layer):
             g_wb = np.ascontiguousarray(g_wb.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
             if self.binary:
                 g_w = autodiff.sign_backward(g_wb, self.weight.value, self.ste)
-                if cfg.scaling_mode in ("B", "FB"):
+                if scaled:
                     g_w = g_w * alpha
             else:
                 g_w = g_wb
@@ -323,8 +332,9 @@ class QDense(Layer):
         else:
             wb = self.weight.value
             out = xin @ wb.T
-        alpha = compute_scaling_factor(self.weight.value)
-        if self.binary and self.scaling_mode == "FB":
+        scaled = self.binary and self.scaling_mode in ("B", "FB")
+        alpha = compute_scaling_factor(self.weight.value) if scaled else None
+        if scaled and self.scaling_mode == "FB":
             out = out * alpha
         if self.bias is not None:
             out = out + self.bias.value
@@ -337,7 +347,7 @@ class QDense(Layer):
                 g_w = autodiff.sign_backward(
                     g_wb, self.weight.value, self.ste
                 )
-                if self.scaling_mode in ("B", "FB"):
+                if scaled:
                     g_w = g_w * alpha
             else:
                 g_w = g_wb

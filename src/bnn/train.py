@@ -21,6 +21,7 @@ from .arch import ModelGraph
 from .autodiff import Slot, Tape
 from .errors import NumericError
 from .data import Dataset, batches
+from .plan import InferencePlan
 
 
 @dataclass
@@ -197,21 +198,22 @@ def _find_nan_layer(model, images):
 def evaluate(model: ModelGraph, ds: Dataset, batch_size=256):
     """Top-1/top-5 accuracy and mean loss on a dataset.
 
-    Binary layers run through the bit-packed kernels, exactly as they
-    would at deployment.
+    Every batch runs through an InferencePlan built once per call from
+    the model's current weights: binary layers read packed sign bits, and
+    BatchNorm then sign is a per-channel threshold, as at deployment.  The
+    logits equal model.forward(training=False) bit for bit.
     """
+    plan = InferencePlan(model)
     correct1 = 0
     correct5 = 0
     total = 0
     loss_sum = 0.0
     want_top5 = ds.class_count >= 5
     for images, labels in batches(ds, batch_size):
-        tape = Tape()
-        logits = model.forward(images, tape=tape, training=False)
-        loss = softmax_cross_entropy(tape, logits, labels)
+        z = plan.run(images)
+        loss = softmax_cross_entropy(Tape(), Slot(z, "logits"), labels)
         n = len(labels)
         loss_sum += float(loss.value) * n
-        z = logits.value
         correct1 += int((z.argmax(axis=1) == labels).sum())
         if want_top5:
             top5 = np.argpartition(z, -5, axis=1)[:, -5:]

@@ -112,15 +112,16 @@ def test_sign_zero_is_positive():
 
 def test_padding_bits_are_ones():
     t = pack(-np.ones(3, dtype=np.float32))
-    assert t.pad_bits_per_row == WORD_BITS - 3
-    # bits 0..2 clear (all -1), pad bits 3..63 set
+    # bits 0..2 clear (all -1), the WORD_BITS - 3 pad bits 3..63 set
     assert int(t.words[0]) == 0xFFFFFFFFFFFFFFF8
+    assert bin(int(t.words[0])).count("1") == WORD_BITS - 3
 
 
 def test_word_geometry():
-    t = pack(np.ones((4, 130), dtype=np.float32))
+    t = pack(-np.ones((4, 130), dtype=np.float32))
     assert t.words_per_row == 3
-    assert t.pad_bits_per_row == 3 * WORD_BITS - 130
+    # all -1, so the set bits of a row are its 3 * WORD_BITS - 130 pad bits
+    assert [bin(int(w)).count("1") for w in t.row_words()[0]] == [0, 0, 3 * WORD_BITS - 130]
     assert t.outer_size == 4
     assert t.row_words().shape == (4, 3)
 
@@ -264,12 +265,14 @@ def test_pack_channels_bytes_equal_pack_rows_of_nhwc_signs(c):
 def test_pack_channels_pads_with_one_bits(c):
     rng = np.random.default_rng(c)
     x = rng.standard_normal((3, c, 2, 4))
-    packed = pack_channels(x)
-    cb = -(-c // 8)
-    bits = np.unpackbits(packed, axis=-1, bitorder="little")
-    assert bits.shape == (3, 2, 4, 8 * cb)
-    assert np.array_equal(bits[..., :c], (x >= 0).transpose(0, 2, 3, 1))
-    assert np.all(bits[..., c:] == 1)
+    thr = rng.standard_normal(c)
+    for packed, ref in ((pack_channels(x), x >= 0),
+                        (pack_channels(x, thr), x >= thr[:, None, None])):
+        cb = -(-c // 8)
+        bits = np.unpackbits(packed, axis=-1, bitorder="little")
+        assert bits.shape == (3, 2, 4, 8 * cb)
+        assert np.array_equal(bits[..., :c], ref.transpose(0, 2, 3, 1))
+        assert np.all(bits[..., c:] == 1)
 
 
 @pytest.mark.parametrize("nbytes", [1, 7, 8, 9, 100, 104])
