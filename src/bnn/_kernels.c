@@ -7,7 +7,11 @@
  *             64-bit words, a row-major (M, wpr), bw word-major (wpr, N).
  * col2im_add: the adjoint of im2col, adding float32 patch gradients into
  *             a float64 channels-last buffer in kernel-offset (i, j) order.
+ * col2im_store: that buffer, padding dropped, as the float32 NCHW input
+ *             gradient; given the binary layer's input x, 0 wherever
+ *             |x| > t_clip, the straight-through estimator of sign.
  */
+#include <math.h>
 #include <stdint.h>
 
 /* Output columns per tile of xnor_gemm */
@@ -62,4 +66,46 @@ void col2im_add(const float *g, double *acc, int64_t nb, int64_t h,
                     }
             }
         }
+}
+
+/* Pixels and channels per tile of col2im_store */
+#define S_TILE 16
+
+/* acc is (nb, h + 2p, w + 2p, c), x (may be NULL) and out (nb, c, h, w).
+ * A tile of S_TILE interior pixels by S_TILE channels is read along c
+ * and written along the pixels, so both sides use whole cache lines.
+ * The float32 rounding, then the float32 comparison of |x| with t_clip
+ * (numpy's, as sign_backward does it), give sign_backward's bytes. */
+void col2im_store(const double *acc, const float *x, float *out, int64_t nb,
+                  int64_t h, int64_t w, int64_t c, int64_t p, double t_clip)
+{
+    const float t = (float)t_clip;
+    const int64_t hw = h * w, wp = w + 2 * p;
+    float tile[S_TILE][S_TILE];
+    const double *src[S_TILE];
+    for (int64_t b = 0; b < nb; b++) {
+        const double *img = acc + b * (h + 2 * p) * wp * c;
+        for (int64_t q0 = 0; q0 < hw; q0 += S_TILE) {
+            const int64_t nq = hw - q0 < S_TILE ? hw - q0 : S_TILE;
+            for (int64_t k = 0; k < nq; k++) {
+                const int64_t y = (q0 + k) / w, xx = (q0 + k) % w;
+                src[k] = img + ((y + p) * wp + xx + p) * c;
+            }
+            for (int64_t c0 = 0; c0 < c; c0 += S_TILE) {
+                const int64_t nc = c - c0 < S_TILE ? c - c0 : S_TILE;
+                for (int64_t k = 0; k < nq; k++)
+                    for (int64_t j = 0; j < nc; j++)
+                        tile[j][k] = (float)src[k][c0 + j];
+                for (int64_t j = 0; j < nc; j++) {
+                    const int64_t at = (b * c + c0 + j) * hw + q0;
+                    if (x)
+                        for (int64_t k = 0; k < nq; k++)
+                            out[at + k] = fabsf(x[at + k]) > t ? 0.0f : tile[j][k];
+                    else
+                        for (int64_t k = 0; k < nq; k++)
+                            out[at + k] = tile[j][k];
+                }
+            }
+        }
+    }
 }

@@ -420,10 +420,12 @@ def build_model(spec_str: str, num_classes=None, binary=True, t_clip=0.5,
                 raise ValueError(f"bad model option {item!r} in {spec_str!r}")
             opts[key.strip()] = val.strip()
     name = name.strip().lower()
+    if num_classes is not None and num_classes < 2:
+        raise ValueError("num_classes must be >= 2")
     if name == "lenet":
         return build_lenet(
-            binary=binary, num_classes=num_classes or 10, t_clip=t_clip,
-            scaling_mode=scaling_mode, seed=seed,
+            binary=binary, num_classes=10 if num_classes is None else num_classes,
+            t_clip=t_clip, scaling_mode=scaling_mode, seed=seed,
         )
     if name == "densenet":
         try:
@@ -431,7 +433,7 @@ def build_model(spec_str: str, num_classes=None, binary=True, t_clip=0.5,
                 k=int(opts.pop("k")),
                 b=int(opts.pop("b")),
                 reduction=float(opts.pop("reduction", 0.5)),
-                num_classes=num_classes or 1000,
+                num_classes=1000 if num_classes is None else num_classes,
             )
         except KeyError as exc:
             raise ValueError(
@@ -457,7 +459,8 @@ def build_model(spec_str: str, num_classes=None, binary=True, t_clip=0.5,
         if opts:
             raise ValueError(f"unknown resnet options {sorted(opts)}")
         return build_resnet(
-            depth=depth, width=width, num_classes=num_classes or 1000,
+            depth=depth, width=width,
+            num_classes=1000 if num_classes is None else num_classes,
             binary=binary, t_clip=t_clip, scaling_mode=scaling_mode,
             seed=seed, preset=preset or "imagenet",
         )

@@ -62,7 +62,9 @@ def native_kernels():
             lib = ctypes.CDLL(path)
             lib.xnor_gemm.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4
             lib.col2im_add.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 9
-            lib.xnor_gemm.restype = lib.col2im_add.restype = None
+            lib.col2im_store.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 5
+                                         + [ctypes.c_double])
+            lib.xnor_gemm.restype = lib.col2im_add.restype = lib.col2im_store.restype = None
             _native, kernel_status = lib, f"native ({path})"
         except (OSError, AttributeError, ValueError) as e:
             _native, kernel_status = False, f"numpy ({e})"

@@ -6,6 +6,12 @@ multiplied with the XNOR/popcount kernel (im2col turns convolution into
 the same GEMM).  Gradients reach the latent weights through the
 straight-through estimator.
 
+A layer with binarize_input applies sign's straight-through estimator
+to its input itself, with no sign node on the tape: it rejects a NaN
+input as sign_forward does, packs x >= 0 from the input and keeps it;
+in backward its input gradient is sign_backward's, passed where
+|x| <= t_clip.
+
 Scaling modes (single scalar per layer, the mean absolute latent
 weight, computed only where a mode reads it):
   N  - no scaling anywhere (default),
@@ -30,7 +36,11 @@ im2col takes channels-last input of any dtype; its columns are in
 file, and flatten to match with w.transpose(0, 2, 3, 1).reshape(O, -1).
 col2im adds float32 patch gradients back with the native col2im_add
 kernel when it loads (bittensor.native_kernels), in the same order, so
-with the same sums, as its numpy strided slice adds.
+with the same sums, as its numpy strided slice adds; col2im_store then
+writes them as the float32 NCHW gradient of the unpadded input, masked
+by the STE for a binary layer's input, with the bytes that slicing and
+sign_backward give in numpy (which runs when x or the gradient is not
+float32).
 
 These forwards serve training and ModelGraph.forward.  Evaluation runs
 plan.InferencePlan instead: it calls the forward of every layer that is
@@ -118,30 +128,47 @@ _COL2IM_BLOCK_BYTES = 1 << 20
 
 
 def col2im(g_mat: np.ndarray, w: np.ndarray, x_shape: tuple, kh: int, kw: int,
-           stride: int) -> np.ndarray:
-    """Adjoint of im2col applied to the patch gradients g_mat @ w, added
-    back onto the (padded) (N,C,H,W) input one strided slice per kernel
-    offset, in float64.  g_mat @ w is formed one block of images at a
-    time, so the whole patch-gradient matrix never exists at once."""
+           stride: int, padding: int = 0, x: np.ndarray = None,
+           ste: STEConfig = None) -> np.ndarray:
+    """Adjoint of im2col applied to the patch gradients g_mat @ w: the
+    gradient of the (N,C,H,W) input that im2col saw padded by padding.
+    Each block of images is added back onto a padded channels-last
+    float64 buffer, one strided slice per kernel offset, and stored NCHW
+    without the padding; g_mat @ w is formed one block at a time, so the
+    whole patch-gradient matrix never exists at once.  Given the binary
+    layer's input x and its STE config, the result is the gradient of x
+    through sign, sign_backward(gradient, x, ste)."""
     n, c, h, wd = x_shape
-    oh, ow = (h - kh) // stride + 1, (wd - kw) // stride + 1
+    p = padding
+    hp, wp = h + 2 * p, wd + 2 * p
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     out = np.empty(x_shape, dtype=g_mat.dtype)
     lib = bittensor.native_kernels()
-    step = max(1, _COL2IM_BLOCK_BYTES // (h * wd * c * 8))
+    # the native store writes float32 and compares |x| in float32
+    native = lib and g_mat.dtype == w.dtype == np.float32 and (
+        x is None or x.dtype == np.float32)
+    if native and x is not None:
+        x = np.ascontiguousarray(x)
+    step = max(1, _COL2IM_BLOCK_BYTES // (hp * wp * c * 8))
     for b in range(0, n, step):
         nb = min(step, n - b)
         g = (g_mat[b * oh * ow: (b + nb) * oh * ow] @ w).reshape(nb, oh, ow, kh, kw, c)
-        acc = np.zeros((nb, h, wd, c))
-        if lib and g.dtype == np.float32:  # same sums, same order
-            lib.col2im_add(g.ctypes.data, acc.ctypes.data, nb, h, wd, c, oh, ow,
+        acc = np.zeros((nb, hp, wp, c))
+        if native:  # same sums in the same order, the same stored bytes
+            lib.col2im_add(g.ctypes.data, acc.ctypes.data, nb, hp, wp, c, oh, ow,
                            kh, kw, stride)
+            lib.col2im_store(acc.ctypes.data, None if x is None else x[b].ctypes.data,
+                             out[b].ctypes.data, nb, h, wd, c, p,
+                             0.0 if x is None else ste.t_clip)
         else:
             for i in range(kh):
                 rows = slice(i, i + stride * oh, stride)
                 for j in range(kw):
                     acc[:, rows, j: j + stride * ow: stride] += g[:, :, :, i, j]
-        out[b: b + nb] = acc.transpose(0, 3, 1, 2)
-    return out
+            out[b: b + nb] = acc[:, p: p + h, p: p + wd].transpose(0, 3, 1, 2)
+    if x is None or native:
+        return out
+    return autodiff.sign_backward(out, x, ste)
 
 
 class Layer:
@@ -186,16 +213,6 @@ class QConv2d(Layer):
     def params(self):
         return [self.weight]
 
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        kh, kw = self.cfg.kernel
-        p, s = self.cfg.padding, self.cfg.stride
-        return (
-            self.cfg.out_channels,
-            (h + 2 * p - kh) // s + 1,
-            (w + 2 * p - kw) // s + 1,
-        )
-
     def forward(self, tape, x, training=True):
         cfg = self.cfg
         kh, kw = cfg.kernel
@@ -212,8 +229,9 @@ class QConv2d(Layer):
         w_flat = self.weight.value.transpose(0, 2, 3, 1).reshape(o, -1)
         wb = autodiff.sign_forward(w_flat) if self.binary else w_flat
         if cfg.binarize_input:
-            # sign bits packed along C; 0xFF pad bytes are +1 pixels
-            x = autodiff.sign(tape, x, self.ste)
+            # sign bits packed along C; 0xFF pad bytes are +1 pixels.  The
+            # input itself is kept: backward applies sign's STE to it
+            autodiff.check_nan(x.value)
             padded = bittensor.pack_channels(x.value)
             if p:
                 padded = np.pad(padded, ((0, 0), (p, p), (p, p), (0, 0)),
@@ -248,11 +266,13 @@ class QConv2d(Layer):
 
         def backward_fn(g_y):
             g_x = None
-            if x.requires_grad:  # False only for the image batch, never a sign output
+            if x.requires_grad or cfg.binarize_input:
                 g_mat = np.ascontiguousarray(g_y.transpose(0, 2, 3, 1)).reshape(-1, o)
-                # activation gradient: never scaled by alpha
-                g_padded = col2im(g_mat, wb, (n, c, hp, wp), kh, kw, s)
-                g_x = g_padded[:, :, p: hp - p, p: wp - p] if p else g_padded
+            if x.requires_grad:  # False for the image batch
+                # activation gradient, through sign's STE for a binary
+                # input: never scaled by alpha
+                g_x = col2im(g_mat, wb, (n, c, h, w), kh, kw, s, p,
+                             x.value if cfg.binarize_input else None, self.ste)
             # weight gradient through the weight-sign STE, summed in n*P order
             if cfg.binarize_input:
                 g_wb = g_mat.T @ float_cols()
@@ -318,9 +338,8 @@ class QDense(Layer):
                 f"{self.name}: expected (N, {self.in_features}) input, "
                 f"got {x.value.shape}"
             )
-        if self.binarize_input:
-            x = autodiff.sign(tape, x, self.ste)
-        xin = x.value
+        # the input itself is kept: backward applies sign's STE to it
+        xin = autodiff.sign_forward(x.value) if self.binarize_input else x.value
         if self.binary:
             wb = autodiff.sign_forward(self.weight.value)
             if self.binarize_input:
@@ -342,6 +361,8 @@ class QDense(Layer):
 
         def backward_fn(g_y):
             g_x = g_y @ wb
+            if self.binarize_input:
+                g_x = autodiff.sign_backward(g_x, x.value, self.ste)
             g_wb = g_y.T @ xin
             if self.binary:
                 g_w = autodiff.sign_backward(
@@ -462,11 +483,6 @@ class MaxPool2d(Layer):
         self.stride = stride or kernel
         self.name = name
 
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        return (c, (h - self.kernel) // self.stride + 1,
-                (w - self.kernel) // self.stride + 1)
-
     def forward(self, tape, x, training=True):
         k, s = self.kernel, self.stride
         xv = x.value
@@ -509,11 +525,6 @@ class AvgPool2d(Layer):
         self.kernel = kernel
         self.stride = stride or kernel
         self.name = name
-
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        return (c, (h - self.kernel) // self.stride + 1,
-                (w - self.kernel) // self.stride + 1)
 
     def forward(self, tape, x, training=True):
         k, s = self.kernel, self.stride

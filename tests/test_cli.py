@@ -130,6 +130,13 @@ class TestSize:
         rc = cli.main(["size", "--model", "resnet7"])
         assert rc == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("model", ["lenet", "densenet:k=16,b=2", "resnet18"])
+    @pytest.mark.parametrize("classes", ["0", "1", "-3"])
+    def test_too_few_classes(self, model, classes, capsys):
+        rc = cli.main(["size", "--model", model, "--classes", classes])
+        assert rc == cli.EXIT_USAGE
+        assert "num_classes must be >= 2" in capsys.readouterr().err
+
 
 class TestBench:
     def test_small_sizes(self, capsys):

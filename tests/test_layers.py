@@ -1,14 +1,16 @@
 """Layer tests: packed kernels against dense references, gradients
 against finite differences, scaling-mode algebra."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnn import arch, layers, train
+from bnn import arch, autodiff, layers, train
 from bnn.autodiff import STEConfig, Slot, Tape, sign_backward, sign_forward
-from bnn.errors import ShapeError
+from bnn.errors import NumericError, ShapeError
 from bnn.layers import (
     AvgPool2d,
     BatchNorm,
@@ -300,17 +302,19 @@ def test_packed_conv_matches_patch_reference(c, kernel, stride, padding, dh, dw,
     assert np.array_equal(xs.grad, np.where(np.abs(x) <= t, g_s, 0.0))
 
 
-def channels_last_conv(layer, tape, x):
+def channels_last_conv(layer, tape, x, pad_value=0.0):
     """Oracle for a convolution with a float input, as it was computed
     before the pixel-innermost path: channels-last patches, one row per
     output pixel, (N*P, K) @ wb.T and the NHWC result transposed to NCHW;
     backward forms the (N*P, O) gradient matrix, the weight gradient
-    g_mat.T @ cols and, always, the input gradient with col2im."""
+    g_mat.T @ cols and, always, the input gradient with col2im of the
+    padded input, then sliced.  A binary conv is this on the +-1 values
+    of an autodiff.sign node, padded with +1 (unfused_binary_conv)."""
     cfg = layer.cfg
     kh, kw = cfg.kernel
     c, o, s, p = cfg.in_channels, cfg.out_channels, cfg.stride, cfg.padding
     xl = np.ascontiguousarray(x.value.transpose(0, 2, 3, 1))
-    xl = np.pad(xl, ((0, 0), (p, p), (p, p), (0, 0)))
+    xl = np.pad(xl, ((0, 0), (p, p), (p, p), (0, 0)), constant_values=pad_value)
     n, hp, wp = xl.shape[:3]
     oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
     cols = im2col(xl, kh, kw, s)
@@ -334,6 +338,107 @@ def channels_last_conv(layer, tape, x):
 
     out = Slot(np.ascontiguousarray(y), name=layer.name)
     return tape.record(out, (x, layer.weight), backward_fn)
+
+
+def unfused_binary_conv(layer, tape, x):
+    """Oracle for a conv with binarize_input: a tape-recorded sign with its
+    STE backward, then the conv of its +-1 output (exact integer sums)."""
+    return channels_last_conv(layer, tape, autodiff.sign(tape, x, layer.ste),
+                              pad_value=1.0)
+
+
+def ste_edge_input(rng, shape, t):
+    """Normal values with |x| = t exactly, just above t, +-0.0 and
+    subnormals planted at random positions."""
+    x = (rng.standard_normal(shape) * t * 2).astype(np.float32)
+    t32 = np.float32(t)
+    above = np.nextafter(t32, np.float32(np.inf))
+    edges = np.array([t32, -t32, above, -above, 0.0, -0.0, 1e-45, -1e-40, 3e-39],
+                     dtype=np.float32)
+    pick = rng.random(shape) < 0.4
+    x[pick] = rng.choice(edges, pick.sum())
+    return x
+
+
+@pytest.mark.parametrize("c", [5, 44])
+@pytest.mark.parametrize("padding,stride", [(0, 1), (1, 1), (2, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("t", [0.5, 1 / 3])
+def test_col2im_ste_matches_sign_backward(c, padding, stride, t):
+    """col2im with the padding and the STE gives the bytes of slicing the
+    padded gradient and applying sign_backward, natively and in numpy."""
+    rng = np.random.default_rng(c * 100 + padding * 10 + stride)
+    n, h, w, o, p = 3, 7, 6, 4, padding
+    shape, padded = (n, c, h, w), (n, c, h + 2 * p, w + 2 * p)
+    oh, ow = (h + 2 * p - 3) // stride + 1, (w + 2 * p - 3) // stride + 1
+    g = rng.standard_normal((n * oh * ow, o)).astype(np.float32)
+    wb = rng.standard_normal((o, 9 * c)).astype(np.float32)
+    x = ste_edge_input(rng, shape, t)
+    ste = STEConfig(t)
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels():
+            whole = col2im(g, wb, padded, 3, 3, stride)[:, :, p: p + h, p: p + w]
+            assert col2im(g, wb, shape, 3, 3, stride, p).tobytes() == whole.tobytes()
+            got = col2im(g, wb, shape, 3, 3, stride, p, x, ste)
+            assert got.dtype == np.float32 and got.shape == shape
+            assert got.tobytes() == sign_backward(whole, x, ste).tobytes()
+            # a float64 input is compared in float64: float32(1/3) > 1/3
+            x64 = x.astype(np.float64)
+            x64[0, 0, 0, :3] = [1 / 3, float(np.float32(1 / 3)), -1 / 3]
+            got = col2im(g, wb, shape, 3, 3, stride, p, x64, STEConfig(1 / 3))
+            mask = np.abs(x64) <= 1 / 3
+            assert got.tobytes() == np.where(mask, whole, 0.0).astype(np.float32).tobytes()
+            assert got[0, 0, 0, 1] == 0 != whole[0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("c", [5, 44])
+@pytest.mark.parametrize("padding,stride", [(0, 1), (1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize("t,mode", [(0.5, "N"), (1 / 3, "FB")])
+def test_binary_conv_matches_unfused_sign(c, padding, stride, t, mode):
+    """The binary conv with the STE inside gives the output, input gradient
+    and weight gradient of a sign node followed by the conv, bytewise."""
+    rng = np.random.default_rng(c + padding + 10 * stride)
+    cfg = QLayerConfig(c, 6, (3, 3), stride, padding, scaling_mode=mode)
+    layer = QConv2d(cfg, ste=STEConfig(t), rng=rng)
+    x = ste_edge_input(rng, (3, c, 7, 6), t)
+    oh, ow = (7 + 2 * padding - 3) // stride + 1, (6 + 2 * padding - 3) // stride + 1
+    g_y = rng.standard_normal((3, 6, oh, ow)).astype(np.float32)
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels():
+            y, xs, g_w = _step(layer.forward, layer.weight, x, g_y)
+            y_ref, xs_ref, g_w_ref = _step(lambda tp, v: unfused_binary_conv(layer, tp, v),
+                                           layer.weight, x, g_y)
+        assert y.tobytes() == y_ref.tobytes()
+        assert xs.grad.tobytes() == xs_ref.grad.tobytes()
+        assert g_w.tobytes() == g_w_ref.tobytes()
+
+
+@pytest.mark.parametrize("t,mode", [(0.5, "N"), (1 / 3, "FB")])
+def test_binary_dense_matches_unfused_sign(t, mode):
+    rng = np.random.default_rng(5)
+    layer = QDense(44, 6, scaling_mode=mode, ste=STEConfig(t), rng=rng)
+    twin = QDense(44, 6, scaling_mode=mode, binarize_input=False, ste=layer.ste)
+    twin.weight = layer.weight
+    x = ste_edge_input(rng, (5, 44), t)
+    g_y = rng.standard_normal((5, 6)).astype(np.float32)
+    y, xs, g_w = _step(layer.forward, layer.weight, x, g_y)
+    y_ref, xs_ref, g_w_ref = _step(
+        lambda tp, v: twin.forward(tp, autodiff.sign(tp, v, layer.ste)), layer.weight, x, g_y)
+    assert y.tobytes() == y_ref.tobytes()
+    assert xs.grad.tobytes() == xs_ref.grad.tobytes()
+    assert g_w.tobytes() == g_w_ref.tobytes()
+
+
+@pytest.mark.parametrize("layer,shape", [
+    (QConv2d(QLayerConfig(5, 4, (3, 3), padding=1)), (2, 5, 6, 6)),
+    (QDense(12, 4), (2, 12)),
+], ids=["conv", "dense"])
+def test_nan_binary_input_raises(layer, shape):
+    x = np.ones(shape, dtype=np.float32)
+    x.flat[7] = np.nan
+    tape = Tape()
+    with pytest.raises(NumericError, match="^sign_forward received NaN input$"):
+        layer.forward(tape, Slot(x))
+    assert tape.nodes == []
 
 
 def _step(forward, weight, x, g_y, requires_grad=True):
@@ -366,7 +471,8 @@ def test_float_input_conv_matches_channels_last_oracle(shape, o, kernel, stride,
                        binarize_input=False)
     layer = QConv2d(cfg, binary=binary, rng=rng)
     x = rng.standard_normal(shape).astype(np.float32)
-    out_shape = (shape[0], o) + layer.out_shape(shape[1:])[1:]
+    out_shape = (shape[0], o) + tuple((d + 2 * padding - k) // stride + 1
+                                      for d, k in zip(shape[2:], kernel))
     g_y = rng.standard_normal(out_shape).astype(np.float32)
     y, xs, g_w = _step(layer.forward, layer.weight, x, g_y)
     y_ref, xs_ref, g_w_ref = _step(lambda t, v: channels_last_conv(layer, t, v),
@@ -404,7 +510,8 @@ def _counting_col2im(monkeypatch):
 def test_tape_stops_at_the_image(spec, monkeypatch):
     """A training step computes no gradient for the image batch: col2im
     runs once per binary conv and never for the float stem, and every
-    parameter gradient is the one the channels-last stem gives."""
+    parameter gradient is the one the channels-last stem gives.  The
+    binary layers apply sign's STE themselves: no sign node is recorded."""
     model = arch.build_model(spec, num_classes=10, seed=3, preset="cifar")
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4,) + model.input_shape).astype(np.float32)
@@ -412,6 +519,7 @@ def test_tape_stops_at_the_image(spec, monkeypatch):
     calls = _counting_col2im(monkeypatch)
     tape = _train_step(model, x, labels)
     monkeypatch.undo()
+    assert not [n for n in tape.nodes if n.output.name.startswith("sign(")]
     images = {id(s): s for node in tape.nodes for s in node.inputs if s.name == "input"}
     assert len(images) == 1
     assert next(iter(images.values())).grad is None

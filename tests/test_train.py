@@ -274,16 +274,21 @@ def test_set_helpers():
     assert model.build_args["scaling_mode"] == "FB"
 
 
-@pytest.mark.parametrize("where", ["input", "conv0"])
+@pytest.mark.parametrize("where", ["input", "conv0", "bn0", "bn1"])
 def test_find_nan_layer_keeps_model_state(where):
+    """The first NaN node is named, also when the NaN stops the forward at
+    the next binary layer's input (qconv0 after bn0, qdense0 after bn1)."""
     tr, _ = tiny_pair()
     model = arch.build_lenet(seed=0)
     model.forward(tr.images[:20], training=True)  # non-default running stats
     images = tr.images[:20].copy()
+    layer = {l.name: l for l in model.layers()}.get(where)
     if where == "input":
         images[3, 0, 5, 5] = np.nan
+    elif where == "conv0":
+        layer.weight.value[0, 0, 0, 0] = np.nan
     else:
-        model.layers()[0].weight.value[0, 0, 0, 0] = np.nan
+        layer.gamma.value[1] = np.nan
 
     def snapshot():
         return [{k: v.tobytes() for k, v in layer.buffers().items()}
