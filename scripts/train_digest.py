@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 digest of a few seeded training steps per model.
+
+Each digest covers STEPS (3) Adam steps: per step the loss and every
+parameter gradient, then, after the step, every parameter and BatchNorm
+buffer.  The models are LeNet (scaling modes N and FB) and a CIFAR-preset
+densenet:k=16,b=2, trained on seeded synthetic batches.  The native
+kernels and their numpy twins give the same bytes, so the two commands
+
+    python scripts/train_digest.py
+    CC=false XDG_CACHE_HOME="$(mktemp -d)" python scripts/train_digest.py
+
+must print the same lines; the second runs the numpy code, because the
+empty cache holds no compiled kernels and CC=false cannot build them.
+
+Usage: python scripts/train_digest.py
+"""
+
+import hashlib
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from bnn import arch, bittensor, train  # noqa: E402
+from bnn.autodiff import Tape  # noqa: E402
+
+STEPS = 3
+
+# (label, model spec, scaling mode, preset, input shape, batch size)
+RUNS = [
+    ("lenet N", "lenet", "N", None, (1, 28, 28), 16),
+    ("lenet FB", "lenet", "FB", None, (1, 28, 28), 16),
+    ("densenet:k=16,b=2", "densenet:k=16,b=2", "N", "cifar", (3, 32, 32), 8),
+]
+
+
+def train_trace(spec, scaling_mode, preset, shape, batch, seed=0):
+    """The arrays of STEPS Adam steps, in order: per step the loss and
+    every gradient, then every parameter and BatchNorm buffer."""
+    model = arch.build_model(spec, num_classes=10, scaling_mode=scaling_mode,
+                             seed=seed, preset=preset)
+    params = model.params()
+    opt = train.Adam(params, train.TrainConfig(scaling_mode=scaling_mode))
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(STEPS):
+        images = rng.standard_normal((batch,) + shape).astype(np.float32)
+        labels = rng.integers(0, 10, batch)
+        tape = Tape()
+        loss = train.softmax_cross_entropy(
+            tape, model.forward(images, tape=tape, training=True), labels)
+        tape.backward(loss)
+        out.append(loss.value)
+        out.extend(p.grad for p in params)
+        opt.step(1e-2)
+        out.extend(p.value for p in params)
+        out.extend(b for layer in model.layers() for b in layer.buffers().values())
+    return out
+
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def main():
+    print(f"kernel: {bittensor.native_kernels() and 'native' or 'numpy'}", file=sys.stderr)
+    for label, *run in RUNS:
+        print(f"{label}: {digest(train_trace(*run))}")
+
+
+if __name__ == "__main__":
+    main()

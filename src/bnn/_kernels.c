@@ -10,6 +10,14 @@
  * col2im_store: that buffer, padding dropped, as the float32 NCHW input
  *             gradient; given the binary layer's input x, 0 wherever
  *             |x| > t_clip, the straight-through estimator of sign.
+ * bn_sums:    BatchNorm's per-channel float64 sums in training, of x and
+ *             (x - mean)^2, or of the output gradient g and g * xhat.
+ * bn_normalize: y = gamma * ((x - mean) * inv_std) + beta in float32.
+ * bn_grad_input: the input gradient k * ((m * g - sum g) - xhat * sum g xhat),
+ *             with xhat recomputed from x, so no copy of it is kept.
+ *
+ * Built with -ffp-contract=off: a fused multiply-add rounds once where
+ * the numpy twins round twice, so every a * b + c here is two roundings.
  */
 #include <math.h>
 #include <stdint.h>
@@ -108,4 +116,148 @@ void col2im_store(const double *acc, const float *x, float *out, int64_t nb,
             }
         }
     }
+}
+
+/* BatchNorm in training works on float32 x seen as (n, c, hw): hw = H * W
+ * for (N, C, H, W) input and 1 for (N, F).  A channel's sum adds element q
+ * of each image to float64 lane q % 8, image after image, and combines the
+ * lanes as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)), as the numpy
+ * twin (layers.bn_sums) does.  Lanes start at +0.0, so they never hold
+ * -0.0 and the twin's zero padding adds nothing.  At hw = 1 only lane 0
+ * is used, and the loops run along the features, so they vectorise. */
+#define LANES 8
+
+static double lane_total(const double *l)
+{
+    return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+}
+
+/* Lane sums of one channel row: a += x */
+static inline void row_sum(double *a, const float *x, int64_t hw)
+{
+    int64_t q = 0;
+    for (; q + LANES <= hw; q += LANES)
+        for (int l = 0; l < LANES; l++)
+            a[l] += (double)x[q + l];
+    for (int l = 0; q + l < hw; l++)
+        a[l] += (double)x[q + l];
+}
+
+/* a += (x - mu)^2 */
+static inline void row_dev(double *a, const float *x, double mu, int64_t hw)
+{
+    int64_t q = 0;
+    for (; q + LANES <= hw; q += LANES)
+        for (int l = 0; l < LANES; l++) {
+            const double d = (double)x[q + l] - mu;
+            a[l] += d * d;
+        }
+    for (int l = 0; q + l < hw; l++) {
+        const double d = (double)x[q + l] - mu;
+        a[l] += d * d;
+    }
+}
+
+/* a += g, b += g * xhat, the product exact in float64 */
+static inline void row_grad(double *a, double *b, const float *x, const float *g,
+                            float mu, float is, int64_t hw)
+{
+    int64_t q = 0;
+    for (; q + LANES <= hw; q += LANES)
+        for (int l = 0; l < LANES; l++) {
+            a[l] += (double)g[q + l];
+            b[l] += (double)g[q + l] * (double)((x[q + l] - mu) * is);
+        }
+    for (int l = 0; q + l < hw; l++) {
+        a[l] += (double)g[q + l];
+        b[l] += (double)g[q + l] * (double)((x[q + l] - mu) * is);
+    }
+}
+
+/* Without g: s0 = sum x, s1 = sum (x - s0 / m)^2, m = n * hw, the two
+ * passes over a channel while it is in cache.  With g: s0 = sum g,
+ * s1 = sum g * xhat, xhat = (x - mean) * inv_std in float32. */
+void bn_sums(const float *x, const float *g, const float *mean,
+             const float *inv_std, double *s0, double *s1, int64_t n,
+             int64_t c, int64_t hw)
+{
+    const double m = (double)(n * hw);
+    if (hw == 1) {
+        for (int64_t f = 0; f < c; f++)
+            s0[f] = s1[f] = 0.0;
+        for (int64_t i = 0; i < n; i++) {
+            const float *xr = x + i * c;
+            if (g) {
+                const float *gr = g + i * c;
+                for (int64_t f = 0; f < c; f++) {
+                    s0[f] += (double)gr[f];
+                    s1[f] += (double)gr[f] * (double)((xr[f] - mean[f]) * inv_std[f]);
+                }
+            } else
+                for (int64_t f = 0; f < c; f++)
+                    s0[f] += (double)xr[f];
+        }
+        if (!g)
+            for (int64_t i = 0; i < n; i++)
+                for (int64_t f = 0; f < c; f++) {
+                    const double d = (double)x[i * c + f] - s0[f] / m;
+                    s1[f] += d * d;
+                }
+        return;
+    }
+    for (int64_t ch = 0; ch < c; ch++) {
+        double a[LANES] = {0}, b[LANES] = {0};
+        if (g) {
+            for (int64_t i = 0; i < n; i++)
+                row_grad(a, b, x + (i * c + ch) * hw, g + (i * c + ch) * hw,
+                         mean[ch], inv_std[ch], hw);
+        } else {
+            for (int64_t i = 0; i < n; i++)
+                row_sum(a, x + (i * c + ch) * hw, hw);
+            const double mu = lane_total(a) / m;
+            for (int64_t i = 0; i < n; i++)
+                row_dev(b, x + (i * c + ch) * hw, mu, hw);
+        }
+        s0[ch] = lane_total(a);
+        s1[ch] = lane_total(b);
+    }
+}
+
+void bn_normalize(const float *x, const float *mean, const float *inv_std,
+                  const float *gamma, const float *beta, float *y, int64_t n,
+                  int64_t c, int64_t hw)
+{
+    for (int64_t i = 0; i < n; i++, x += c * hw, y += c * hw)
+        if (hw == 1)
+            for (int64_t f = 0; f < c; f++)
+                y[f] = gamma[f] * ((x[f] - mean[f]) * inv_std[f]) + beta[f];
+        else
+            for (int64_t ch = 0; ch < c; ch++) {
+                const float mu = mean[ch], is = inv_std[ch], gm = gamma[ch], bt = beta[ch];
+                const float *xr = x + ch * hw;
+                float *yr = y + ch * hw;
+                for (int64_t q = 0; q < hw; q++)
+                    yr[q] = gm * ((xr[q] - mu) * is) + bt;
+            }
+}
+
+/* k, sg and sgx are per channel: gamma * inv_std / m, sum g and
+ * sum g * xhat, each rounded to float32 */
+void bn_grad_input(const float *x, const float *g, const float *mean,
+                   const float *inv_std, const float *k, const float *sg,
+                   const float *sgx, float *gx, int64_t n, int64_t c, int64_t hw)
+{
+    const float m = (float)(n * hw);
+    for (int64_t i = 0; i < n; i++, x += c * hw, g += c * hw, gx += c * hw)
+        if (hw == 1)
+            for (int64_t f = 0; f < c; f++)
+                gx[f] = k[f] * ((m * g[f] - sg[f]) - ((x[f] - mean[f]) * inv_std[f]) * sgx[f]);
+        else
+            for (int64_t ch = 0; ch < c; ch++) {
+                const float mu = mean[ch], is = inv_std[ch], kc = k[ch], a = sg[ch], b = sgx[ch];
+                const float *xr = x + ch * hw, *gr = g + ch * hw;
+                float *out = gx + ch * hw;
+                for (int64_t q = 0; q < hw; q++)
+                    out[q] = kc * ((m * gr[q] - a) - ((xr[q] - mu) * is) * b);
+            }
 }

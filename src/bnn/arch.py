@@ -265,6 +265,8 @@ def build_resnet(depth=18, width="thin", num_classes=1000, binary=True,
         )
     if width not in _RESNET_WIDTHS:
         raise ValueError(f"unsupported width {width!r}; choices: thin, wide")
+    if num_classes < 2:
+        raise ValueError("num_classes must be >= 2")
     blocks, bottleneck = _RESNET_PRESETS[depth]
     stem_c, stages = _RESNET_WIDTHS[width]
     ste = STEConfig(t_clip)

@@ -19,8 +19,9 @@ the bytes gives rows ready for binary_gemm.  When C % 8 != 0 a patch row
 also holds the 1-pad bits of each of its kh*kw pixels, in both operands;
 each adds +1 to the result, and the caller subtracts their count.
 
-binary_gemm and layers.col2im run the C kernels of _kernels.c, compiled
-on first use with $CC -O3 -march=native into $XDG_CACHE_HOME/bnnkit and
+binary_gemm, layers.col2im and BatchNorm in training run the C kernels of
+_kernels.c, compiled on first use with $CC -O3 -march=native
+-ffp-contract=off into $XDG_CACHE_HOME/bnnkit and
 keyed on the CPU's flags too (see native_kernels); if that fails, their
 numpy code runs, with the same results.
 """
@@ -47,7 +48,8 @@ _POPCOUNT_TABLE = np.array(
 _HAVE_HW_POPCOUNT = hasattr(np, "bitwise_count")
 
 _KERNELS_C = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
-_CFLAGS = ["-O3", "-march=native", "-shared", "-fPIC"]
+# no fused multiply-adds: the numpy twins round a * b + c twice
+_CFLAGS = ["-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC"]
 _native = None  # ctypes.CDLL of _kernels.c; False once it failed to build
 kernel_status = "numpy (native kernels not loaded yet)"
 
@@ -60,11 +62,15 @@ def native_kernels():
         try:
             path = _build_kernels()
             lib = ctypes.CDLL(path)
-            lib.xnor_gemm.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4
-            lib.col2im_add.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 9
-            lib.col2im_store.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 5
-                                         + [ctypes.c_double])
-            lib.xnor_gemm.restype = lib.col2im_add.restype = lib.col2im_store.restype = None
+            ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+            for name, args in (("xnor_gemm", [ptr] * 3 + [i64] * 4),
+                               ("col2im_add", [ptr] * 2 + [i64] * 9),
+                               ("col2im_store", [ptr] * 3 + [i64] * 5 + [ctypes.c_double]),
+                               ("bn_sums", [ptr] * 6 + [i64] * 3),
+                               ("bn_normalize", [ptr] * 6 + [i64] * 3),
+                               ("bn_grad_input", [ptr] * 8 + [i64] * 3)):
+                fn = getattr(lib, name)
+                fn.argtypes, fn.restype = args, None
             _native, kernel_status = lib, f"native ({path})"
         except (OSError, AttributeError, ValueError) as e:
             _native, kernel_status = False, f"numpy ({e})"

@@ -42,6 +42,15 @@ by the STE for a binary layer's input, with the bytes that slicing and
 sign_backward give in numpy (which runs when x or the gradient is not
 float32).
 
+BatchNorm in training sees its input as (n, c, hw), hw = 1 for (N, F),
+and works in three passes, native (bn_sums, bn_normalize, bn_grad_input
+of _kernels.c) for float32 and otherwise their numpy twins, with the
+same bytes: float64 channel sums in a fixed lane order (_bn_sums_numpy,
+a cache-sized block of channels at a time), the float32 normalize, and
+an input gradient that recomputes xhat from the input, so the tape keeps
+no copy of it.  Evaluation normalizes with the running statistics in
+numpy.
+
 These forwards serve training and ModelGraph.forward.  Evaluation runs
 plan.InferencePlan instead: it calls the forward of every layer that is
 not binary, on a throwaway tape, and does the binary layers' work itself
@@ -393,6 +402,134 @@ class QDense(Layer):
         }
 
 
+# float64 elements per lane buffer of _bn_sums_numpy (2 MB): a block of
+# channels whose lanes stay in cache
+_LANE_BLOCK = 1 << 18
+
+
+def _lanes(t, lanes):
+    """Copy (n, w, hw) t into the first w channels of the zero-padded lanes
+    (n, ceil(hw/L), channels, L): element q of image i goes to
+    [i, q // L, :, q % L]."""
+    n, w, hw = t.shape
+    nl = lanes.shape[3]
+    full, tail = divmod(hw, nl)
+    lanes = lanes[:, :, :w]
+    rows = lanes.transpose(0, 2, 1, 3)
+    rows[:, :, :full] = t[:, :, :full * nl].reshape(n, w, full, nl)
+    if tail:
+        rows[:, :, full, :tail] = t[:, :, full * nl:]
+    return lanes
+
+
+def _lane_total(lanes):
+    """Per-channel sums of (n, b, channels, L) lanes in _kernels.c's order:
+    each lane image after image (numpy reduces axis 0 one row at a time),
+    then the lanes ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))."""
+    n, b, w, nl = lanes.shape
+    s = np.add.reduce(lanes.reshape(n * b, w, nl), axis=0, initial=0.0)
+    while s.shape[1] > 1:
+        s = s[:, 0::2] + s[:, 1::2]
+    return s[:, 0]
+
+
+def _bn_sums_numpy(x, g, mean, inv_std):
+    """bn_sums' numpy twin, a block of channels at a time."""
+    n, c, hw = x.shape
+    if hw == 1 and c > 1:
+        # Only lane 0 is fed, and a sum started at +0.0 is never -0.0, so
+        # one lane gives the same sums.  One block: numpy would sum a block
+        # of one channel, (n, 1, 1), pairwise.
+        nl, w = 1, c
+    else:
+        nl = 8
+        w = min(c, max(1, _LANE_BLOCK // (n * -(-hw // 8) * 8)))
+    b = -(-hw // nl)
+    first = np.zeros((n, b, w, nl))
+    second = None if g is None else np.zeros_like(first)
+    s0, s1 = np.empty(c), np.empty(c)
+    for c0 in range(0, c, w):
+        ch = slice(c0, c0 + w)
+        if g is None:
+            lx = _lanes(x[:, ch], first)
+            s0[ch] = _lane_total(lx)
+            lx -= (s0[ch] / (n * hw))[:, None]
+            np.square(lx, out=lx)
+            lx[:, -1, :, hw - (b - 1) * nl:] = 0  # the padding
+            s1[ch] = _lane_total(lx)
+        else:
+            lg = _lanes(g[:, ch], first)
+            s0[ch] = _lane_total(lg)
+            xhat = x[:, ch] - mean[ch, None]
+            xhat *= inv_std[ch, None]
+            lgx = _lanes(xhat, second)
+            lgx *= lg
+            s1[ch] = _lane_total(lgx)
+    return s0, s1
+
+
+def _bn_native(*arrays):
+    """The native kernels, if they load and every array is C-contiguous
+    float32."""
+    lib = bittensor.native_kernels()
+    ok = all(a.dtype == np.float32 and a.flags.c_contiguous for a in arrays)
+    return lib if lib and ok else None
+
+
+def bn_sums(x, g=None, mean=None, inv_std=None):
+    """Per-channel float64 sums over (n, c, hw) x: (sum x, sum (x - sum x / m)^2),
+    m = n * hw; or, given the output gradient g, (sum g, sum g * xhat) with
+    xhat = (x - mean) * inv_std in x's dtype.  The native bn_sums when x
+    (and g) are float32, else its numpy twin, with the same bytes."""
+    n, c, hw = x.shape
+    lib = _bn_native(x) if g is None else _bn_native(x, g, mean, inv_std)
+    if lib:
+        s0, s1 = np.empty(c), np.empty(c)
+        grad = (None,) * 3 if g is None else (g.ctypes.data, mean.ctypes.data,
+                                              inv_std.ctypes.data)
+        lib.bn_sums(x.ctypes.data, *grad, s0.ctypes.data, s1.ctypes.data, n, c, hw)
+        return s0, s1
+    return _bn_sums_numpy(x, g, mean, inv_std)
+
+
+def bn_normalize(x, mean, inv_std, gamma, beta):
+    """gamma * ((x - mean) * inv_std) + beta per channel of (n, c, hw) x,
+    every operation in x's dtype."""
+    lib = _bn_native(x, mean, inv_std, gamma, beta)
+    if lib:
+        y = np.empty_like(x)
+        lib.bn_normalize(x.ctypes.data, mean.ctypes.data, inv_std.ctypes.data,
+                         gamma.ctypes.data, beta.ctypes.data, y.ctypes.data, *x.shape)
+        return y
+    y = x - mean[:, None]
+    y *= inv_std[:, None]
+    y *= gamma[:, None]
+    y += beta[:, None]
+    return y
+
+
+def bn_grad_input(x, g, mean, inv_std, k, sg, sgx):
+    """BatchNorm's input gradient in training, k * ((m * g - sg) - xhat * sgx)
+    per channel of (n, c, hw) x, with xhat = (x - mean) * inv_std recomputed
+    and every operation in x's dtype."""
+    lib = _bn_native(x, g, mean, inv_std, k, sg, sgx)
+    if lib:
+        gx = np.empty_like(x)
+        lib.bn_grad_input(x.ctypes.data, g.ctypes.data, mean.ctypes.data,
+                          inv_std.ctypes.data, k.ctypes.data, sg.ctypes.data,
+                          sgx.ctypes.data, gx.ctypes.data, *x.shape)
+        return gx
+    n, c, hw = x.shape
+    xhat = x - mean[:, None]
+    xhat *= inv_std[:, None]
+    xhat *= sgx[:, None]
+    gx = g * x.dtype.type(n * hw)
+    gx -= sg[:, None]
+    gx -= xhat
+    gx *= k[:, None]
+    return gx
+
+
 class BatchNorm(Layer):
     """Batch normalization over (N,) or (N,H,W) per channel, with running
     statistics for inference."""
@@ -430,40 +567,45 @@ class BatchNorm(Layer):
                 f"got {v.shape[1]}"
             )
         if training:
-            mean = v.mean(axis=axes)
-            var = v.var(axis=axes)
-            self.running_mean[:] = (
-                self.momentum * self.running_mean + (1 - self.momentum) * mean
-            )
-            self.running_var[:] = (
-                self.momentum * self.running_var + (1 - self.momentum) * var
-            )
-        else:
-            mean, var = self.running_mean, self.running_var
+            return self._train_forward(tape, x)
+        mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (v - mean.reshape(shape)) * inv_std.reshape(shape)
         y = self.gamma.value.reshape(shape) * xhat + self.beta.value.reshape(shape)
         out = Slot(y.astype(v.dtype), name=self.name)
 
-        m = v.size // self.num_features
-
         def backward_fn(g_y):
             g_beta = g_y.sum(axis=axes)
             g_gamma = (g_y * xhat).sum(axis=axes)
-            g_xhat = g_y * self.gamma.value.reshape(shape)
-            if training:
-                g_x = (
-                    inv_std.reshape(shape)
-                    / m
-                    * (
-                        m * g_xhat
-                        - g_xhat.sum(axis=axes, keepdims=True)
-                        - xhat * (g_xhat * xhat).sum(axis=axes, keepdims=True)
-                    )
-                )
-            else:
-                g_x = g_xhat * inv_std.reshape(shape)
+            g_x = g_y * self.gamma.value.reshape(shape) * inv_std.reshape(shape)
             return (g_x.astype(v.dtype), g_gamma, g_beta)
+
+        return tape.record(out, (x, self.gamma, self.beta), backward_fn)
+
+    def _train_forward(self, tape, x):
+        """Batch statistics as float64 lane sums (bn_sums); the tape keeps
+        x and per-channel values, and backward recomputes xhat from them."""
+        v = x.value
+        dt = v.dtype
+        xs = np.ascontiguousarray(v).reshape(v.shape[0], self.num_features, -1)
+        m = xs.shape[0] * xs.shape[2]
+        s, d = bn_sums(xs)
+        mean, var = s / m, d / m
+        self.running_mean[:] = self.momentum * self.running_mean + (1 - self.momentum) * mean
+        self.running_var[:] = self.momentum * self.running_var + (1 - self.momentum) * var
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        mu, istd = mean.astype(dt), inv_std.astype(dt)
+        y = bn_normalize(xs, mu, istd, self.gamma.value.astype(dt, copy=False),
+                         self.beta.value.astype(dt, copy=False))
+        out = Slot(y.reshape(v.shape), name=self.name)
+
+        def backward_fn(g_y):
+            g = np.ascontiguousarray(g_y, dtype=dt).reshape(xs.shape)
+            sg, sgx = bn_sums(xs, g, mu, istd)
+            k = self.gamma.value * inv_std / m
+            g_x = bn_grad_input(xs, g, mu, istd, k.astype(dt), sg.astype(dt), sgx.astype(dt))
+            pdt = self.gamma.value.dtype
+            return (g_x.reshape(v.shape), sgx.astype(pdt), sg.astype(pdt))
 
         return tape.record(out, (x, self.gamma, self.beta), backward_fn)
 
@@ -530,11 +672,22 @@ class AvgPool2d(Layer):
         k, s = self.kernel, self.stride
         if s != k:
             raise ShapeError("AvgPool2d supports stride == kernel only")
-        n, c, h, w = x.value.shape
+        xv = x.value
+        n, c, h, w = xv.shape
         oh, ow = h // k, w // k
-        y = x.value[:, :, : oh * k, : ow * k].reshape(n, c, oh, k, ow, k).mean(
-            axis=(3, 5)
-        )
+
+        def window_row(i):  # row i of every window, added left to right
+            r = xv[:, :, i: k * oh: k, 0: k * ow: k].copy()
+            for j in range(1, k):
+                r += xv[:, :, i: k * oh: k, j: k * ow: k]
+            return r
+
+        # the rows added top to bottom: (x00 + x01) + (x10 + x11) at k = 2,
+        # the bytes of numpy's mean over the window
+        y = window_row(0)
+        for i in range(1, k):
+            y += window_row(i)
+        y /= k * k
         out = Slot(y, name=self.name)
 
         def backward_fn(g_y):

@@ -184,6 +184,11 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             arch.build_model("resnet99")
 
+    @pytest.mark.parametrize("classes", [1, 0, -3])
+    def test_resnet_rejects_fewer_than_two_classes(self, classes):
+        with pytest.raises(ValueError, match="num_classes must be >= 2"):
+            arch.build_resnet(num_classes=classes, preset="cifar")
+
     def test_summary_runs(self):
         text = arch.summary(arch.build_lenet())
         assert "total params" in text

@@ -684,6 +684,157 @@ class TestBatchNorm:
             BatchNorm(3).forward(Tape(), Slot(np.ones((2, 3, 4), dtype=np.float32)))
 
 
+def bn_train_step(x, g_y, gamma, beta):
+    """A fresh BatchNorm's training forward and backward: the bytes of y,
+    g_x, g_gamma, g_beta and the running mean and variance."""
+    bn = BatchNorm(x.shape[1])
+    bn.gamma.value[:], bn.beta.value[:] = gamma, beta
+    tape = Tape()
+    y = bn.forward(tape, Slot(x), training=True)
+    g_x, g_gamma, g_beta = tape.nodes[0].backward_fn(g_y)
+    assert y.value.dtype == g_x.dtype == np.float32
+    assert g_gamma.dtype == g_beta.dtype == np.float32
+    return [a.tobytes() for a in (y.value, g_x, g_gamma, g_beta,
+                                  bn.running_mean, bn.running_var)]
+
+
+def bn_input(shape, case, rng):
+    x = (rng.standard_normal(shape) * 3 + 2).astype(np.float32)
+    if case == "constant":  # variance 0
+        x[:, 0] = 1.25
+    elif case == "nonfinite":
+        x.reshape(-1)[:3] = [np.nan, np.inf, -np.inf]
+        x.reshape(-1)[-1] = np.inf
+    elif case == "wide":  # magnitudes 2^-20 .. 2^20, so the float64 sums round
+        x *= 2.0 ** rng.integers(-20, 21, shape)
+    return x
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 5, 5), (3, 2, 7, 6), (100, 1024), (5, 1, 7, 6),
+                                   (1, 4, 5, 5), (6, 1), (1, 9), (2, 3, 16, 16)])
+@pytest.mark.parametrize("case", ["normal", "constant", "gamma0", "nonfinite", "wide"])
+def test_batchnorm_native_matches_twin(shape, case):
+    """The native BatchNorm kernels and their numpy twin give the same
+    bytes, H*W % 8 != 0, a single channel or image, var = 0, gamma = 0
+    and NaN / +-inf inputs included."""
+    rng = np.random.default_rng(len(shape) * 31 + shape[0])
+    x = bn_input(shape, case, rng)
+    g_y = rng.standard_normal(shape).astype(np.float32)
+    gamma = rng.standard_normal(shape[1]).astype(np.float32)
+    if case == "gamma0":
+        gamma[0] = 0.0
+    beta = rng.standard_normal(shape[1]).astype(np.float32)
+    runs = []
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels(), np.errstate(invalid="ignore"):
+            runs.append(bn_train_step(x, g_y, gamma, beta))
+    assert runs[0] == runs[1]
+
+
+def lane_sums_oracle(terms, width=8):
+    """float64 lanes of (n, c, hw) terms in Python floats, (c, width):
+    element q of each image added to lane q % width, image after image."""
+    n, c, hw = terms.shape
+    lanes = np.zeros((c, width))
+    for ch in range(c):
+        acc = [0.0] * width
+        for i in range(n):
+            for q in range(hw):
+                acc[q % width] += float(terms[i, ch, q])
+        lanes[ch] = acc
+    return lanes
+
+
+def combine_lanes(lanes):
+    l0, l1, l2, l3, l4, l5, l6, l7 = lanes.T
+    return ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 13), (4, 3, 20), (5, 3, 1), (1, 1, 20),
+                                   (4, 2, 8), (7, 1, 1), (40, 3, 1), (40, 1, 1)])
+def test_batchnorm_sums_match_loop_oracle(shape, monkeypatch):
+    """bn_sums, bn_normalize and bn_grad_input, native and numpy, against
+    Python loops: this pins numpy's reduce order on every numpy version.
+    The numpy sums also run in small channel blocks (3 channels at
+    (3, 4, 13), so its last block holds one)."""
+    rng = np.random.default_rng(shape[2])
+    x = bn_input(shape, "wide", rng)
+    g = bn_input(shape, "wide", rng)
+    n, c, hw = shape
+    m = n * hw
+    terms = [x.astype(np.float64)]
+    s0 = combine_lanes(lane_sums_oracle(terms[0]))
+    mean64 = s0 / m
+    terms.append(np.square(x - mean64[:, None]))
+    s1 = combine_lanes(lane_sums_oracle(terms[1]))
+    mean = mean64.astype(np.float32)
+    inv_std = (1.0 / np.sqrt(s1 / m + 1e-5)).astype(np.float32)
+    gamma, beta = rng.standard_normal((2, c)).astype(np.float32)
+    # one float32 operation at a time, elementwise
+    xhat = np.empty_like(x)
+    y = np.empty_like(x)
+    for idx in np.ndindex(*shape):
+        ch = idx[1]
+        xhat[idx] = np.float32(x[idx] - mean[ch]) * inv_std[ch]
+        y[idx] = np.float32(gamma[ch] * xhat[idx]) + beta[ch]
+    terms += [g.astype(np.float64), g.astype(np.float64) * xhat]
+    sg, sgx = (combine_lanes(lane_sums_oracle(t)) for t in terms[2:])
+    if hw > 8 and c > 2:  # the data tells the lane order from others
+        for t, want in zip(terms, (s0, s1, sg, sgx)):
+            lanes = lane_sums_oracle(t)
+            left_to_right = np.add.accumulate(lanes, axis=1)[:, -1]
+            one_lane = lane_sums_oracle(t, 1)[:, 0]
+            assert (want != left_to_right).any() and (want != one_lane).any()
+    k = (gamma * inv_std.astype(np.float64) / m).astype(np.float32)
+    sg32, sgx32 = sg.astype(np.float32), sgx.astype(np.float32)
+    gx = np.empty_like(x)
+    for idx in np.ndindex(*shape):
+        ch = idx[1]
+        t = np.float32(np.float32(np.float32(m) * g[idx]) - sg32[ch])
+        gx[idx] = k[ch] * np.float32(t - np.float32(xhat[idx] * sgx32[ch]))
+    for kernels, block in ((contextlib.nullcontext, layers._LANE_BLOCK),
+                           (numpy_kernels, layers._LANE_BLOCK), (numpy_kernels, 150)):
+        monkeypatch.setattr(layers, "_LANE_BLOCK", block)
+        with kernels():
+            got = layers.bn_sums(x)
+            assert got[0].tobytes() == s0.tobytes() and got[1].tobytes() == s1.tobytes()
+            got = layers.bn_sums(x, g, mean, inv_std)
+            assert got[0].tobytes() == sg.tobytes() and got[1].tobytes() == sgx.tobytes()
+            got = layers.bn_normalize(x, mean, inv_std, gamma, beta)
+            assert got.tobytes() == y.tobytes()
+            got = layers.bn_grad_input(x, g, mean, inv_std, k, sg32, sgx32)
+            assert got.tobytes() == gx.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 3, 5), (6, 4)])
+def test_batchnorm_training_finite_differences(shape):
+    """The training gradients of x, gamma and beta (float64, the numpy
+    path) against central differences; float32 (the native path, when
+    it builds) agrees with them."""
+    rng = np.random.default_rng(7)
+    bn = BatchNorm(shape[1])
+    bn.gamma.value = rng.standard_normal(shape[1])
+    bn.beta.value = rng.standard_normal(shape[1])
+    x = Slot(rng.standard_normal(shape) * 2 + 1)
+    proj = rng.standard_normal(shape)
+
+    def loss_fn():
+        tape = Tape()
+        h = bn.forward(tape, x, training=True)
+        loss = Slot(np.array((h.value * proj).sum()))
+        tape.record(loss, (h,), lambda g: (proj * float(g),))
+        return tape, loss
+
+    assert finite_difference_check([x, bn.gamma, bn.beta], loss_fn, eps=1e-5,
+                                   samples=12) <= 1e-5
+    grads = [x.grad, bn.gamma.grad, bn.beta.grad]
+    got = bn_train_step(x.value.astype(np.float32), proj.astype(np.float32),
+                        bn.gamma.value, bn.beta.value)
+    for raw, want in zip(got[1:4], grads):
+        np.testing.assert_allclose(np.frombuffer(raw, np.float32).reshape(want.shape),
+                                   want, rtol=2e-3, atol=2e-3)
+
+
 class TestPooling:
     def test_maxpool_values(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
@@ -816,6 +967,28 @@ class TestPooling:
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         out = AvgPool2d(2).forward(Tape(), Slot(x))
         assert np.array_equal(out.value[0, 0], [[2.5, 4.5], [10.5, 12.5]])
+
+    @pytest.mark.parametrize("k,h,w", [(2, 8, 8), (2, 7, 9), (3, 9, 10), (1, 3, 4)])
+    def test_avgpool_adds_window_rows_in_order(self, k, h, w):
+        """Each window row added left to right, the rows top to bottom,
+        then divided by k * k, for magnitudes from 2^-30 to 2^30."""
+        rng = np.random.default_rng(k + h)
+        x = (rng.standard_normal((2, 3, h, w))
+             * 2.0 ** rng.integers(-30, 31, (2, 3, h, w))).astype(np.float32)
+        out = AvgPool2d(k).forward(Tape(), Slot(x)).value
+        oh, ow = h // k, w // k
+        want = np.empty((2, 3, oh, ow), np.float32)
+        for idx in np.ndindex(2, 3, oh, ow):
+            b, c, i, j = idx
+            win = x[b, c, i * k: i * k + k, j * k: j * k + k]
+            total = None
+            for r in range(k):
+                row = win[r, 0]
+                for col in range(1, k):
+                    row = np.float32(row + win[r, col])
+                total = row if total is None else np.float32(total + row)
+            want[idx] = np.float32(total / np.float32(k * k))
+        assert out.dtype == np.float32 and out.tobytes() == want.tobytes()
 
     def test_avgpool_stride_must_equal_kernel(self):
         with pytest.raises(ShapeError):

@@ -1,5 +1,8 @@
 """Training loop, optimizers, evaluation and sweep drivers."""
 
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from bnn.train import (
     write_tclip_csv,
 )
 
-from conftest import make_synth_dataset
+from conftest import REPO_ROOT, make_synth_dataset, numpy_kernels
 
 
 def tiny_pair():
@@ -297,3 +300,26 @@ def test_find_nan_layer_keeps_model_state(where):
     before = snapshot()
     assert _find_nan_layer(model, images) == where
     assert snapshot() == before
+
+
+def _train_digest_module():
+    spec = importlib.util.spec_from_file_location(
+        "train_digest", os.path.join(REPO_ROOT, "scripts", "train_digest.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("run", range(3))
+def test_adam_steps_native_equal_numpy(run):
+    """Three Adam steps of LeNet (N, FB) and densenet:k=16,b=2 give the same
+    losses, gradients, parameters and BatchNorm buffers, byte for byte,
+    with the native kernels and with their numpy twins."""
+    td = _train_digest_module()
+    _, *args = td.RUNS[run]
+    native = td.train_trace(*args)
+    with numpy_kernels():
+        twin = td.train_trace(*args)
+    assert len(native) == len(twin)
+    for a, b in zip(native, twin):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
