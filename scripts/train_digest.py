@@ -4,7 +4,9 @@
 Each digest covers STEPS (3) Adam steps: per step the loss and every
 parameter gradient, then, after the step, every parameter and BatchNorm
 buffer.  The models are LeNet (scaling modes N and FB) and a CIFAR-preset
-densenet:k=16,b=2, trained on seeded synthetic batches.  The native
+densenet:k=16,b=2, trained on seeded synthetic batches.  A second line
+per model, "<label> plan: <digest>", covers the logits its
+plan.InferencePlan gives for PLAN_IMAGES seeded images.  The native
 kernels and their numpy twins give the same bytes, so the two commands
 
     python scripts/train_digest.py
@@ -26,8 +28,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from bnn import arch, bittensor, train  # noqa: E402
 from bnn.autodiff import Tape  # noqa: E402
+from bnn.plan import InferencePlan  # noqa: E402
 
 STEPS = 3
+PLAN_IMAGES = 37  # more than the plan runs per chunk, with a short last chunk
 
 # (label, model spec, scaling mode, preset, input shape, batch size)
 RUNS = [
@@ -38,8 +42,9 @@ RUNS = [
 
 
 def train_trace(spec, scaling_mode, preset, shape, batch, seed=0):
-    """The arrays of STEPS Adam steps, in order: per step the loss and
-    every gradient, then every parameter and BatchNorm buffer."""
+    """The trained model and the arrays of STEPS Adam steps, in order: per
+    step the loss and every gradient, then every parameter and BatchNorm
+    buffer."""
     model = arch.build_model(spec, num_classes=10, scaling_mode=scaling_mode,
                              seed=seed, preset=preset)
     params = model.params()
@@ -58,7 +63,7 @@ def train_trace(spec, scaling_mode, preset, shape, batch, seed=0):
         opt.step(1e-2)
         out.extend(p.value for p in params)
         out.extend(b for layer in model.layers() for b in layer.buffers().values())
-    return out
+    return model, out
 
 
 def digest(arrays):
@@ -73,7 +78,11 @@ def digest(arrays):
 def main():
     print(f"kernel: {bittensor.native_kernels() and 'native' or 'numpy'}", file=sys.stderr)
     for label, *run in RUNS:
-        print(f"{label}: {digest(train_trace(*run))}")
+        model, arrays = train_trace(*run)
+        print(f"{label}: {digest(arrays)}")
+        images = np.random.default_rng(1).standard_normal(
+            (PLAN_IMAGES,) + model.input_shape).astype(np.float32)
+        print(f"{label} plan: {digest([InferencePlan(model).run(images)])}")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,10 @@
  * bn_normalize: y = gamma * ((x - mean) * inv_std) + beta in float32.
  * bn_grad_input: the input gradient k * ((m * g - sum g) - xhat * sum g xhat),
  *             with xhat recomputed from x, so no copy of it is kept.
+ * pack_signs: float32 NCHW activations as sign bits packed along channels
+ *             (bittensor.pack_channels), in one read of the floats; for the
+ *             inference plan also thresholded, OR-pooled over MaxPool
+ *             windows, flipped, and checked for NaN or values out of bounds.
  *
  * Built with -ffp-contract=off: a fused multiply-add rounds once where
  * the numpy twins round twice, so every a * b + c here is two roundings.
@@ -260,4 +264,63 @@ void bn_grad_input(const float *x, const float *g, const float *mean,
                 for (int64_t q = 0; q < hw; q++)
                     out[q] = kc * ((m * gr[q] - a) - ((xr[q] - mu) * is) * b);
             }
+}
+
+/* x is float32 (n, c, h, w) and out uint8 (n, oh, ow, cb), cb = ceil(c / 8),
+ * oh = (h - k) / s + 1 and ow = (w - k) / s + 1.  Bit ch % 8 of byte ch / 8
+ * of output pixel (py, px) is set where x[ch] >= thr[ch] (>= 0 if thr is
+ * NULL) at some pixel of its k x k window at stride s, XOR bit ch % 8 of
+ * flip[ch / 8] (if flip); pad bits are 1.  k = s = 1 is the plain packer.
+ * Only the rows and columns some window covers are read.  plane is scratch
+ * for their hc * wc bytes: each byte of 8 channels is set channel after
+ * channel along the pixels, so the reads run along x and vectorise, and
+ * then ORed over the windows.  Returns 1 if a value read is NaN or outside
+ * [lo[ch], hi[ch]] (if lo and hi), else 0. */
+int pack_signs(const float *x, const float *thr, const float *lo, const float *hi,
+               const uint8_t *flip, uint8_t *out, uint8_t *restrict plane, int64_t n,
+               int64_t c, int64_t h, int64_t w, int64_t k, int64_t s)
+{
+    const int64_t oh = (h - k) / s + 1, ow = (w - k) / s + 1, cb = (c + 7) / 8;
+    const int64_t hc = (oh - 1) * s + k, wc = (ow - 1) * s + k;
+    /* whole rows are read as one run */
+    const int64_t rows = wc == w ? 1 : hc, run = wc == w ? hc * w : wc;
+    unsigned bad = 0;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t j = 0; j < cb; j++) {
+            const int64_t nch = c - 8 * j < 8 ? c - 8 * j : 8;
+            const uint8_t pad = (uint8_t)(0xFF << nch);
+            for (int64_t q = 0; q < hc * wc; q++)
+                plane[q] = pad;
+            for (int64_t b = 0; b < nch; b++) {
+                const int64_t ch = 8 * j + b;
+                const float t = thr ? thr[ch] : 0.0f;
+                const float l = lo ? lo[ch] : -INFINITY, u = hi ? hi[ch] : INFINITY;
+                const float *xc = x + (i * c + ch) * h * w;
+                for (int64_t y = 0; y < rows; y++) {
+                    const float *restrict xr = xc + y * w;
+                    uint8_t *restrict pr = plane + y * wc;
+                    for (int64_t q = 0; q < run; q++) {
+                        pr[q] |= (uint8_t)((xr[q] >= t) << b);
+                        bad |= !(xr[q] >= l) | !(xr[q] <= u);
+                    }
+                }
+            }
+            const uint8_t f = flip ? flip[j] : 0;
+            uint8_t *o = out + i * oh * ow * cb + j;
+            if (k == 1) {
+                for (int64_t q = 0; q < oh * ow; q++)
+                    o[q * cb] = plane[q] ^ f;
+                continue;
+            }
+            for (int64_t py = 0; py < oh; py++)
+                for (int64_t px = 0; px < ow; px++) {
+                    const uint8_t *win = plane + py * s * wc + px * s;
+                    uint8_t v = 0;
+                    for (int64_t di = 0; di < k; di++)
+                        for (int64_t dj = 0; dj < k; dj++)
+                            v |= win[di * wc + dj];
+                    o[(py * ow + px) * cb] = v ^ f;
+                }
+        }
+    return bad != 0;
 }

@@ -44,14 +44,17 @@ class Slot:
         self.name = name
         self.requires_grad = requires_grad
 
-    def add_grad(self, g):
+    def add_grad(self, g, owned=False):
+        """Add g to the gradient.  A first g that is owned (fresh, held by
+        nothing else) becomes the gradient itself; any other is copied, so
+        a later += cannot write into an array something else holds."""
         if g.shape != self.value.shape:
             raise ShapeError(
                 f"gradient shape {g.shape} does not match value shape "
                 f"{self.value.shape} for slot {self.name!r}"
             )
         if self.grad is None:
-            self.grad = g.astype(self.value.dtype, copy=True)
+            self.grad = g.astype(self.value.dtype, copy=not owned)
         else:
             self.grad += g
 
@@ -101,7 +104,10 @@ class Tape:
                 )
             for slot, g in zip(node.inputs, grads):
                 if g is not None and slot.requires_grad:
-                    slot.add_grad(np.asarray(g))
+                    # a view of g_out (a pass-through, reshape or split piece)
+                    # is copied; anything else backward_fn made is fresh
+                    g = np.asarray(g)
+                    slot.add_grad(g, owned=not np.may_share_memory(g, g_out))
         table = {}
         for node in self.nodes:
             for s in node.inputs + (node.output,):
@@ -110,10 +116,13 @@ class Tape:
         return table
 
 
+NAN_INPUT = "sign_forward received NaN input"
+
+
 def check_nan(r_i: np.ndarray) -> None:
     """Raise NumericError if r_i holds a NaN, which sign has no value for."""
     if np.isnan(r_i).any():
-        raise NumericError("sign_forward received NaN input")
+        raise NumericError(NAN_INPUT)
 
 
 def sign_forward(r_i: np.ndarray) -> np.ndarray:

@@ -19,11 +19,12 @@ the bytes gives rows ready for binary_gemm.  When C % 8 != 0 a patch row
 also holds the 1-pad bits of each of its kh*kw pixels, in both operands;
 each adds +1 to the result, and the caller subtracts their count.
 
-binary_gemm, layers.col2im and BatchNorm in training run the C kernels of
-_kernels.c, compiled on first use with $CC -O3 -march=native
--ffp-contract=off into $XDG_CACHE_HOME/bnnkit and
-keyed on the CPU's flags too (see native_kernels); if that fails, their
-numpy code runs, with the same results.
+binary_gemm, pack_channels, layers.col2im, BatchNorm in training and the
+inference plan's sign bits run the C kernels of _kernels.c, compiled on
+first use with $CC -O3 -march=native -ffp-contract=off into
+$XDG_CACHE_HOME/bnnkit and keyed on the CPU's flags too (see
+native_kernels); if that fails, their numpy code runs, with the same
+results.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .autodiff import NAN_INPUT, check_nan
+from .errors import NumericError, ShapeError
 
 WORD_BITS = 64
 
@@ -68,9 +70,11 @@ def native_kernels():
                                ("col2im_store", [ptr] * 3 + [i64] * 5 + [ctypes.c_double]),
                                ("bn_sums", [ptr] * 6 + [i64] * 3),
                                ("bn_normalize", [ptr] * 6 + [i64] * 3),
-                               ("bn_grad_input", [ptr] * 8 + [i64] * 3)):
+                               ("bn_grad_input", [ptr] * 8 + [i64] * 3),
+                               ("pack_signs", [ptr] * 7 + [i64] * 6)):
                 fn = getattr(lib, name)
                 fn.argtypes, fn.restype = args, None
+            lib.pack_signs.restype = ctypes.c_int  # 1: NaN or out of bounds
             _native, kernel_status = lib, f"native ({path})"
         except (OSError, AttributeError, ValueError) as e:
             _native, kernel_status = False, f"numpy ({e})"
@@ -170,8 +174,19 @@ def pack_channels(x: np.ndarray, thresholds=None) -> np.ndarray:
     Bit c % 8 of byte c // 8 is channel c (LSB-first, as in pack_rows),
     pad bits are 1.  An (O, C, kh, kw) weight packs the same way.  With
     per-channel thresholds (C,), bit c is x[:, c] >= thresholds[c]
-    instead of x[:, c] >= 0.
+    instead of x[:, c] >= 0.  A NaN in x raises sign_forward's
+    NumericError.  Float32 x and thresholds run the native pack_signs,
+    which reads x once; otherwise the numpy code below, its byte oracle,
+    compares, ORs the 8 channel planes of each byte and transposes.
     """
+    lib = native_kernels()
+    if lib and x.dtype == np.float32 and (
+            thresholds is None or thresholds.dtype == np.float32):
+        out, bad = pack_signs(lib, x, thresholds)
+        if bad:
+            raise NumericError(NAN_INPUT)
+        return out
+    check_nan(x)
     n, c, h, w = x.shape
     bits = np.ones((n, -(-c // 8) * 8, h, w), dtype=bool)
     thr = 0 if thresholds is None else thresholds.reshape(-1, 1, 1)
@@ -181,6 +196,29 @@ def pack_channels(x: np.ndarray, thresholds=None) -> np.ndarray:
     for i in range(1, 8):
         out |= planes[:, :, i] << i
     return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
+
+
+def pack_signs(lib, x, thr=None, lo=None, hi=None, flip=None, pool=(1, 1)):
+    """The native pack_signs on float32 (N, C, H, W) x: the bytes of
+    pack_channels(x, thr), ORed over the windows of a MaxPool (kernel,
+    stride) and XORed with the (ceil(C/8),) bytes flip, and whether a
+    value some window covers is NaN or outside [lo, hi].  thr, lo and hi
+    are float32 (C,); each of them, and flip, may be None."""
+    n, c, h, w = x.shape
+    cb = -(-c // 8)
+    for a, shape, dtype in ((x, x.shape, np.float32), (thr, (c,), np.float32),
+                            (lo, (c,), np.float32), (hi, (c,), np.float32),
+                            (flip, (cb,), np.uint8)):
+        if a is not None and (a.shape != shape or a.dtype != dtype):
+            raise ShapeError(f"pack_signs: {a.dtype} {a.shape} for {np.dtype(dtype)} {shape}")
+    k, s = pool
+    oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    out = np.empty((n, oh, ow, cb), np.uint8)
+    plane = np.empty(((oh - 1) * s + k) * ((ow - 1) * s + k), np.uint8)
+    arrays = [None if a is None else np.ascontiguousarray(a) for a in (x, thr, lo, hi, flip)]
+    bad = lib.pack_signs(*(None if a is None else a.ctypes.data for a in arrays),
+                         out.ctypes.data, plane.ctypes.data, n, c, h, w, k, s)
+    return out, bool(bad)
 
 
 def from_row_bytes(row_bytes: np.ndarray) -> BitTensor:

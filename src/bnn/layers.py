@@ -238,9 +238,9 @@ class QConv2d(Layer):
         w_flat = self.weight.value.transpose(0, 2, 3, 1).reshape(o, -1)
         wb = autodiff.sign_forward(w_flat) if self.binary else w_flat
         if cfg.binarize_input:
-            # sign bits packed along C; 0xFF pad bytes are +1 pixels.  The
-            # input itself is kept: backward applies sign's STE to it
-            autodiff.check_nan(x.value)
+            # sign bits packed along C (a NaN raises); 0xFF pad bytes are
+            # +1 pixels.  The input itself is kept: backward applies sign's
+            # STE to it
             padded = bittensor.pack_channels(x.value)
             if p:
                 padded = np.pad(padded, ((0, 0), (p, p), (p, p), (0, 0)),

@@ -16,7 +16,9 @@ float.  InferencePlan gives the same logits bit for bit with less work:
   BatchNorm output never exists in float.  Any other input is packed by
   its sign (threshold 0).
 * A MaxPool2d between a layer and such a BatchNorm becomes an OR over
-  the packed bytes of each window.
+  the packed bytes of each window.  The compare, the OR, the flip below
+  and the NaN and bounds checks are one native pass over the floats
+  (bittensor.pack_signs) when the kernels load.
 * Every other node runs through its layer's own forward, on a throwaway
   Tape.
 
@@ -141,10 +143,9 @@ def _per_image(op) -> bool:
     return isinstance(op, (BatchNorm, MaxPool2d, Flatten))
 
 
-def _weight_bits(w: np.ndarray, name: str) -> bittensor.BitTensor:
-    """Sign bits of an (O, C, H, W) weight, one packed row per output."""
-    if np.isnan(w).any():
-        raise NumericError(f"{name}: NaN in the binary weights")
+def _weight_bits(w: np.ndarray) -> bittensor.BitTensor:
+    """Sign bits of an (O, C, H, W) weight, one packed row per output (a
+    NaN raises, as in the graph)."""
     return bittensor.from_row_bytes(bittensor.pack_channels(w).reshape(len(w), -1))
 
 
@@ -284,27 +285,35 @@ class InferencePlan:
     @staticmethod
     def _bits_step(th, pool, name):
         """Sign bits of BN(pool(x)) (th from bn_thresholds) or of x itself
-        (th None)."""
+        (th None).  The native pack_signs compares, ORs each pool window,
+        flips and checks the bounds in one read of x; otherwise numpy does
+        each in turn, with the same bytes."""
         thr, flip, lo, hi = None, None, None, None
         if th is not None:
             thr = th.thr
             if th.flip.any():
                 flip = np.packbits(th.flip, bitorder="little")
             if np.isfinite(th.lo).any() or np.isfinite(th.hi).any():
-                lo, hi = th.lo.reshape(-1, 1, 1), th.hi.reshape(-1, 1, 1)
+                lo, hi = th.lo, th.hi
+        k, s = (pool.kernel, pool.stride) if pool else (1, 1)
 
         def step(x):
             if x.ndim == 2:
                 x = x[:, :, None, None]
-            if pool:  # only the rows and columns some window covers
-                k, s = pool.kernel, pool.stride
-                x = x[:, :, : (x.shape[2] - k) // s * s + k, : (x.shape[3] - k) // s * s + k]
+            lib = bittensor.native_kernels()
+            if lib and x.dtype == np.float32:
+                b, bad = bittensor.pack_signs(lib, x, thr, lo, hi, flip, (k, s))
+                if bad:
+                    raise NumericError(f"{name}: NaN reaches sign")
+                return b
+            # only the rows and columns some window covers
+            x = x[:, :, : (x.shape[2] - k) // s * s + k, : (x.shape[3] - k) // s * s + k]
             if np.isnan(np.max(x)) or (lo is not None and not (
-                    (x >= lo).all() and (x <= hi).all())):
+                    (x >= lo[:, None, None]).all() and (x <= hi[:, None, None]).all())):
                 raise NumericError(f"{name}: NaN reaches sign")
             b = bittensor.pack_channels(x, thr)
             if pool:
-                b = _or_pool(b, pool.kernel, pool.stride)
+                b = _or_pool(b, k, s)
             if flip is not None:
                 b ^= flip
             return b
@@ -314,7 +323,7 @@ class InferencePlan:
     def _conv_step(layer: QConv2d):
         cfg = layer.cfg
         (kh, kw), s, p, o = cfg.kernel, cfg.stride, cfg.padding, cfg.out_channels
-        w_bits = _weight_bits(layer.weight.value, layer.name)
+        w_bits = _weight_bits(layer.weight.value)
         pad_bits = w_bits.shape[1] - kh * kw * cfg.in_channels
         alpha = compute_scaling_factor(layer.weight.value) if cfg.scaling_mode == "FB" else None
 
@@ -338,7 +347,7 @@ class InferencePlan:
         """c channels per pixel in the packed input: columns in (c, pixel)
         order are regrouped to (pixel, c), as the bytes are laid out."""
         o, f = layer.out_features, layer.in_features
-        w_bits = _weight_bits(layer.weight.value.reshape(o, c, f // c, 1), layer.name)
+        w_bits = _weight_bits(layer.weight.value.reshape(o, c, f // c, 1))
         pad_bits = w_bits.shape[1] - f
         alpha = compute_scaling_factor(layer.weight.value) if layer.scaling_mode == "FB" else None
         bias = layer.bias

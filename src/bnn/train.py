@@ -112,11 +112,24 @@ class Adam:
                 continue
             if cfg.weight_decay and not getattr(p, "binary", False):
                 g = g + cfg.weight_decay * p.value
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            mhat = self.m[i] / bias1
-            vhat = self.v[i] / bias2
-            p.value -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+            # in place, in the order and float32 roundings of
+            # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+            # value -= lr*mhat / (sqrt(vhat) + 1e-8)
+            m, v = self.m[i], self.v[i]
+            t = np.multiply(g, 1 - b1)
+            m *= b1
+            m += t
+            np.multiply(g, 1 - b2, out=t)
+            t *= g
+            v *= b2
+            v += t
+            np.divide(m, bias1, out=t)  # mhat
+            t *= lr
+            u = np.divide(v, bias2)  # vhat
+            np.sqrt(u, out=u)
+            u += 1e-8
+            t /= u
+            p.value -= t
             if getattr(p, "binary", False):
                 np.clip(p.value, -1.0, 1.0, out=p.value)
 

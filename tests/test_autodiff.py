@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnn import arch, train
 from bnn.autodiff import STEConfig, Slot, Tape, sign, sign_backward, sign_forward
 from bnn.errors import NumericError, ShapeError
 
@@ -163,3 +164,34 @@ class TestTape:
         s = Slot(np.ones(3, dtype=np.float32))
         with pytest.raises(ShapeError):
             s.add_grad(np.ones(4, dtype=np.float32))
+
+
+def _step_grads(spec, preset, n):
+    """Every gradient of one seeded training step, in the tape's order."""
+    model = arch.build_model(spec, num_classes=10, seed=0, preset=preset)
+    x = np.random.default_rng(0).standard_normal((n,) + model.input_shape).astype(np.float32)
+    tape = Tape()
+    logits = model.forward(x, tape=tape, training=True)
+    loss = train.softmax_cross_entropy(tape, logits, np.arange(n) % 10)
+    return [g for _, g in tape.backward(loss).values()]
+
+
+@pytest.mark.parametrize("spec,preset,n", [
+    ("lenet", None, 4),
+    ("densenet:k=16,b=2", "cifar", 1),  # concat's split pieces are views
+    ("densenet:k=16,b=2", "cifar", 8),
+    ("resnet18", "cifar", 2),  # residual_add passes its gradient on
+])
+def test_fresh_first_gradients_are_kept_without_a_copy(monkeypatch, spec, preset, n):
+    """add_grad keeps a fresh first gradient as it is: the bytes of copying
+    every one, and no two slots' gradients share memory."""
+    grads = _step_grads(spec, preset, n)
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+    add_grad = Slot.add_grad
+    monkeypatch.setattr(Slot, "add_grad", lambda self, g, owned=False: add_grad(self, g))
+    copied = _step_grads(spec, preset, n)
+    assert len(grads) == len(copied)
+    for a, b in zip(grads, copied):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -4,6 +4,7 @@ The float dot product of sign vectors is the oracle everywhere; the
 packed kernel must agree exactly (integer arithmetic, no tolerance).
 """
 
+import contextlib
 import os
 import re
 
@@ -27,7 +28,7 @@ from bnn.bittensor import (
     popcount_words_portable,
     unpack,
 )
-from bnn.errors import ShapeError
+from bnn.errors import NumericError, ShapeError
 
 from conftest import REPO_ROOT, numpy_kernels
 
@@ -287,3 +288,78 @@ def test_from_row_bytes_pads_rows_to_words(nbytes):
                 for m in (a, b)]
     assert np.array_equal(unpack(ta), unpacked[0])
     assert np.array_equal(binary_gemm(ta, tb), unpacked[0] @ unpacked[1].T)
+
+
+# thresholds at the edges of the float32 compare: signed zeros, infinities
+# (-inf: a constant channel) and subnormals
+_EDGE = np.array([0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 1e-39, -1e-39],
+                 np.float32)
+
+
+def _packed_both_ways(x, thr):
+    """pack_channels(x, thr) with the native kernel (when it builds) and
+    with its numpy twin: each the bytes, or the NumericError it raised."""
+    out = []
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels():
+            try:
+                out.append(pack_channels(x, thr))
+            except NumericError as e:
+                out.append(str(e))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 7, 8, 9, 44, 63, 64, 65, 384, 520]),
+    st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_pack_channels_native_equals_numpy(c, nhw, with_thr, with_nan, seed):
+    """Bytes equal to the numpy packer, or the same NumericError, with x
+    on its thresholds (ties), on +-0.0 and NaN; (n, c, h, w) also stands
+    for an (O, C, kh, kw) weight."""
+    n, h, w = nhw
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    thr = None
+    if with_thr:
+        thr = rng.standard_normal(c).astype(np.float32)
+        edge = rng.random(c) < 0.5
+        thr[edge] = rng.choice(_EDGE, edge.sum())
+        # ties: x equal to its channel's threshold, where that is finite
+        tie = (rng.random(x.shape) < 0.2) & np.isfinite(thr)[:, None, None]
+        x[tie] = np.broadcast_to(thr[:, None, None], x.shape)[tie]
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    if with_nan:
+        x.flat[rng.integers(x.size)] = np.nan
+    native, twin = _packed_both_ways(x, thr)
+    if with_nan:
+        assert native == twin == "sign_forward received NaN input"
+    else:
+        assert native.dtype == np.uint8 and native.shape == (n, h, w, -(-c // 8))
+        assert native.tobytes() == twin.tobytes()
+
+
+def test_pack_channels_non_float32_runs_numpy():
+    """float64 input or thresholds have no native kernel: numpy compares
+    in float64, where +-1e-300 is not the float32 zero it rounds to."""
+    tiny = np.array([-1e-300, 1e-300])
+    assert pack_channels(tiny.reshape(1, 2, 1, 1)).tolist() == [[[[0xFE]]]]
+    zeros = np.zeros((1, 2, 1, 1), np.float32)
+    assert pack_channels(zeros, -tiny).tolist() == [[[[0xFE]]]]
+
+
+@pytest.mark.parametrize("arg", ["x", "thr", "lo", "flip"])
+def test_pack_signs_checks_buffers_before_the_kernel_reads_them(arg):
+    c = 9
+    good = dict(x=np.zeros((2, c, 3, 3), np.float32), thr=np.zeros(c, np.float32),
+                lo=np.zeros(c, np.float32), flip=np.zeros(2, np.uint8))
+    bad = dict(x=good["x"].astype(np.float64), thr=np.zeros(c - 1, np.float32),
+               lo=np.zeros(c, np.float64), flip=np.zeros(1, np.uint8))
+    args = dict(good, **{arg: bad[arg]})
+    with pytest.raises(ShapeError):  # raised before the (absent) kernel is called
+        bittensor.pack_signs(None, args.pop("x"), **args)

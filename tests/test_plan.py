@@ -1,5 +1,7 @@
 """InferencePlan against ModelGraph.forward(training=False), its oracle."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +11,10 @@ from bnn import arch, bittensor, layers, train
 from bnn.autodiff import Slot, Tape
 from bnn.data import Dataset
 from bnn.errors import NumericError
-from bnn.layers import BatchNorm
-from bnn.plan import InferencePlan, bn_thresholds
+from bnn.layers import BatchNorm, MaxPool2d
+from bnn.plan import InferencePlan, Thresholds, _or_pool, bn_thresholds
+
+from conftest import numpy_kernels
 
 MODELS = [
     ("lenet", dict(scaling_mode="N")),
@@ -211,3 +215,83 @@ def test_batchnorm_nan_at_its_mean_is_not_folded():
         g.forward(x)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
         InferencePlan(g).run(x)
+
+
+def _random_thresholds(rng, c):
+    """Thresholds with -inf (constant) channels, flips and bounds [-3, 3]
+    on channel 0 and some others, [-inf, inf] on the rest."""
+    thr = rng.normal(0, 1, c).astype(np.float32)
+    thr[rng.random(c) < 0.2] = -np.inf
+    bounded = rng.random(c) < 0.5
+    bounded[0] = True
+    lo = np.where(bounded, np.float32(-3), np.float32(-np.inf)).astype(np.float32)
+    hi = np.where(bounded, np.float32(3), np.float32(np.inf)).astype(np.float32)
+    return Thresholds(thr=thr, flip=rng.random(c) < 0.4, lo=lo, hi=hi)
+
+
+def _bits_reference(x, th, k, s):
+    """pack -> _or_pool -> XOR flip over the rows and columns some window
+    covers, the steps the fused bits step replaces."""
+    h, w = x.shape[2:]
+    x = x[:, :, : (h - k) // s * s + k, : (w - k) // s * s + k]
+    b = _or_pool(bittensor.pack_channels(x, th.thr), k, s)
+    return b ^ np.packbits(th.flip, bitorder="little")
+
+
+def _bits_both_ways(step, x):
+    """step(x) with the native kernel (when it builds) and with numpy: each
+    the bytes, or the NumericError text it raised."""
+    out = []
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels():
+            try:
+                out.append(step(x))
+            except NumericError as e:
+                out.append(str(e))
+    return out
+
+
+@pytest.mark.parametrize("c", [5, 44])
+@pytest.mark.parametrize("hw", [(7, 9), (8, 6)])
+@pytest.mark.parametrize("k,s", [(2, 2), (3, 2), (3, 1)])
+def test_fused_bits_step_equals_pack_pool_flip(k, s, hw, c):
+    """The native bits step gives the bytes of its numpy fallback and of
+    the unfused steps, and both raise for a NaN or out-of-bounds value
+    just where some pool window reads it (channel 0 has bounds [-3, 3])."""
+    rng = np.random.default_rng(k * 100 + s * 10 + c + hw[0])
+    th = _random_thresholds(rng, c)
+    step = InferencePlan._bits_step(th, MaxPool2d(k, s), "bn")
+    h, w = hw
+    x = np.clip(rng.normal(0, 1, (3, c, h, w)), -2.9, 2.9).astype(np.float32)
+    x[rng.random(x.shape) < 0.1] = -0.0
+    hc, wc = (h - k) // s * s + k, (w - k) // s * s + k
+    x[0, 0, 0, 0] = 3.0  # on the bound: inside
+    if hc < h:  # the rows and columns no window covers are not read
+        x[1, :, hc:] = np.nan
+    if wc < w:
+        x[2, 0, :, wc:] = 100.0
+    ref = _bits_reference(x, th, k, s)
+    native, twin = _bits_both_ways(step, x)
+    assert native.tobytes() == twin.tobytes() == ref.tobytes()
+    assert native.shape == ((3, (h - k) // s + 1, (w - k) // s + 1, -(-c // 8)))
+
+    for i, j, v in ((hc - 1, wc - 1, np.nan), (hc - 1, 0, np.float32(3.0001)),
+                    (0, wc - 1, -np.inf)):
+        bad = x.copy()
+        bad[2, 0, i, j] = v
+        assert _bits_both_ways(step, bad) == ["bn: NaN reaches sign"] * 2
+
+
+@pytest.mark.parametrize("c", [1, 9, 64, 1024])
+def test_bits_step_without_pool_or_thresholds(c):
+    """A flattened (N, F) input, and the sign of a BatchNorm-free input."""
+    rng = np.random.default_rng(c)
+    th = _random_thresholds(rng, c)
+    x = np.clip(rng.normal(0, 1, (4, c)), -2.9, 2.9).astype(np.float32)
+    for t, ref in ((th, _bits_reference(x[:, :, None, None], th, 1, 1)),
+                   (None, bittensor.pack_channels(x[:, :, None, None]))):
+        native, twin = _bits_both_ways(InferencePlan._bits_step(t, None, "bn"), x)
+        assert native.tobytes() == twin.tobytes() == ref.tobytes()
+    x[3, c - 1] = np.nan
+    assert _bits_both_ways(InferencePlan._bits_step(None, None, "x"), x) == [
+        "x: NaN reaches sign"] * 2

@@ -317,9 +317,38 @@ def test_adam_steps_native_equal_numpy(run):
     with the native kernels and with their numpy twins."""
     td = _train_digest_module()
     _, *args = td.RUNS[run]
-    native = td.train_trace(*args)
+    _, native = td.train_trace(*args)
     with numpy_kernels():
-        twin = td.train_trace(*args)
+        _, twin = td.train_trace(*args)
     assert len(native) == len(twin)
     for a, b in zip(native, twin):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_adam_in_place_gives_the_out_of_place_bytes():
+    """Adam.step updates m, v and the parameters in place with the float32
+    operations, in the order, of the out-of-place expressions."""
+    rng = np.random.default_rng(0)
+    params = [Param(rng.uniform(-1, 1, (7, 5)), "w", binary=True),
+              Param(rng.normal(0, 1, 11), "b")]
+    cfg = TrainConfig(weight_decay=1e-4)
+    opt = Adam(params, cfg)
+    ref = [p.value.copy() for p in params]
+    m = [np.zeros_like(r) for r in ref]
+    v = [np.zeros_like(r) for r in ref]
+    b1, b2 = cfg.beta1, cfg.beta2
+    for t in range(1, 5):
+        lr = 1e-2 / t
+        for i, p in enumerate(params):
+            p.grad = rng.normal(0, 1, p.value.shape).astype(np.float32)
+            g = p.grad if p.binary else p.grad + cfg.weight_decay * ref[i]
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            ref[i] -= lr * (m[i] / (1 - b1 ** t)) / (np.sqrt(v[i] / (1 - b2 ** t)) + 1e-8)
+            if p.binary:
+                np.clip(ref[i], -1.0, 1.0, out=ref[i])
+        opt.step(lr)
+        for i, p in enumerate(params):
+            assert p.value.tobytes() == ref[i].tobytes()
+            assert opt.m[i].tobytes() == m[i].tobytes()
+            assert opt.v[i].tobytes() == v[i].tobytes()
