@@ -3,10 +3,10 @@
 
 Each digest covers STEPS (3) Adam steps: per step the loss and every
 parameter gradient, then, after the step, every parameter and BatchNorm
-buffer.  The models are LeNet (scaling modes N and FB) and a CIFAR-preset
-densenet:k=16,b=2, trained on seeded synthetic batches.  A second line
-per model, "<label> plan: <digest>", covers the logits its
-plan.InferencePlan gives for PLAN_IMAGES seeded images.  The native
+buffer.  The models are LeNet (scaling modes N and FB, and N with weight
+decay) and a CIFAR-preset densenet:k=16,b=2, trained on seeded synthetic
+batches.  A second line per model, "<label> plan: <digest>", covers the
+logits its plan.InferencePlan gives for PLAN_IMAGES seeded images.  The native
 kernels and their numpy twins give the same bytes, so the two commands
 
     python scripts/train_digest.py
@@ -33,22 +33,24 @@ from bnn.plan import InferencePlan  # noqa: E402
 STEPS = 3
 PLAN_IMAGES = 37  # more than the plan runs per chunk, with a short last chunk
 
-# (label, model spec, scaling mode, preset, input shape, batch size)
+# (label, model spec, scaling mode, preset, input shape, batch size, weight decay)
 RUNS = [
-    ("lenet N", "lenet", "N", None, (1, 28, 28), 16),
-    ("lenet FB", "lenet", "FB", None, (1, 28, 28), 16),
-    ("densenet:k=16,b=2", "densenet:k=16,b=2", "N", "cifar", (3, 32, 32), 8),
+    ("lenet N", "lenet", "N", None, (1, 28, 28), 16, 0.0),
+    ("lenet FB", "lenet", "FB", None, (1, 28, 28), 16, 0.0),
+    ("densenet:k=16,b=2", "densenet:k=16,b=2", "N", "cifar", (3, 32, 32), 8, 0.0),
+    ("lenet N weight_decay=0.01", "lenet", "N", None, (1, 28, 28), 16, 0.01),
 ]
 
 
-def train_trace(spec, scaling_mode, preset, shape, batch, seed=0):
+def train_trace(spec, scaling_mode, preset, shape, batch, weight_decay, seed=0):
     """The trained model and the arrays of STEPS Adam steps, in order: per
     step the loss and every gradient, then every parameter and BatchNorm
     buffer."""
     model = arch.build_model(spec, num_classes=10, scaling_mode=scaling_mode,
                              seed=seed, preset=preset)
     params = model.params()
-    opt = train.Adam(params, train.TrainConfig(scaling_mode=scaling_mode))
+    opt = train.Adam(params, train.TrainConfig(scaling_mode=scaling_mode,
+                                               weight_decay=weight_decay))
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(STEPS):

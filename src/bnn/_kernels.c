@@ -19,9 +19,15 @@
  *             (bittensor.pack_channels), in one read of the floats; for the
  *             inference plan also thresholded, OR-pooled over MaxPool
  *             windows, flipped, and checked for NaN or values out of bounds.
+ * maxpool_grad: MaxPool2d's input gradient for windows of k = s, each
+ *             window's gradient at its first maximum, recomputed from the
+ *             input and the output, so no index is kept.
+ * adam_step:  one Adam step of a float32 parameter, its moments updated in
+ *             place, in one pass.
  *
  * Built with -ffp-contract=off: a fused multiply-add rounds once where
  * the numpy twins round twice, so every a * b + c here is two roundings.
+ * -fno-math-errno lets sqrtf vectorise; no kernel reads errno.
  */
 #include <math.h>
 #include <stdint.h>
@@ -323,4 +329,86 @@ int pack_signs(const float *x, const float *thr, const float *lo, const float *h
                 }
         }
     return bad != 0;
+}
+
+/* One row of windows of maxpool_grad, s = k.  Each input gets 0 + g * hit,
+ * the bytes of numpy's g_x[sl] += g_y * hit on zeros; f stays 1 until the
+ * window has found its first maximum.  Bitwise & and ! keep the loop free
+ * of branches, so it vectorises along px. */
+static inline __attribute__((always_inline)) void
+pool_grad_row(const float *x, const float *y, const float *g, float *gx,
+              int64_t ow, int64_t w, int64_t s)
+{
+    for (int64_t px = 0; px < ow; px++) {
+        int32_t f = 1;
+        for (int64_t di = 0; di < s; di++)
+            for (int64_t dj = 0; dj < s; dj++) {
+                const int64_t at = di * w + px * s + dj;
+                const int32_t e = x[at] == y[px];
+                gx[at] = 0.0f + g[px] * (float)(e & f);
+                f &= !e;
+            }
+    }
+}
+
+/* A row holds few windows (12 at LeNet's 24 x 24 input, 4 at 8 x 8), so
+ * 4-float vectors fill where 16-float ones would leave it scalar. */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define SHORT_VECTORS __attribute__((target("prefer-vector-width=128")))
+#else
+#define SHORT_VECTORS
+#endif
+
+/* x and gx are float32 (planes, h, w), y and g (planes, oh, ow), windows of
+ * k = s with oh = h / s and ow = w / s.  gx is g at the first input in
+ * row-major window order equal to the window's maximum y, 0 at the other
+ * inputs of the window (0 * g: NaN where g is) and in the cropped rows and
+ * columns; a window whose maximum is NaN matches no input.  s = 1, 2 and 3
+ * are compiled with s constant. */
+SHORT_VECTORS
+void maxpool_grad(const float *x, const float *y, const float *g, float *gx,
+                  int64_t planes, int64_t h, int64_t w, int64_t s)
+{
+    const int64_t oh = h / s, ow = w / s;
+    for (int64_t p = 0; p < planes; p++, x += h * w, gx += h * w) {
+        for (int64_t py = 0; py < oh; py++, y += ow, g += ow) {
+            const float *xr = x + py * s * w;
+            float *gr = gx + py * s * w;
+            if (s == 1)
+                pool_grad_row(xr, y, g, gr, ow, w, 1);
+            else if (s == 2)
+                pool_grad_row(xr, y, g, gr, ow, w, 2);
+            else if (s == 3)
+                pool_grad_row(xr, y, g, gr, ow, w, 3);
+            else
+                pool_grad_row(xr, y, g, gr, ow, w, s);
+            for (int64_t di = 0; di < s; di++)
+                for (int64_t q = ow * s; q < w; q++)
+                    gr[di * w + q] = 0.0f;
+        }
+        for (int64_t q = oh * s * w; q < h * w; q++)
+            gx[q] = 0.0f;
+    }
+}
+
+/* One Adam step over n float32 entries, in place, in the float32 order of
+ * train.Adam's numpy code: with g the gradient (plus wd * value if decay),
+ * m = b1 * m + c1 * g and v = b2 * v + (c2 * g) * g, then
+ * value -= ((m / bias1) * lr) / (sqrt(v / bias2) + eps), clipped to
+ * [-1, 1] if clip, NaN kept. */
+void adam_step(float *value, const float *grad, float *m, float *v, int64_t n,
+               float c1, float b1, float c2, float b2, float bias1, float bias2,
+               float lr, float eps, float wd, int32_t decay, int32_t clip)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const float g = decay ? grad[i] + wd * value[i] : grad[i];
+        const float mi = m[i] * b1 + g * c1;
+        const float vi = v[i] * b2 + (g * c2) * g;
+        float p = value[i] - ((mi / bias1) * lr) / (sqrtf(vi / bias2) + eps);
+        if (clip)
+            p = p < -1.0f ? -1.0f : p > 1.0f ? 1.0f : p;
+        m[i] = mi;
+        v[i] = vi;
+        value[i] = p;
+    }
 }

@@ -145,8 +145,12 @@ def sign_backward(
         raise ShapeError(
             f"upstream shape {upstream.shape} != input shape {r_i.shape}"
         )
-    mask = np.abs(r_i) <= cfg.t_clip
-    return np.where(mask, upstream, 0.0).astype(np.float32)
+    # the bytes of np.where(|r_i| <= t_clip, upstream, 0.0) as float32: the
+    # float32 bits ANDed with all ones where the mask passes, else zeros
+    out = upstream.astype(np.float32)
+    bits = out.view(np.uint32)
+    bits &= np.negative(np.abs(r_i) <= cfg.t_clip, dtype=np.uint32)
+    return out
 
 
 def sign(tape: Tape, x: Slot, cfg: STEConfig) -> Slot:

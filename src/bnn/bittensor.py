@@ -19,9 +19,10 @@ the bytes gives rows ready for binary_gemm.  When C % 8 != 0 a patch row
 also holds the 1-pad bits of each of its kh*kw pixels, in both operands;
 each adds +1 to the result, and the caller subtracts their count.
 
-binary_gemm, pack_channels, layers.col2im, BatchNorm in training and the
-inference plan's sign bits run the C kernels of _kernels.c, compiled on
-first use with $CC -O3 -march=native -ffp-contract=off into
+binary_gemm, pack_channels, layers.col2im, BatchNorm in training, the
+MaxPool2d backward, the Adam step and the inference plan's sign bits run
+the C kernels of _kernels.c, compiled on first use with
+$CC -O3 -march=native -ffp-contract=off -fno-math-errno into
 $XDG_CACHE_HOME/bnnkit and keyed on the CPU's flags too (see
 native_kernels); if that fails, their numpy code runs, with the same
 results.
@@ -50,8 +51,9 @@ _POPCOUNT_TABLE = np.array(
 _HAVE_HW_POPCOUNT = hasattr(np, "bitwise_count")
 
 _KERNELS_C = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
-# no fused multiply-adds: the numpy twins round a * b + c twice
-_CFLAGS = ["-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC"]
+# no fused multiply-adds: the numpy twins round a * b + c twice; sqrtf
+# vectorises only when it need not set errno
+_CFLAGS = ["-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC"]
 _native = None  # ctypes.CDLL of _kernels.c; False once it failed to build
 kernel_status = "numpy (native kernels not loaded yet)"
 
@@ -64,14 +66,16 @@ def native_kernels():
         try:
             path = _build_kernels()
             lib = ctypes.CDLL(path)
-            ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+            ptr, i64, f32, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_float, ctypes.c_int32
             for name, args in (("xnor_gemm", [ptr] * 3 + [i64] * 4),
                                ("col2im_add", [ptr] * 2 + [i64] * 9),
                                ("col2im_store", [ptr] * 3 + [i64] * 5 + [ctypes.c_double]),
                                ("bn_sums", [ptr] * 6 + [i64] * 3),
                                ("bn_normalize", [ptr] * 6 + [i64] * 3),
                                ("bn_grad_input", [ptr] * 8 + [i64] * 3),
-                               ("pack_signs", [ptr] * 7 + [i64] * 6)):
+                               ("pack_signs", [ptr] * 7 + [i64] * 6),
+                               ("maxpool_grad", [ptr] * 4 + [i64] * 4),
+                               ("adam_step", [ptr] * 4 + [i64] + [f32] * 9 + [i32] * 2)):
                 fn = getattr(lib, name)
                 fn.argtypes, fn.restype = args, None
             lib.pack_signs.restype = ctypes.c_int  # 1: NaN or out of bounds
@@ -79,6 +83,14 @@ def native_kernels():
         except (OSError, AttributeError, ValueError) as e:
             _native, kernel_status = False, f"numpy ({e})"
     return _native or None
+
+
+def native_float32(*arrays):
+    """The native kernels, if they load and every array is C-contiguous
+    float32; else None, for the numpy twin."""
+    lib = native_kernels()
+    ok = all(a.dtype == np.float32 and a.flags.c_contiguous for a in arrays)
+    return lib if lib and ok else None
 
 
 def _build_kernels() -> str:

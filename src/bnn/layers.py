@@ -51,6 +51,13 @@ an input gradient that recomputes xhat from the input, so the tape keeps
 no copy of it.  Evaluation normalizes with the running statistics in
 numpy.
 
+MaxPool2d's forward takes the maximum over strided slices in numpy and
+keeps no index; its backward gives each window's gradient to the first
+input, in row-major window order, equal to the maximum.  For float32
+windows with kernel = stride the native maxpool_grad finds it again from
+the input and the output in one pass, with the bytes of the numpy slices
+that run otherwise.
+
 These forwards serve training and ModelGraph.forward.  Evaluation runs
 plan.InferencePlan instead: it calls the forward of every layer that is
 not binary, on a throwaway tape, and does the binary layers' work itself
@@ -468,21 +475,13 @@ def _bn_sums_numpy(x, g, mean, inv_std):
     return s0, s1
 
 
-def _bn_native(*arrays):
-    """The native kernels, if they load and every array is C-contiguous
-    float32."""
-    lib = bittensor.native_kernels()
-    ok = all(a.dtype == np.float32 and a.flags.c_contiguous for a in arrays)
-    return lib if lib and ok else None
-
-
 def bn_sums(x, g=None, mean=None, inv_std=None):
     """Per-channel float64 sums over (n, c, hw) x: (sum x, sum (x - sum x / m)^2),
     m = n * hw; or, given the output gradient g, (sum g, sum g * xhat) with
     xhat = (x - mean) * inv_std in x's dtype.  The native bn_sums when x
     (and g) are float32, else its numpy twin, with the same bytes."""
     n, c, hw = x.shape
-    lib = _bn_native(x) if g is None else _bn_native(x, g, mean, inv_std)
+    lib = bittensor.native_float32(*((x,) if g is None else (x, g, mean, inv_std)))
     if lib:
         s0, s1 = np.empty(c), np.empty(c)
         grad = (None,) * 3 if g is None else (g.ctypes.data, mean.ctypes.data,
@@ -495,7 +494,7 @@ def bn_sums(x, g=None, mean=None, inv_std=None):
 def bn_normalize(x, mean, inv_std, gamma, beta):
     """gamma * ((x - mean) * inv_std) + beta per channel of (n, c, hw) x,
     every operation in x's dtype."""
-    lib = _bn_native(x, mean, inv_std, gamma, beta)
+    lib = bittensor.native_float32(x, mean, inv_std, gamma, beta)
     if lib:
         y = np.empty_like(x)
         lib.bn_normalize(x.ctypes.data, mean.ctypes.data, inv_std.ctypes.data,
@@ -512,7 +511,7 @@ def bn_grad_input(x, g, mean, inv_std, k, sg, sgx):
     """BatchNorm's input gradient in training, k * ((m * g - sg) - xhat * sgx)
     per channel of (n, c, hw) x, with xhat = (x - mean) * inv_std recomputed
     and every operation in x's dtype."""
-    lib = _bn_native(x, g, mean, inv_std, k, sg, sgx)
+    lib = bittensor.native_float32(x, g, mean, inv_std, k, sg, sgx)
     if lib:
         gx = np.empty_like(x)
         lib.bn_grad_input(x.ctypes.data, g.ctypes.data, mean.ctypes.data,
@@ -644,9 +643,18 @@ class MaxPool2d(Layer):
 
         def backward_fn(g_y):
             # each output's gradient goes to the first input in row-major
-            # window order equal to its maximum, as argmax breaks ties;
-            # overlapping windows (k > s) share inputs, so sum in float64.
-            # g_y * hit is +-0.0 where not hit, which leaves the sum as is
+            # window order equal to its maximum, as argmax breaks ties.  The
+            # native maxpool_grad recomputes the hits from x and y in one
+            # pass, with the bytes of the numpy code below, which runs for
+            # other dtypes and for overlapping windows (k > s): they share
+            # inputs, so those sum in float64.  g_y * hit is +-0.0 where not
+            # hit, which leaves the sum as is
+            lib = k == s and bittensor.native_float32(xv, y, g_y)
+            if lib:
+                g_x = np.empty_like(xv)
+                lib.maxpool_grad(xv.ctypes.data, y.ctypes.data, g_y.ctypes.data,
+                                 g_x.ctypes.data, n * c, h, w, s)
+                return (g_x,)
             g_x = np.zeros((n, c, h, w), np.float64 if k > s else g_y.dtype)
             free = np.ones(y.shape, dtype=bool)
             for sl in slices:

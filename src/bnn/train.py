@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import bittensor
 from .arch import ModelGraph
 from .autodiff import Slot, Tape
 from .errors import NumericError
@@ -106,16 +107,26 @@ class Adam:
         b1, b2 = cfg.beta1, cfg.beta2
         bias1 = 1 - b1 ** self.t
         bias2 = 1 - b2 ** self.t
+        # numpy does the steps below in float32 only for Python scalars
+        exact = all(type(a) in (int, float) for a in (lr, b1, b2, cfg.weight_decay))
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
-            if cfg.weight_decay and not getattr(p, "binary", False):
+            binary = getattr(p, "binary", False)
+            decay = bool(cfg.weight_decay) and not binary
+            m, v = self.m[i], self.v[i]
+            lib = exact and bittensor.native_float32(p.value, g, m, v)
+            if lib:  # one pass with the bytes of the numpy code below
+                lib.adam_step(p.value.ctypes.data, g.ctypes.data, m.ctypes.data,
+                              v.ctypes.data, p.value.size, 1 - b1, b1, 1 - b2, b2,
+                              bias1, bias2, lr, 1e-8, cfg.weight_decay, decay, binary)
+                continue
+            if decay:
                 g = g + cfg.weight_decay * p.value
             # in place, in the order and float32 roundings of
             # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
             # value -= lr*mhat / (sqrt(vhat) + 1e-8)
-            m, v = self.m[i], self.v[i]
             t = np.multiply(g, 1 - b1)
             m *= b1
             m += t
@@ -130,7 +141,7 @@ class Adam:
             u += 1e-8
             t /= u
             p.value -= t
-            if getattr(p, "binary", False):
+            if binary:
                 np.clip(p.value, -1.0, 1.0, out=p.value)
 
 

@@ -36,6 +36,27 @@ def numpy_kernels():
         bittensor._native = saved
 
 
+@contextlib.contextmanager
+def kernel_calls():
+    """Run the native kernels and yield the list of the names of those
+    called, in order; the test is skipped where they cannot be built."""
+    lib = bittensor.native_kernels()
+    if lib is None:
+        pytest.skip(bittensor.kernel_status)
+    calls = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(lib, name)
+
+    saved, bittensor._native = bittensor._native, Recorder()
+    try:
+        yield calls
+    finally:
+        bittensor._native = saved
+
+
 def edit_descriptor(path, edit):
     """Rewrite the JSON descriptor of a saved model file in place with
     edit(desc); the payload and its CRC are untouched."""

@@ -78,6 +78,30 @@ class TestSignBackward:
         expected = np.where(np.abs(r) <= t_clip, up, 0.0)
         assert np.array_equal(sign_backward(up, r, cfg), expected.astype(np.float32))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([np.float32, np.float64]),
+           st.sampled_from([np.float32, np.float64]), st.booleans(),
+           st.floats(0.01, 4.0, allow_nan=False))
+    def test_matches_where_oracle_bytewise(self, seed, up_dtype, r_dtype, transpose,
+                                           t_clip):
+        """The masked bits are those of np.where(mask, upstream, 0.0) as
+        float32, also for NaN, +-inf and -0.0 upstream, NaN r and
+        non-contiguous operands."""
+        rng = np.random.default_rng(seed)
+        special = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, t_clip, -t_clip]
+        up = rng.standard_normal((9, 7))
+        r = rng.standard_normal((9, 7))
+        up.flat[rng.integers(0, up.size, 12)] = rng.choice(special, 12)
+        r.flat[rng.integers(0, r.size, 12)] = rng.choice(special, 12)
+        up, r = up.astype(up_dtype), r.astype(r_dtype)
+        if transpose:
+            up, r = up.T, r.T
+        cfg = STEConfig(t_clip=t_clip)
+        got = sign_backward(up, r, cfg)
+        want = np.where(np.abs(r) <= t_clip, up, 0.0).astype(np.float32)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 def test_ste_config_validation():
     with pytest.raises(ValueError):

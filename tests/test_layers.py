@@ -27,7 +27,7 @@ from bnn.layers import (
     residual_add,
 )
 
-from conftest import numpy_kernels
+from conftest import kernel_calls, numpy_kernels
 
 
 def conv2d_reference(x, w, stride, padding, pad_value=0.0):
@@ -962,6 +962,62 @@ class TestPooling:
         got = self._pool_backward(x, g_y, 2, 2)
         assert got.tobytes() == np.float32([[[[3.0, 0.0], [0.0, 0.0]]]]).tobytes()
         assert got.tobytes() == self._argmax_routing(x, g_y, 2, 2).tobytes()
+
+    @staticmethod
+    def _grad_both_ways(x, g_y, k, s):
+        """MaxPool2d(k, s)'s input gradient for the output gradient g_y with
+        the native kernels and with the numpy code, and the names of the
+        kernels the first called."""
+        out = []
+        for kernels in (kernel_calls, numpy_kernels):
+            with kernels() as calls, np.errstate(invalid="ignore"):
+                tape = Tape()
+                MaxPool2d(k, s).forward(tape, Slot(x))
+                (g_x,) = tape.nodes[-1].backward_fn(g_y)
+                out.append(g_x)
+                if calls is not None:
+                    out.append(calls)
+        return out
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.integers(1, 3), st.integers(1, 4),
+           st.integers(3, 11), st.integers(3, 11), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_maxpool_grad_native_equals_numpy(self, k, n, c, h, w, ties, seed):
+        """The native maxpool_grad gives the numpy code's bytes at k = s,
+        cropped odd H and W, ties (+-0.0 among them), NaN in x and
+        +-inf, NaN and -0.0 in g_y."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        if ties:
+            x = rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), size=x.shape)
+        x[rng.random(x.shape) < 0.05] = np.nan
+        g_y = rng.standard_normal((n, c, h // k, w // k)).astype(np.float32)
+        odd = rng.random(g_y.shape) < 0.2
+        g_y[odd] = rng.choice(np.float32([np.inf, -np.inf, np.nan, -0.0]), odd.sum())
+        native, calls, twin = self._grad_both_ways(x, g_y, k, k)
+        assert calls == ["maxpool_grad"]
+        assert native.dtype == twin.dtype == np.float32
+        assert native.tobytes() == twin.tobytes()
+
+    @pytest.mark.parametrize("case", ["float64", "x-strided", "g-strided", "k>s"])
+    def test_maxpool_grad_numpy_cases(self, case):
+        """Non-float32 or non-contiguous operands and overlapping windows
+        take the numpy code."""
+        rng = np.random.default_rng(3)
+        k, s = (3, 2) if case == "k>s" else (2, 2)
+        x = rng.standard_normal((2, 3, 9, 8)).astype(np.float32)
+        if case == "float64":
+            x = x.astype(np.float64)
+        elif case == "x-strided":
+            x = x[:, ::-1]
+        oh, ow = (9 - k) // s + 1, (8 - k) // s + 1
+        g_y = rng.standard_normal((2, 3, oh, ow)).astype(x.dtype)
+        if case == "g-strided":
+            g_y = np.ascontiguousarray(g_y.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+        native, calls, twin = self._grad_both_ways(x, g_y, k, s)
+        assert calls == []
+        assert native.tobytes() == twin.tobytes()
 
     def test_avgpool(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)

@@ -27,7 +27,7 @@ from bnn.train import (
     write_tclip_csv,
 )
 
-from conftest import REPO_ROOT, make_synth_dataset, numpy_kernels
+from conftest import REPO_ROOT, kernel_calls, make_synth_dataset, numpy_kernels
 
 
 def tiny_pair():
@@ -310,11 +310,12 @@ def _train_digest_module():
     return module
 
 
-@pytest.mark.parametrize("run", range(3))
+@pytest.mark.parametrize("run", range(4))
 def test_adam_steps_native_equal_numpy(run):
-    """Three Adam steps of LeNet (N, FB) and densenet:k=16,b=2 give the same
-    losses, gradients, parameters and BatchNorm buffers, byte for byte,
-    with the native kernels and with their numpy twins."""
+    """Three Adam steps of LeNet (N, FB, N with weight decay) and
+    densenet:k=16,b=2 give the same losses, gradients, parameters and
+    BatchNorm buffers, byte for byte, with the native kernels and with
+    their numpy twins."""
     td = _train_digest_module()
     _, *args = td.RUNS[run]
     _, native = td.train_trace(*args)
@@ -352,3 +353,32 @@ def test_adam_in_place_gives_the_out_of_place_bytes():
             assert p.value.tobytes() == ref[i].tobytes()
             assert opt.m[i].tobytes() == m[i].tobytes()
             assert opt.v[i].tobytes() == v[i].tobytes()
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+@pytest.mark.parametrize("lr_type", [float, np.float64])
+def test_adam_native_step_equals_numpy(weight_decay, lr_type):
+    """Five steps of the native adam_step give the numpy code's bytes for
+    m, v and the parameters: a binary weight clipped to [-1, 1], a float32
+    bias and, in numpy, a float64 parameter, with gradients holding -0.0.
+    An lr that numpy does not treat as a Python float takes numpy too."""
+    runs = []
+    for kernels in (kernel_calls, numpy_kernels):
+        rng = np.random.default_rng(5)
+        params = [Param(rng.uniform(-1, 1, (7, 9)), "w", binary=True),
+                  Param(rng.normal(0, 1, 13), "b"), Slot(rng.normal(0, 1, 5), "d")]
+        opt = Adam(params, TrainConfig(weight_decay=weight_decay))
+        with kernels() as calls:
+            for t in range(5):
+                for p in params:
+                    g = rng.normal(0, 30, p.value.shape)
+                    g[rng.random(g.shape) < 0.2] = -0.0
+                    p.grad = g.astype(p.value.dtype)
+                opt.step(lr_type(0.5 / (t + 1)))
+        runs.append([a.tobytes() for a in [p.value for p in params] + opt.m + opt.v])
+        if calls is not None:
+            runs.append(calls)
+            assert np.any(np.abs(params[0].value) == 1.0)
+    native, calls, twin = runs
+    assert calls == (["adam_step"] * 10 if lr_type is float else [])
+    assert native == twin
