@@ -4,8 +4,8 @@
 Each digest covers STEPS (3) Adam steps: per step the loss and every
 parameter gradient, then, after the step, every parameter and BatchNorm
 buffer.  The models are LeNet (scaling modes N and FB, and N with weight
-decay) and a CIFAR-preset densenet:k=16,b=2, trained on seeded synthetic
-batches.  A second line per model, "<label> plan: <digest>", covers the
+decay), a CIFAR-preset densenet:k=16,b=2 and a CIFAR-preset resnet18 at
+batch 2, trained on seeded synthetic batches.  A second line per model, "<label> plan: <digest>", covers the
 logits its plan.InferencePlan gives for PLAN_IMAGES seeded images.  The native
 kernels and their numpy twins give the same bytes, so the two commands
 
@@ -39,6 +39,8 @@ RUNS = [
     ("lenet FB", "lenet", "FB", None, (1, 28, 28), 16, 0.0),
     ("densenet:k=16,b=2", "densenet:k=16,b=2", "N", "cifar", (3, 32, 32), 8, 0.0),
     ("lenet N weight_decay=0.01", "lenet", "N", None, (1, 28, 28), 16, 0.01),
+    # stride-2 binary convs, 1x1 qproj convs and residual_add
+    ("resnet18", "resnet18", "N", "cifar", (3, 32, 32), 2, 0.0),
 ]
 
 

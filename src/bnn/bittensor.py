@@ -14,10 +14,14 @@ Both operands pad with 1-bits, so the padding XORs to 0 and adds nothing
 to the popcount: no correction term is needed.  This is exact integer
 arithmetic, so results match a float reference bit for bit.
 
-Convolutions pack along channels instead (pack_channels), so im2col of
-the bytes gives rows ready for binary_gemm.  When C % 8 != 0 a patch row
-also holds the 1-pad bits of each of its kh*kw pixels, in both operands;
-each adds +1 to the result, and the caller subtracts their count.
+The binary layers pack along channels instead (pack_channels), so im2col
+of the bytes gives rows ready for binary_gemm; a dense layer's (N, F)
+input is a one-pixel (N, F, 1, 1) image, which numpy packs faster than
+the native pack_signs.  When C % 8 != 0 a patch row also holds the 1-pad
+bits of each of its kh*kw pixels, in both operands; each adds +1 to the
+result, and layers.binary_conv subtracts their count.  pack and its
+word-padded rows serve the tests, the kernel benchmark and the model
+file.
 
 binary_gemm, pack_channels, layers.col2im, BatchNorm in training, the
 MaxPool2d backward, the Adam step and the inference plan's sign bits run
@@ -43,12 +47,6 @@ from .autodiff import NAN_INPUT, check_nan
 from .errors import NumericError, ShapeError
 
 WORD_BITS = 64
-
-_POPCOUNT_TABLE = np.array(
-    [bin(i).count("1") for i in range(256)], dtype=np.uint8
-)
-
-_HAVE_HW_POPCOUNT = hasattr(np, "bitwise_count")
 
 _KERNELS_C = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # no fused multiply-adds: the numpy twins round a * b + c twice; sqrtf
@@ -117,18 +115,8 @@ def _build_kernels() -> str:
     return path
 
 
-def popcount_words(words: np.ndarray) -> np.ndarray:
-    """Per-word popcount using the hardware instruction when available."""
-    if _HAVE_HW_POPCOUNT:
-        return np.bitwise_count(words)
-    return popcount_words_portable(words)
-
-
-def popcount_words_portable(words: np.ndarray) -> np.ndarray:
-    """Table-driven popcount fallback; bit-exact equal to the fast path."""
-    as_bytes = words.view(np.uint8).reshape(words.shape + (8,))
-    # uint8 like np.bitwise_count, so counts add into an int32 accumulator
-    return _POPCOUNT_TABLE[as_bytes].sum(axis=-1, dtype=np.uint8)
+# per-word popcount, uint8 counts that add into an int32 accumulator
+popcount_words = np.bitwise_count
 
 
 @dataclass(frozen=True)
@@ -189,20 +177,24 @@ def pack_channels(x: np.ndarray, thresholds=None) -> np.ndarray:
     instead of x[:, c] >= 0.  A NaN in x raises sign_forward's
     NumericError.  Float32 x and thresholds run the native pack_signs,
     which reads x once; otherwise the numpy code below, its byte oracle,
-    compares, ORs the 8 channel planes of each byte and transposes.
+    compares, ORs the 8 channel planes of each byte and transposes.  A
+    one-pixel x, (N, C, 1, 1) as a dense layer's input or weight, is one
+    np.packbits of the compared rows, some 30x faster than pack_signs.
     """
+    n, c, h, w = x.shape
     lib = native_kernels()
-    if lib and x.dtype == np.float32 and (
+    if lib and x.dtype == np.float32 and (h, w) != (1, 1) and (
             thresholds is None or thresholds.dtype == np.float32):
         out, bad = pack_signs(lib, x, thresholds)
         if bad:
             raise NumericError(NAN_INPUT)
         return out
     check_nan(x)
-    n, c, h, w = x.shape
     bits = np.ones((n, -(-c // 8) * 8, h, w), dtype=bool)
     thr = 0 if thresholds is None else thresholds.reshape(-1, 1, 1)
     np.greater_equal(x, thr, out=bits[:, :c])
+    if h == w == 1:
+        return np.packbits(bits.reshape(n, 1, 1, -1), axis=-1, bitorder="little")
     planes = bits.view(np.uint8).reshape(n, -1, 8, h, w)  # 8 channels a byte
     out = planes[:, :, 0].copy()
     for i in range(1, 8):

@@ -19,11 +19,14 @@ weight, computed only where a mode reads it):
   FB - forward output and weight gradient both multiplied by the factor.
 The activation gradient is never scaled.
 
-A binary convolution packs its sign activations along channels once
-(bittensor.pack_channels), pads them with 0xFF (+1) bytes and gathers
-packed patch rows with im2col; when C % 8 != 0 the 1-pad bits of each
-kernel position add +1 each, in both operands, and are subtracted.  The
-+-1 float patches exist only in backward, for the weight gradient.
+The binary-linear core is binary_conv: sign activations packed along
+channels (bittensor.pack_channels), padded with 0xFF (+1) bytes, gathered
+into packed patch rows by im2col and multiplied with weight_bits by
+bittensor.binary_gemm; when C % 8 != 0 the 1-pad bits of each kernel
+position add +1 each, in both operands, and are subtracted.  The +-1
+float patches exist only in backward, for the weight gradient.  QDense
+is a QConv2d whose binarized input runs this 1x1 path over (N, F, 1, 1),
+where col2im needs no float64 accumulator; its weight stays (O, F).
 
 A convolution with a float input (the stem) gathers pixel-innermost
 patches, (N, kh*kw*C, OH*OW) in the same (ki, kj, c) order, so one
@@ -62,8 +65,8 @@ These forwards serve training and ModelGraph.forward.  Evaluation runs
 plan.InferencePlan instead: it calls the forward of every layer that is
 not binary, on a throwaway tape, and does the binary layers' work itself
 on packed bits, with each weight packed once and a BatchNorm before them
-turned into a per-channel threshold; it gathers with im2col and
-multiplies with bittensor.binary_gemm, as QConv2d does.
+turned into a per-channel threshold; it calls binary_conv, as QConv2d
+does.
 """
 
 from __future__ import annotations
@@ -80,6 +83,11 @@ from .errors import ShapeError
 SCALING_MODES = ("N", "B", "FB")
 
 
+def check_scaling_mode(mode):
+    if mode not in SCALING_MODES:
+        raise ValueError(f"scaling_mode must be one of {SCALING_MODES}, got {mode!r}")
+
+
 @dataclass
 class QLayerConfig:
     in_channels: int
@@ -91,11 +99,7 @@ class QLayerConfig:
     binarize_input: bool = True
 
     def __post_init__(self):
-        if self.scaling_mode not in SCALING_MODES:
-            raise ValueError(
-                f"scaling_mode must be one of {SCALING_MODES}, "
-                f"got {self.scaling_mode!r}"
-            )
+        check_scaling_mode(self.scaling_mode)
         if min(self.kernel) < 1 or self.stride < 1:
             raise ValueError("kernel and stride must be >= 1")
         if self.padding < 0:
@@ -156,6 +160,11 @@ def col2im(g_mat: np.ndarray, w: np.ndarray, x_shape: tuple, kh: int, kw: int,
     through sign, sign_backward(gradient, x, ste)."""
     n, c, h, wd = x_shape
     p = padding
+    if h == wd == kh == kw == 1 and not p:
+        # one pixel, a 1x1 kernel: each sum is a single product, so the
+        # float64 accumulator would give the same bytes
+        g = (g_mat @ w).astype(g_mat.dtype, copy=False).reshape(x_shape)
+        return g if x is None else autodiff.sign_backward(g, x, ste)
     hp, wp = h + 2 * p, wd + 2 * p
     oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     out = np.empty(x_shape, dtype=g_mat.dtype)
@@ -205,14 +214,39 @@ class Layer:
         raise NotImplementedError
 
 
+def weight_bits(w: np.ndarray) -> bittensor.BitTensor:
+    """Sign bits of an (O, C, kh, kw) weight, one packed row per output in
+    im2col's (ki, kj, c) order (a NaN raises, as in sign_forward)."""
+    return bittensor.from_row_bytes(bittensor.pack_channels(w).reshape(len(w), -1))
+
+
+def _pad_bits(bits, p):
+    """(N, H, W, bytes) sign bits padded with +1 pixels, the sign of a zero pad."""
+    return np.pad(bits, ((0, 0), (p, p), (p, p), (0, 0)), constant_values=0xFF) if p else bits
+
+
+def binary_conv(bits, w_bits, kh, kw, stride, padding, c):
+    """(N*OH*OW, O) exact float32 sums of the +-1 convolution of sign bits
+    packed along c channels, (N, H, W, ceil(c/8)) bytes, with weight_bits,
+    less the 1-pad bits of each kernel position, which add +1 each."""
+    cols = im2col(_pad_bits(bits, padding), kh, kw, stride)
+    y = bittensor.binary_gemm(bittensor.from_row_bytes(cols), w_bits)
+    pad_bits = w_bits.shape[1] - kh * kw * c
+    if pad_bits:
+        y -= pad_bits
+    return y
+
+
 class QConv2d(Layer):
     """Convolution over sign-binarized operands via im2col + packed GEMM.
 
     With binary=False the layer is an ordinary full-precision convolution
-    (used for the network stem).
+    (used for the network stem); binarize_input needs binary weights.
     """
 
     def __init__(self, cfg: QLayerConfig, binary=True, ste=None, rng=None, name="qconv"):
+        if cfg.binarize_input and not binary:
+            raise ValueError(f"{name}: binarize_input needs binary weights")
         self.cfg = cfg
         self.binary = binary
         self.ste = ste or STEConfig()
@@ -230,57 +264,66 @@ class QConv2d(Layer):
         return [self.weight]
 
     def forward(self, tape, x, training=True):
+        if x.value.shape[1] != self.cfg.in_channels:
+            raise ShapeError(
+                f"{self.name}: expected {self.cfg.in_channels} input channels, "
+                f"got {x.value.shape[1]}"
+            )
+        return self._conv(tape, x, x.value)
+
+    def _alpha(self):
+        """alpha where the mode reads it: the FB forward and the B/FB
+        weight gradient; else None."""
+        if self.binary and self.cfg.scaling_mode in ("B", "FB"):
+            return compute_scaling_factor(self.weight.value)
+        return None
+
+    def _weight_grad(self, g_wb, alpha):
+        """The latent weight's gradient from that of the weight signs:
+        through their STE, scaled by alpha in B and FB."""
+        if not self.binary:
+            return g_wb
+        g_w = autodiff.sign_backward(g_wb, self.weight.value, self.ste)
+        return g_w if alpha is None else g_w * alpha
+
+    def _conv(self, tape, x, xv):
+        """The convolution of xv, x's value seen as (N, C, H, W), recorded
+        on tape as a function of x; the output has x's rank."""
         cfg = self.cfg
         kh, kw = cfg.kernel
         c, o, s, p = cfg.in_channels, cfg.out_channels, cfg.stride, cfg.padding
-        if x.value.shape[1] != c:
-            raise ShapeError(
-                f"{self.name}: expected {c} input channels, "
-                f"got {x.value.shape[1]}"
-            )
-        n, _, h, w = x.value.shape
+        n, _, h, w = xv.shape
         hp, wp = h + 2 * p, w + 2 * p
         oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
+        weight = self.weight.value.reshape(o, c, kh, kw)
         # (O, C, kh, kw) -> (O, kh*kw*C), matching the im2col column order
-        w_flat = self.weight.value.transpose(0, 2, 3, 1).reshape(o, -1)
+        w_flat = weight.transpose(0, 2, 3, 1).reshape(o, -1)
         wb = autodiff.sign_forward(w_flat) if self.binary else w_flat
         if cfg.binarize_input:
-            # sign bits packed along C (a NaN raises); 0xFF pad bytes are
-            # +1 pixels.  The input itself is kept: backward applies sign's
-            # STE to it
-            padded = bittensor.pack_channels(x.value)
-            if p:
-                padded = np.pad(padded, ((0, 0), (p, p), (p, p), (0, 0)),
-                                constant_values=0xFF)
-            cols = im2col(padded, kh, kw, s)
+            # sign bits packed along C (a NaN raises).  The input itself is
+            # kept: backward applies sign's STE to it
+            bits = bittensor.pack_channels(xv)
+            out_mat = binary_conv(bits, weight_bits(weight), kh, kw, s, p, c)
+            y = out_mat.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
 
             def float_cols():  # packed patches are rebuilt as +-1 floats
+                padded = _pad_bits(bits, p)
                 signs = bittensor.unpack_rows(padded.reshape(n * hp * wp, -1), c)
                 return im2col(signs.reshape(n, hp, wp, c), kh, kw, s)
-
-            if self.binary:
-                w_rows = bittensor.pack_channels(self.weight.value).reshape(o, -1)
-                out_mat = bittensor.binary_gemm(bittensor.from_row_bytes(cols),
-                                                bittensor.from_row_bytes(w_rows))
-                out_mat -= cols.shape[1] * 8 - w_flat.shape[1]  # pad bits
-                cols = None  # not kept for backward
-            else:
-                out_mat = float_cols() @ wb.T
-            y = out_mat.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
         else:
             # pixel-innermost patches: one batched GEMM writes NCHW directly
-            xv = np.pad(x.value, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.value
-            cols = im2col(xv.transpose(0, 2, 3, 1), kh, kw, s, pixels_inner=True)
+            xp = np.pad(xv, ((0, 0), (0, 0), (p, p), (p, p))) if p else xv
+            cols = im2col(xp.transpose(0, 2, 3, 1), kh, kw, s, pixels_inner=True)
             y = np.matmul(wb, cols).reshape(n, o, oh, ow)
 
-        # alpha is read only by the FB forward and the B/FB weight gradient
-        scaled = self.binary and cfg.scaling_mode in ("B", "FB")
-        alpha = compute_scaling_factor(self.weight.value) if scaled else None
-        if scaled and cfg.scaling_mode == "FB":
+        alpha = self._alpha()
+        if alpha is not None and cfg.scaling_mode == "FB":
             y = y * alpha
-        out = Slot(np.ascontiguousarray(y), name=self.name)
+        y = np.ascontiguousarray(y)
+        out = Slot(y.reshape(y.shape[: x.value.ndim]), name=self.name)
 
         def backward_fn(g_y):
+            g_y = g_y.reshape(n, o, oh, ow)
             g_x = None
             if x.requires_grad or cfg.binarize_input:
                 g_mat = np.ascontiguousarray(g_y.transpose(0, 2, 3, 1)).reshape(-1, o)
@@ -288,20 +331,15 @@ class QConv2d(Layer):
                 # activation gradient, through sign's STE for a binary
                 # input: never scaled by alpha
                 g_x = col2im(g_mat, wb, (n, c, h, w), kh, kw, s, p,
-                             x.value if cfg.binarize_input else None, self.ste)
+                             xv if cfg.binarize_input else None, self.ste)
+                g_x = g_x.reshape(x.value.shape)
             # weight gradient through the weight-sign STE, summed in n*P order
             if cfg.binarize_input:
                 g_wb = g_mat.T @ float_cols()
             else:
                 g_wb = np.tensordot(g_y.reshape(n, o, -1), cols, ((0, 2), (0, 2)))
             g_wb = np.ascontiguousarray(g_wb.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
-            if self.binary:
-                g_w = autodiff.sign_backward(g_wb, self.weight.value, self.ste)
-                if scaled:
-                    g_w = g_w * alpha
-            else:
-                g_w = g_wb
-            return (g_x, g_w)
+            return (g_x, self._weight_grad(g_wb.reshape(self.weight.value.shape), alpha))
 
         return tape.record(out, (x, self.weight), backward_fn)
 
@@ -320,92 +358,57 @@ class QConv2d(Layer):
         }
 
 
-class QDense(Layer):
-    """Dense analogue of QConv2d (kernel 1x1 over flattened features)."""
+class QDense(QConv2d):
+    """Dense layer over (N, F).  With binarize_input it runs QConv2d's 1x1
+    path over the (N, F, 1, 1) view of its input; without, a float matmul
+    (the classifier head), which alone may add a bias.  Its weight stays
+    (O, F), as stored in the model file."""
 
     def __init__(self, in_features, out_features, binary=True, bias=False,
                  binarize_input=True, scaling_mode="N", ste=None, rng=None,
                  name="qdense"):
-        if scaling_mode not in SCALING_MODES:
-            raise ValueError(f"bad scaling_mode {scaling_mode!r}")
-        self.in_features = in_features
-        self.out_features = out_features
-        self.binary = binary
-        self.binarize_input = binarize_input
-        self.scaling_mode = scaling_mode
-        self.ste = ste or STEConfig()
-        self.name = name
-        rng = rng or np.random.default_rng(0)
-        scale = np.sqrt(2.0 / in_features)
-        w = rng.normal(0.0, scale, (out_features, in_features))
-        if binary:
-            w = np.clip(w, -1.0, 1.0)
-        self.weight = Param(w, f"{name}.weight", binary=binary)
-        self.bias = (
-            Param(np.zeros(out_features), f"{name}.bias") if bias else None
-        )
+        if bias and binarize_input:
+            raise ValueError(f"{name}: a bias needs binarize_input=False")
+        cfg = QLayerConfig(in_features, out_features, (1, 1), scaling_mode=scaling_mode,
+                           binarize_input=binarize_input)
+        super().__init__(cfg, binary, ste, rng, name)
+        self.weight.value = self.weight.value.reshape(out_features, in_features)
+        self.bias = Param(np.zeros(out_features), f"{name}.bias") if bias else None
 
     def params(self):
         return [self.weight] + ([self.bias] if self.bias is not None else [])
 
     def forward(self, tape, x, training=True):
-        if x.value.ndim != 2 or x.value.shape[1] != self.in_features:
-            raise ShapeError(
-                f"{self.name}: expected (N, {self.in_features}) input, "
-                f"got {x.value.shape}"
-            )
-        # the input itself is kept: backward applies sign's STE to it
-        xin = autodiff.sign_forward(x.value) if self.binarize_input else x.value
-        if self.binary:
-            wb = autodiff.sign_forward(self.weight.value)
-            if self.binarize_input:
-                out = bittensor.binary_gemm(
-                    bittensor.pack(xin), bittensor.pack(wb)
-                )
-            else:
-                out = xin @ wb.T
-        else:
-            wb = self.weight.value
-            out = xin @ wb.T
-        scaled = self.binary and self.scaling_mode in ("B", "FB")
-        alpha = compute_scaling_factor(self.weight.value) if scaled else None
-        if scaled and self.scaling_mode == "FB":
+        f = self.cfg.in_channels
+        if x.value.ndim != 2 or x.value.shape[1] != f:
+            raise ShapeError(f"{self.name}: expected (N, {f}) input, got {x.value.shape}")
+        if self.cfg.binarize_input:
+            return self._conv(tape, x, x.value[:, :, None, None])
+        wb = autodiff.sign_forward(self.weight.value) if self.binary else self.weight.value
+        out = x.value @ wb.T
+        alpha = self._alpha()
+        if alpha is not None and self.cfg.scaling_mode == "FB":
             out = out * alpha
         if self.bias is not None:
             out = out + self.bias.value
         slot = Slot(out, name=self.name)
 
         def backward_fn(g_y):
-            g_x = g_y @ wb
-            if self.binarize_input:
-                g_x = autodiff.sign_backward(g_x, x.value, self.ste)
-            g_wb = g_y.T @ xin
-            if self.binary:
-                g_w = autodiff.sign_backward(
-                    g_wb, self.weight.value, self.ste
-                )
-                if scaled:
-                    g_w = g_w * alpha
-            else:
-                g_w = g_wb
-            g_b = g_y.sum(axis=0) if self.bias is not None else None
-            grads = (g_x, g_w) + ((g_b,) if self.bias is not None else ())
-            return grads
+            g_w = self._weight_grad(g_y.T @ x.value, alpha)
+            g_b = () if self.bias is None else (g_y.sum(axis=0),)
+            return (g_y @ wb, g_w) + g_b
 
-        inputs = (x, self.weight) + (
-            (self.bias,) if self.bias is not None else ()
-        )
-        return tape.record(slot, inputs, backward_fn)
+        return tape.record(slot, (x, *self.params()), backward_fn)
 
     def spec(self):
         return {
             "kind": "qdense",
             "name": self.name,
-            "in_features": self.in_features,
-            "out_features": self.out_features,
+            "in_features": self.cfg.in_channels,
+            "out_features": self.cfg.out_channels,
             "binary": self.binary,
             "bias": self.bias is not None,
-            "binarize_input": self.binarize_input,
+            "binarize_input": self.cfg.binarize_input,
         }
 
 

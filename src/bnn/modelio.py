@@ -37,14 +37,14 @@ import numpy as np
 
 from . import arch, bittensor
 from .errors import ModelFormatError
-from .layers import QConv2d, QDense
+from .layers import QConv2d
 
 MAGIC = b"BNN1"
 VERSION = 1
 
 
 def storage_class(layer) -> str:
-    if isinstance(layer, (QConv2d, QDense)) and layer.binary:
+    if isinstance(layer, QConv2d) and layer.binary:  # QDense too
         return "packed_binary"
     return "float32"
 

@@ -6,8 +6,8 @@ layer binarizes a float tensor, which the BatchNorm before it computed in
 float.  InferencePlan gives the same logits bit for bit with less work:
 
 * Each binary weight is packed once, when the plan is built.  A QDense
-  after a Flatten gets its columns permuted, so that it reads the
-  channels-last bytes of the flattened tensor.
+  after a Flatten is a conv whose kernel covers the flattened pixels,
+  its columns permuted to read the channels-last bytes of the tensor.
 * A binary layer reads its input as sign bits packed along channels,
   (N, H, W, ceil(C/8)) bytes as bittensor.pack_channels makes them.
   When that input is a BatchNorm whose consumers all binarize, BatchNorm
@@ -22,8 +22,8 @@ float.  InferencePlan gives the same logits bit for bit with less work:
 * Every other node runs through its layer's own forward, on a throwaway
   Tape.
 
-The GEMMs and patch gathers go through bittensor.binary_gemm and
-layers.im2col, looked up on their modules at each call as the layers do.
+The GEMMs and patch gathers go through layers.binary_conv, which looks
+im2col and bittensor.binary_gemm up on their modules at each call.
 
 Thresholds come from calling the BatchNorm layer, not from a copy of its
 arithmetic.  Each float32 operation of its eval expression is monotone in
@@ -129,9 +129,7 @@ def bn_thresholds(bn: BatchNorm):
 
 def _binary_input(op) -> bool:
     """A layer that multiplies its input's signs by its weights' signs."""
-    if isinstance(op, QConv2d):
-        return op.binary and op.cfg.binarize_input
-    return isinstance(op, QDense) and op.binary and op.binarize_input
+    return isinstance(op, QConv2d) and op.cfg.binarize_input
 
 
 def _per_image(op) -> bool:
@@ -139,14 +137,8 @@ def _per_image(op) -> bool:
     else is in the batch: elementwise and window ops, and a float-input
     convolution, whose batched GEMM runs image by image."""
     if isinstance(op, QConv2d):
-        return not op.cfg.binarize_input
+        return not (op.cfg.binarize_input or isinstance(op, QDense))
     return isinstance(op, (BatchNorm, MaxPool2d, Flatten))
-
-
-def _weight_bits(w: np.ndarray) -> bittensor.BitTensor:
-    """Sign bits of an (O, C, H, W) weight, one packed row per output (a
-    NaN raises, as in the graph)."""
-    return bittensor.from_row_bytes(bittensor.pack_channels(w).reshape(len(w), -1))
 
 
 def _or_pool(b: np.ndarray, k: int, s: int) -> np.ndarray:
@@ -215,11 +207,9 @@ class InferencePlan:
                 src = alias.get(n.inputs[0], n.inputs[0]) if n.inputs else None
                 if self._head is None and not _per_image(n.op):
                     self._head = len(steps)
-                if isinstance(n.op, QConv2d) and _binary_input(n.op):
-                    steps.append(((n.id, False), [(src, True)], self._conv_step(n.op)))
-                elif _binary_input(n.op):
-                    c = nodes[src].op.num_features if src in thresholds else n.op.in_features
-                    steps.append(((n.id, False), [(src, True)], self._dense_step(n.op, c)))
+                if _binary_input(n.op):
+                    c = nodes[src].op.num_features if src in thresholds else n.op.cfg.in_channels
+                    steps.append(((n.id, False), [(src, True)], self._binary_step(n.op, c)))
                 else:
                     steps.append(((n.id, False), [(i, False) for i in n.inputs],
                                   self._layer_step(n)))
@@ -320,45 +310,26 @@ class InferencePlan:
         return step
 
     @staticmethod
-    def _conv_step(layer: QConv2d):
-        cfg = layer.cfg
-        (kh, kw), s, p, o = cfg.kernel, cfg.stride, cfg.padding, cfg.out_channels
-        w_bits = _weight_bits(layer.weight.value)
-        pad_bits = w_bits.shape[1] - kh * kw * cfg.in_channels
+    def _binary_step(layer: QConv2d, c):
+        """layer on its input's sign bits, c channels a pixel.  A dense layer
+        is a conv whose (1, F // c) kernel covers the pixels it reads: its
+        weight's columns in (c, pixel) order are regrouped to (pixel, c), as
+        the bytes of a flattened tensor are laid out."""
+        cfg, o = layer.cfg, layer.cfg.out_channels
+        dense = isinstance(layer, QDense)
+        (kh, kw), s, p = ((1, cfg.in_channels // c), 1, 0) if dense else (
+            cfg.kernel, cfg.stride, cfg.padding)
+        w_bits = layers.weight_bits(layer.weight.value.reshape(o, c, kh, kw))
         alpha = compute_scaling_factor(layer.weight.value) if cfg.scaling_mode == "FB" else None
 
         def step(xb):
+            xb = xb.reshape(len(xb), 1, kw, -1) if dense else xb
             n, h, w, _ = xb.shape
-            if p:  # 0xFF pad bytes are +1 pixels, the sign of a zero pad
-                xb = np.pad(xb, ((0, 0), (p, p), (p, p), (0, 0)), constant_values=0xFF)
-            cols = layers.im2col(xb, kh, kw, s)
-            y = bittensor.binary_gemm(bittensor.from_row_bytes(cols), w_bits)
-            if pad_bits:
-                y -= pad_bits
+            y = layers.binary_conv(xb, w_bits, kh, kw, s, p, c)
             y = y.reshape(n, (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1, o)
             y = y.transpose(0, 3, 1, 2)
             if alpha is not None:
                 y = y * alpha
-            return np.ascontiguousarray(y)
-        return step
-
-    @staticmethod
-    def _dense_step(layer: QDense, c):
-        """c channels per pixel in the packed input: columns in (c, pixel)
-        order are regrouped to (pixel, c), as the bytes are laid out."""
-        o, f = layer.out_features, layer.in_features
-        w_bits = _weight_bits(layer.weight.value.reshape(o, c, f // c, 1))
-        pad_bits = w_bits.shape[1] - f
-        alpha = compute_scaling_factor(layer.weight.value) if layer.scaling_mode == "FB" else None
-        bias = layer.bias
-
-        def step(xb):
-            y = bittensor.binary_gemm(bittensor.from_row_bytes(xb.reshape(len(xb), -1)), w_bits)
-            if pad_bits:
-                y -= pad_bits
-            if alpha is not None:
-                y = y * alpha
-            if bias is not None:
-                y = y + bias.value
-            return y
+            y = np.ascontiguousarray(y)
+            return y.reshape(n, o) if dense else y
         return step

@@ -21,6 +21,7 @@ from . import bittensor
 from .arch import ModelGraph
 from .autodiff import Slot, Tape
 from .errors import NumericError
+from .layers import QConv2d, check_scaling_mode
 from .data import Dataset, batches
 from .plan import InferencePlan
 
@@ -53,6 +54,7 @@ class TrainConfig:
             raise ValueError("t_clip must be positive")
         if self.optimizer not in ("adam", "sgd_momentum"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        check_scaling_mode(self.scaling_mode)
 
     def decay_epochs(self):
         if self.lr_decay_at:
@@ -192,11 +194,10 @@ def set_t_clip(model: ModelGraph, t_clip: float):
 
 
 def set_scaling_mode(model: ModelGraph, mode: str):
+    check_scaling_mode(mode)
     for layer in model.layers():
-        if hasattr(layer, "cfg") and hasattr(layer.cfg, "scaling_mode"):
+        if isinstance(layer, QConv2d):  # QDense too
             layer.cfg.scaling_mode = mode
-        elif hasattr(layer, "scaling_mode"):
-            layer.scaling_mode = mode
     model.build_args["scaling_mode"] = mode
 
 

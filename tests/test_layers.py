@@ -2,6 +2,7 @@
 against finite differences, scaling-mode algebra."""
 
 import contextlib
+import itertools
 
 import numpy as np
 import pytest
@@ -361,33 +362,43 @@ def ste_edge_input(rng, shape, t):
 
 
 @pytest.mark.parametrize("c", [5, 44])
-@pytest.mark.parametrize("padding,stride", [(0, 1), (1, 1), (2, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("padding,stride,k,h,w", [
+    (0, 1, 3, 7, 6), (1, 1, 3, 7, 6), (2, 1, 3, 7, 6), (1, 2, 3, 7, 6), (2, 2, 3, 7, 6),
+    (1, 1, 1, 1, 1),
+], ids=["0-1", "1-1", "2-1", "1-2", "2-2", "one-pixel-1x1"])
 @pytest.mark.parametrize("t", [0.5, 1 / 3])
-def test_col2im_ste_matches_sign_backward(c, padding, stride, t):
+def test_col2im_ste_matches_sign_backward(c, padding, stride, k, h, w, t):
     """col2im with the padding and the STE gives the bytes of slicing the
-    padded gradient and applying sign_backward, natively and in numpy."""
+    padded gradient and applying sign_backward, natively and in numpy.  A
+    one-pixel input with a 1x1 kernel (a dense layer's) skips the float64
+    accumulator, with the bytes of the padded image's centre."""
     rng = np.random.default_rng(c * 100 + padding * 10 + stride)
-    n, h, w, o, p = 3, 7, 6, 4, padding
+    n, o, p = 3, 4, padding
     shape, padded = (n, c, h, w), (n, c, h + 2 * p, w + 2 * p)
-    oh, ow = (h + 2 * p - 3) // stride + 1, (w + 2 * p - 3) // stride + 1
+    oh, ow = (h + 2 * p - k) // stride + 1, (w + 2 * p - k) // stride + 1
     g = rng.standard_normal((n * oh * ow, o)).astype(np.float32)
-    wb = rng.standard_normal((o, 9 * c)).astype(np.float32)
+    wb = rng.standard_normal((o, k * k * c)).astype(np.float32)
     x = ste_edge_input(rng, shape, t)
     ste = STEConfig(t)
     for kernels in (contextlib.nullcontext, numpy_kernels):
         with kernels():
-            whole = col2im(g, wb, padded, 3, 3, stride)[:, :, p: p + h, p: p + w]
-            assert col2im(g, wb, shape, 3, 3, stride, p).tobytes() == whole.tobytes()
-            got = col2im(g, wb, shape, 3, 3, stride, p, x, ste)
+            whole = col2im(g, wb, padded, k, k, stride)[:, :, p: p + h, p: p + w]
+            assert col2im(g, wb, shape, k, k, stride, p).tobytes() == whole.tobytes()
+            got = col2im(g, wb, shape, k, k, stride, p, x, ste)
             assert got.dtype == np.float32 and got.shape == shape
             assert got.tobytes() == sign_backward(whole, x, ste).tobytes()
+            if h == w == k == 1:  # the centre's rows alone, unpadded
+                centre = g.reshape(n, oh, ow, o)[:, p, p]
+                assert col2im(centre, wb, shape, 1, 1, 1).tobytes() == whole.tobytes()
+                got = col2im(centre, wb, shape, 1, 1, 1, 0, x, ste)
+                assert got.tobytes() == sign_backward(whole, x, ste).tobytes()
             # a float64 input is compared in float64: float32(1/3) > 1/3
             x64 = x.astype(np.float64)
-            x64[0, 0, 0, :3] = [1 / 3, float(np.float32(1 / 3)), -1 / 3]
-            got = col2im(g, wb, shape, 3, 3, stride, p, x64, STEConfig(1 / 3))
+            x64.flat[:3] = [1 / 3, float(np.float32(1 / 3)), -1 / 3]
+            got = col2im(g, wb, shape, k, k, stride, p, x64, STEConfig(1 / 3))
             mask = np.abs(x64) <= 1 / 3
             assert got.tobytes() == np.where(mask, whole, 0.0).astype(np.float32).tobytes()
-            assert got[0, 0, 0, 1] == 0 != whole[0, 0, 0, 1]
+            assert got.flat[1] == 0 != whole.flat[1]
 
 
 @pytest.mark.parametrize("c", [5, 44])
@@ -414,18 +425,26 @@ def test_binary_conv_matches_unfused_sign(c, padding, stride, t, mode):
 
 @pytest.mark.parametrize("t,mode", [(0.5, "N"), (1 / 3, "FB")])
 def test_binary_dense_matches_unfused_sign(t, mode):
-    rng = np.random.default_rng(5)
-    layer = QDense(44, 6, scaling_mode=mode, ste=STEConfig(t), rng=rng)
-    twin = QDense(44, 6, scaling_mode=mode, binarize_input=False, ste=layer.ste)
-    twin.weight = layer.weight
-    x = ste_edge_input(rng, (5, 44), t)
-    g_y = rng.standard_normal((5, 6)).astype(np.float32)
-    y, xs, g_w = _step(layer.forward, layer.weight, x, g_y)
-    y_ref, xs_ref, g_w_ref = _step(
-        lambda tp, v: twin.forward(tp, autodiff.sign(tp, v, layer.ste)), layer.weight, x, g_y)
-    assert y.tobytes() == y_ref.tobytes()
-    assert xs.grad.tobytes() == xs_ref.grad.tobytes()
-    assert g_w.tobytes() == g_w_ref.tobytes()
+    """The binary dense layer, a 1x1 conv over (N, F, 1, 1), gives the
+    bytes of a sign node followed by a float matmul of the +-1 values, at
+    F with and without pad bits and at LeNet's width, natively and in numpy."""
+    for f, n in itertools.product((5, 44, 1024), (1, 5, 300)):
+        rng = np.random.default_rng(f + n)
+        layer = QDense(f, 6, scaling_mode=mode, ste=STEConfig(t), rng=rng)
+        twin = QDense(f, 6, scaling_mode=mode, binarize_input=False, ste=layer.ste)
+        twin.weight = layer.weight
+        x = ste_edge_input(rng, (n, f), t)
+        g_y = rng.standard_normal((n, 6)).astype(np.float32)
+        for kernels in (contextlib.nullcontext, numpy_kernels):
+            with kernels():
+                y, xs, g_w = _step(layer.forward, layer.weight, x, g_y)
+                y_ref, xs_ref, g_w_ref = _step(
+                    lambda tp, v: twin.forward(tp, autodiff.sign(tp, v, layer.ste)),
+                    layer.weight, x, g_y)
+            assert y.shape == (n, 6) and xs.grad.shape == (n, f)
+            assert y.tobytes() == y_ref.tobytes()
+            assert xs.grad.tobytes() == xs_ref.grad.tobytes()
+            assert g_w.tobytes() == g_w_ref.tobytes()
 
 
 @pytest.mark.parametrize("layer,shape", [
@@ -578,6 +597,16 @@ class TestQDense:
         x = np.zeros((2, 6), dtype=np.float32)
         out = layer.forward(Tape(), Slot(x))
         np.testing.assert_allclose(out.value, [[1, 2, 3, 4]] * 2)
+
+    def test_constructor_errors(self):
+        # a binarized input is multiplied with sign weights only
+        for make in (lambda: QConv2d(QLayerConfig(3, 4), binary=False),
+                     lambda: QDense(6, 4, binary=False)):
+            with pytest.raises(ValueError, match="binarize_input needs binary weights"):
+                make()
+        # a bias belongs to the float classifier head
+        with pytest.raises(ValueError, match="a bias needs binarize_input=False"):
+            QDense(6, 4, bias=True)
 
     def test_shape_check(self):
         layer = QDense(6, 4)

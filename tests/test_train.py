@@ -66,6 +66,9 @@ class TestTrainConfig:
             TrainConfig(t_clip=0.0)
         with pytest.raises(ValueError):
             TrainConfig(optimizer="rmsprop")
+        # the layers test the mode case-sensitively: "fb" would train with no alpha
+        with pytest.raises(ValueError, match="scaling_mode must be one of"):
+            TrainConfig(scaling_mode="fb")
         TrainConfig(lr=0.0)  # degenerate but legal
 
 
@@ -271,9 +274,12 @@ def test_set_helpers():
     model = arch.build_lenet(seed=0)
     set_t_clip(model, 1.25)
     set_scaling_mode(model, "FB")
+    with pytest.raises(ValueError, match="scaling_mode must be one of"):
+        set_scaling_mode(model, "fb")
     for layer in model.layers():
         if hasattr(layer, "ste"):
             assert layer.ste.t_clip == 1.25
+            assert layer.cfg.scaling_mode == "FB"  # the convs and dense layers
     assert model.build_args["scaling_mode"] == "FB"
 
 
