@@ -5,6 +5,9 @@
  *
  * xnor_gemm:  out[m, n] = k - 2 * popcount(a[m, :] XOR bw[:, n]) over
  *             64-bit words, a row-major (M, wpr), bw word-major (wpr, N).
+ * gather_patches: sign bits packed along channels as one word-padded row
+ *             of packed patch bytes per output pixel, im2col of the
+ *             0xFF-padded bytes copied into whole words.
  * col2im_add: the adjoint of im2col, adding float32 patch gradients into
  *             a float64 channels-last buffer in kernel-offset (i, j) order.
  * col2im_store: that buffer, padding dropped, as the float32 NCHW input
@@ -31,11 +34,96 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
+#ifdef __AVX512VPOPCNTDQ__
+#include <immintrin.h>
+
+/* Rows of a per row block of xnor_gemm, and output columns per column
+ * block: R_BLOCK x C_BLOCK uint64 counts are R_BLOCK * 4 of the 32 vector
+ * registers, with 4 more for the block's words of bw and 1 for a word of
+ * a.  Narrower blocks take 8 columns, the last of them masked. */
+#define R_BLOCK 6
+#define C_BLOCK 32
+
+/* rows rows of a by vecs vectors of 8 output columns, of which the last
+ * holds cols (1 to 8); rows and vecs are constants where this is inlined,
+ * so the counts stay in registers across every word.  Masked lanes are
+ * neither read from bw nor stored. */
+static inline __attribute__((always_inline)) void
+xnor_tile(const uint64_t *a, const uint64_t *bw, float *out, int rows, int vecs,
+          int64_t cols, int64_t n, int64_t wpr, int64_t k)
+{
+    const __mmask8 last = (__mmask8)((1u << cols) - 1);
+    __m512i acc[R_BLOCK][C_BLOCK / 8];
+    for (int r = 0; r < rows; r++)
+        for (int v = 0; v < vecs; v++)
+            acc[r][v] = _mm512_setzero_si512();
+    for (int64_t w = 0; w < wpr; w++, bw += n) {
+        __m512i b[C_BLOCK / 8];
+        for (int v = 0; v < vecs; v++)
+            b[v] = _mm512_maskz_loadu_epi64(v == vecs - 1 ? last : 0xFF, bw + 8 * v);
+        for (int r = 0; r < rows; r++) {
+            const __m512i x = _mm512_set1_epi64((long long)a[r * wpr + w]);
+            for (int v = 0; v < vecs; v++)
+                acc[r][v] = _mm512_add_epi64(
+                    acc[r][v], _mm512_popcnt_epi64(_mm512_xor_si512(x, b[v])));
+        }
+    }
+    /* k - 2 * count as float32, through int32 (exact while k < 2^31) */
+    const __m512i kk = _mm512_set1_epi64(k);
+    const __m256i keep = _mm256_cmpgt_epi32(_mm256_set1_epi32((int)cols),
+                                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    for (int r = 0; r < rows; r++)
+        for (int v = 0; v < vecs; v++) {
+            const __m512i d = _mm512_sub_epi64(kk, _mm512_slli_epi64(acc[r][v], 1));
+            const __m256 f = _mm256_cvtepi32_ps(_mm512_cvtepi64_epi32(d));
+            float *o = out + r * n + 8 * v;
+            if (v == vecs - 1 && cols < 8)
+                _mm256_maskstore_ps(o, keep, f);
+            else
+                _mm256_storeu_ps(o, f);
+        }
+}
+
+/* rows rows of a against every column of bw */
+static inline __attribute__((always_inline)) void
+xnor_rows(const uint64_t *a, const uint64_t *bw, float *out, int rows,
+          int64_t n, int64_t wpr, int64_t k)
+{
+    int64_t j = 0;
+    for (; j + C_BLOCK <= n; j += C_BLOCK)
+        xnor_tile(a, bw + j, out + j, rows, C_BLOCK / 8, 8, n, wpr, k);
+    for (; j + 8 <= n; j += 8)
+        xnor_tile(a, bw + j, out + j, rows, 1, 8, n, wpr, k);
+    if (j < n)
+        xnor_tile(a, bw + j, out + j, rows, 1, n - j, n, wpr, k);
+}
+
+/* R_BLOCK rows of a at a time, each word of bw loaded once per row block
+ * and column block, then the last m % R_BLOCK rows as one smaller block */
+void xnor_gemm(const uint64_t *a, const uint64_t *bw, float *out,
+               int64_t m, int64_t n, int64_t wpr, int64_t k)
+{
+    int64_t i = 0;
+    for (; i + R_BLOCK <= m; i += R_BLOCK)
+        xnor_rows(a + i * wpr, bw, out + i * n, R_BLOCK, n, wpr, k);
+    a += i * wpr;
+    out += i * n;
+    switch (m - i) {
+    case 5: xnor_rows(a, bw, out, 5, n, wpr, k); break;
+    case 4: xnor_rows(a, bw, out, 4, n, wpr, k); break;
+    case 3: xnor_rows(a, bw, out, 3, n, wpr, k); break;
+    case 2: xnor_rows(a, bw, out, 2, n, wpr, k); break;
+    case 1: xnor_rows(a, bw, out, 1, n, wpr, k); break;
+    }
+}
+#else
 /* Output columns per tile of xnor_gemm */
 #define N_TILE 256
 
-/* Each row of a is multiplied N_TILE output columns at a time, so its
+/* Without a vector popcount, register blocks are slower than this loop.
+ * Each row of a is multiplied N_TILE output columns at a time, so its
  * 32-bit counts stay in L1 while every word of the tile's bw columns is
  * read, and N has no upper limit.  The inner loop runs along N, so the
  * compiler vectorises the popcount. */
@@ -56,6 +144,65 @@ void xnor_gemm(const uint64_t *a, const uint64_t *bw, float *out,
             for (int64_t j = 0; j < nt; j++)
                 out[n0 + j] = (float)(k - 2 * (int64_t)cnt[j]);
         }
+}
+#endif
+
+/* n bytes from src to dst, or of 0xFF if src is NULL, as inline 8-byte
+ * moves (the last one overlapping) where a call to memcpy or memset would
+ * cost more than the short runs of gather_patches */
+static inline void copy_run(uint8_t *restrict dst, const uint8_t *restrict src, int64_t n)
+{
+    uint64_t v = ~(uint64_t)0;
+    if (n < 8) {
+        for (int64_t q = 0; q < n; q++)
+            dst[q] = src ? src[q] : 0xFF;
+        return;
+    }
+    for (int64_t q = 0; q + 8 < n; q += 8) {
+        if (src)
+            memcpy(&v, src + q, 8);
+        memcpy(dst + q, &v, 8);
+    }
+    if (src)
+        memcpy(&v, src + n - 8, 8);
+    memcpy(dst + n - 8, &v, 8);
+}
+
+/* bits is uint8 (nb, h, w, cb) and out (nb * oh * ow, row) bytes, with
+ * oh = (h + 2p - kh) / s + 1, ow likewise and row >= kh * kw * cb.  Each
+ * output pixel's row is its patch of the input padded by p pixels of 0xFF
+ * bytes (+1), in im2col's (ki, kj, c) order: kh runs of kw * cb bytes,
+ * then 0xFF bytes to the end of the row. */
+void gather_patches(const uint8_t *bits, uint8_t *out, int64_t nb, int64_t h,
+                    int64_t w, int64_t cb, int64_t kh, int64_t kw, int64_t s,
+                    int64_t p, int64_t row)
+{
+    const int64_t oh = (h + 2 * p - kh) / s + 1, ow = (w + 2 * p - kw) / s + 1;
+    const int64_t run = kw * cb, tail = row - kh * run;
+    for (int64_t b = 0; b < nb; b++)
+        for (int64_t py = 0; py < oh; py++)
+            for (int64_t px = 0; px < ow; px++, out += row) {
+                const int64_t x0 = px * s - p;
+                /* patch columns left and right of the input: at most kw
+                 * together, as w >= 1 */
+                const int64_t left = x0 < 0 ? (-x0 < kw ? -x0 : kw) : 0;
+                const int64_t right = x0 + kw > w ? (x0 + kw - w < kw ? x0 + kw - w : kw) : 0;
+                const int64_t mid = kw - left - right;
+                uint8_t *o = out;
+                for (int64_t i = 0; i < kh; i++, o += run) {
+                    const int64_t y = py * s + i - p;
+                    if (y < 0 || y >= h) {
+                        copy_run(o, NULL, run);
+                        continue;
+                    }
+                    copy_run(o, NULL, left * cb);
+                    if (mid)
+                        copy_run(o + left * cb, bits + ((b * h + y) * w + x0 + left) * cb,
+                                 mid * cb);
+                    copy_run(o + (left + mid) * cb, NULL, right * cb);
+                }
+                copy_run(o, NULL, tail);
+            }
 }
 
 /* g is (nb, oh, ow, kh, kw, c), acc is (nb, h, w, c).  Each acc row

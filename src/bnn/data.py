@@ -9,6 +9,7 @@ scripts/fetch_cifar10.py retrieve and checksum the raw files.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ IMAGE_MAGIC = 2051  # 0x00000803: unsigned byte, 3 dimensions
 LABEL_MAGIC = 2049  # 0x00000801: unsigned byte, 1 dimension
 
 CIFAR_RECORD = 3073  # 1 label byte + 3*32*32 pixel bytes
+NUM_CLASSES = 10  # MNIST digits and CIFAR-10 classes alike
 
 
 @dataclass
@@ -45,8 +47,7 @@ class Dataset:
         return np.rint(raw).clip(0, 255).astype(np.uint8)
 
 
-def _normalize_pair(train_raw, test_raw, train_labels, test_labels,
-                    class_count):
+def _normalize_pair(train_raw, test_raw, train_labels, test_labels):
     """raw uint8 (N,C,H,W) -> normalized Dataset pair with train stats."""
     train01 = train_raw.astype(np.float32) / 255.0
     test01 = test_raw.astype(np.float32) / 255.0
@@ -60,50 +61,50 @@ def _normalize_pair(train_raw, test_raw, train_labels, test_labels,
 
     return (
         Dataset(norm(train01), train_labels.astype(np.int64), "train",
-                class_count, mean, std),
+                NUM_CLASSES, mean, std),
         Dataset(norm(test01), test_labels.astype(np.int64), "test",
-                class_count, mean, std),
+                NUM_CLASSES, mean, std),
     )
 
 
-def _read_idx_images(path) -> np.ndarray:
+def _read_idx(path, magic, ndim):
+    """The dimensions in the header of an IDX file of ndim dimensions,
+    and its uint8 payload."""
     with open(path, "rb") as f:
         data = f.read()
-    if len(data) < 16:
+    head = 4 + 4 * ndim
+    if len(data) < head:
         raise DataFormatError(f"{path}: truncated IDX header", offset=len(data))
-    magic, count, rows, cols = struct.unpack_from(">IIII", data, 0)
-    if magic != IMAGE_MAGIC:
-        raise DataFormatError(
-            f"{path}: bad image magic {magic}, expected {IMAGE_MAGIC}",
-            offset=0,
-        )
-    expected = 16 + count * rows * cols
+    found, *dims = struct.unpack_from(f">{1 + ndim}I", data, 0)
+    if found != magic:
+        raise DataFormatError(f"{path}: bad magic {found}, expected {magic}", offset=0)
+    expected = head + math.prod(dims)
     if len(data) != expected:
-        raise DataFormatError(
-            f"{path}: expected {expected} bytes, found {len(data)}",
-            offset=min(len(data), expected),
-        )
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
+        raise DataFormatError(f"{path}: expected {expected} bytes, found {len(data)}",
+                              offset=min(len(data), expected))
+    return dims, np.frombuffer(data, dtype=np.uint8, offset=head)
+
+
+def _read_idx_images(path) -> np.ndarray:
+    (count, rows, cols), pixels = _read_idx(path, IMAGE_MAGIC, 3)
+    if count == 0:
+        raise DataFormatError(f"{path}: the file holds no images", offset=4)
     return pixels.reshape(count, 1, rows, cols)
 
 
+def _check_labels(path, labels, start, stride):
+    """DataFormatError at the first label >= NUM_CLASSES, label i at byte start + stride * i."""
+    bad = np.flatnonzero(labels >= NUM_CLASSES)
+    if len(bad):
+        i = int(bad[0])
+        raise DataFormatError(f"{path}: label {labels[i]} of record {i} is not below "
+                              f"the class count {NUM_CLASSES}", offset=start + stride * i)
+
+
 def _read_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 8:
-        raise DataFormatError(f"{path}: truncated IDX header", offset=len(data))
-    magic, count = struct.unpack_from(">II", data, 0)
-    if magic != LABEL_MAGIC:
-        raise DataFormatError(
-            f"{path}: bad label magic {magic}, expected {LABEL_MAGIC}",
-            offset=0,
-        )
-    if len(data) != 8 + count:
-        raise DataFormatError(
-            f"{path}: expected {8 + count} bytes, found {len(data)}",
-            offset=min(len(data), 8 + count),
-        )
-    return np.frombuffer(data, dtype=np.uint8, offset=8)
+    _, labels = _read_idx(path, LABEL_MAGIC, 1)
+    _check_labels(path, labels, 8, 1)
+    return labels
 
 
 MNIST_FILES = {
@@ -128,7 +129,7 @@ def load_mnist(directory):
     test_y = _read_idx_labels(paths["test_labels"])
     if len(train_x) != len(train_y) or len(test_x) != len(test_y):
         raise DataFormatError("image/label counts disagree")
-    return _normalize_pair(train_x, test_x, train_y, test_y, 10)
+    return _normalize_pair(train_x, test_x, train_y, test_y)
 
 
 def _read_cifar_batch(path):
@@ -141,6 +142,7 @@ def _read_cifar_batch(path):
         )
     records = np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
     labels = records[:, 0]
+    _check_labels(path, labels, 0, CIFAR_RECORD)
     images = records[:, 1:].reshape(-1, 3, 32, 32)  # R, G, B planes
     return images, labels
 
@@ -164,7 +166,7 @@ def load_cifar10(directory):
     train_x = np.concatenate(xs)
     train_y = np.concatenate(ys)
     test_x, test_y = _read_cifar_batch(paths[-1])
-    return _normalize_pair(train_x, test_x, train_y, test_y, 10)
+    return _normalize_pair(train_x, test_x, train_y, test_y)
 
 
 def _augment(images, rng):

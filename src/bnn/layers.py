@@ -20,13 +20,14 @@ weight, computed only where a mode reads it):
 The activation gradient is never scaled.
 
 The binary-linear core is binary_conv: sign activations packed along
-channels (bittensor.pack_channels), padded with 0xFF (+1) bytes, gathered
-into packed patch rows by im2col and multiplied with weight_bits by
-bittensor.binary_gemm; when C % 8 != 0 the 1-pad bits of each kernel
-position add +1 each, in both operands, and are subtracted.  The +-1
-float patches exist only in backward, for the weight gradient.  QDense
-is a QConv2d whose binarized input runs this 1x1 path over (N, F, 1, 1),
-where col2im needs no float64 accumulator; its weight stays (O, F).
+channels (bittensor.pack_channels), gathered into word-padded patch rows
+(patch_rows: the native gather_patches, or im2col of the 0xFF-padded
+bytes) and multiplied with weight_bits by bittensor.binary_gemm; when
+C % 8 != 0 the 1-pad bits of each kernel position add +1 each, in both
+operands, and are subtracted.  The +-1 float patches exist only in
+backward, for the weight gradient.  QDense is a QConv2d whose binarized
+input runs this 1x1 path over (N, F, 1, 1), where col2im needs no
+float64 accumulator; its weight stays (O, F).
 
 A convolution with a float input (the stem) gathers pixel-innermost
 patches, (N, kh*kw*C, OH*OW) in the same (ki, kj, c) order, so one
@@ -225,12 +226,28 @@ def _pad_bits(bits, p):
     return np.pad(bits, ((0, 0), (p, p), (p, p), (0, 0)), constant_values=0xFF) if p else bits
 
 
+def patch_rows(bits, kh, kw, stride, padding) -> bittensor.BitTensor:
+    """The packed patches of (N, H, W, bytes) sign bits padded with +1
+    pixels, one word-padded row per output pixel in im2col's (ki, kj, c)
+    order: the native gather_patches writes each row once, and otherwise
+    im2col of the padded bits is copied into whole words, its byte oracle."""
+    lib = bittensor.native_kernels()
+    if not lib:
+        return bittensor.from_row_bytes(im2col(_pad_bits(bits, padding), kh, kw, stride))
+    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    n, h, w, cb = bits.shape
+    m = n * ((h + 2 * padding - kh) // stride + 1) * ((w + 2 * padding - kw) // stride + 1)
+    rows = np.empty((m, -(-kh * kw * cb // 8) * 8), np.uint8)
+    lib.gather_patches(bits.ctypes.data, rows.ctypes.data, n, h, w, cb, kh, kw,
+                       stride, padding, rows.shape[1])
+    return bittensor.BitTensor(shape=(m, 8 * kh * kw * cb), words=rows.reshape(-1).view("<u8"))
+
+
 def binary_conv(bits, w_bits, kh, kw, stride, padding, c):
     """(N*OH*OW, O) exact float32 sums of the +-1 convolution of sign bits
     packed along c channels, (N, H, W, ceil(c/8)) bytes, with weight_bits,
     less the 1-pad bits of each kernel position, which add +1 each."""
-    cols = im2col(_pad_bits(bits, padding), kh, kw, stride)
-    y = bittensor.binary_gemm(bittensor.from_row_bytes(cols), w_bits)
+    y = bittensor.binary_gemm(patch_rows(bits, kh, kw, stride, padding), w_bits)
     pad_bits = w_bits.shape[1] - kh * kw * c
     if pad_bits:
         y -= pad_bits

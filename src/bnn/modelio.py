@@ -237,7 +237,7 @@ def load(path):
     try:
         sizes = list(_payload_sizes(desc))
         expected = sum(sizes)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"corrupt descriptor: cannot size the payload: "
                                f"{type(exc).__name__}: {exc}") from exc
     blob = data[desc_end:-4]

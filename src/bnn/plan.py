@@ -22,8 +22,8 @@ float.  InferencePlan gives the same logits bit for bit with less work:
 * Every other node runs through its layer's own forward, on a throwaway
   Tape.
 
-The GEMMs and patch gathers go through layers.binary_conv, which looks
-im2col and bittensor.binary_gemm up on their modules at each call.
+The GEMMs and patch gathers go through layers.binary_conv, as in
+training; it looks bittensor.binary_gemm up on its module at each call.
 
 Thresholds come from calling the BatchNorm layer, not from a copy of its
 arithmetic.  Each float32 operation of its eval expression is monotone in

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -44,10 +45,12 @@ class TrainConfig:
     augment: bool = False
 
     def __post_init__(self):
-        if self.lr <= 0:
-            # lr = 0 is allowed as a degenerate no-op (tested); negative is not
-            if self.lr < 0:
-                raise ValueError("lr must be >= 0")
+        for name in ("lr", "lr_decay_factor", "momentum", "beta1", "beta2",
+                     "weight_decay", "t_clip"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.lr < 0:  # lr = 0 is allowed as a degenerate no-op (tested)
+            raise ValueError("lr must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.t_clip <= 0:

@@ -31,9 +31,12 @@ from bnn.errors import NumericError, ShapeError
 
 from conftest import REPO_ROOT, numpy_kernels
 
-# output columns per tile of the native xnor_gemm
+# the native xnor_gemm's rows per register block and output columns per
+# column block (with a vector popcount), and its columns per tile without
 with open(bittensor._KERNELS_C) as _f:
-    _N_TILE = int(re.search(r"#define N_TILE (\d+)", _f.read()).group(1))
+    _SOURCE = _f.read()
+_R_BLOCK, _C_BLOCK, _N_TILE = (int(re.search(rf"#define {name} (\d+)", _SOURCE).group(1))
+                               for name in ("R_BLOCK", "C_BLOCK", "N_TILE"))
 
 
 def all_sign_vectors(n):
@@ -170,16 +173,19 @@ def sign_of(v):
     return np.where(v >= 0, 1.0, -1.0).astype(np.float32)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.one_of(
         st.integers(1, 64),
-        st.sampled_from([_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1]),
+        st.sampled_from([1, _R_BLOCK - 1, _R_BLOCK, _R_BLOCK + 1,
+                         _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1]),
     ),
-    st.one_of(st.integers(1, 200), st.sampled_from([800, 3312])),
+    # 4160 bits are 65 words a row
+    st.one_of(st.integers(1, 200), st.sampled_from([800, 3312, 4160])),
     st.one_of(
         st.integers(1, 200),
-        st.sampled_from([_N_TILE - 1, _N_TILE, _N_TILE + 1]),
+        st.sampled_from([7, 8, 9, _C_BLOCK - 1, _C_BLOCK, _C_BLOCK + 1, _C_BLOCK + 9,
+                         _N_TILE - 1, _N_TILE, _N_TILE + 1]),
     ),
     st.integers(0, 2 ** 32 - 1),
 )
@@ -312,7 +318,8 @@ def _packed_both_ways(x, thr):
 @given(
     st.sampled_from([1, 7, 8, 9, 44, 63, 64, 65, 384, 520, 1024]),
     st.one_of(st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)),
-              st.tuples(st.integers(1, 300), st.just(1), st.just(1))),
+              st.tuples(st.integers(1, 300), st.just(1), st.just(1)),
+              st.tuples(st.integers(1, 2), st.integers(6, 9), st.integers(6, 9))),
     st.booleans(),
     st.booleans(),
     st.integers(0, 2 ** 32 - 1),
@@ -320,9 +327,10 @@ def _packed_both_ways(x, thr):
 def test_pack_channels_native_equals_numpy(c, nhw, with_thr, with_nan, seed):
     """Bytes equal to the numpy packer, or the same NumericError, with x
     on its thresholds (ties), on +-0.0 and NaN; (n, c, h, w) also stands
-    for an (O, C, kh, kw) weight.  pack_channels packs a one-pixel x with
-    numpy alone, but the plan packs (N, F) bits with pack_signs, so there
-    the native side is pack_signs itself."""
+    for an (O, C, kh, kw) weight.  pack_channels packs a plane under 32
+    pixels with np.packbits alone, so the native side is pack_signs
+    itself, on every shape: against np.packbits under 32 pixels (the plan
+    packs (N, F) bits with pack_signs) and the numpy planes loop above."""
     n, h, w = nhw
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, c, h, w)).astype(np.float32)
@@ -340,7 +348,7 @@ def test_pack_channels_native_equals_numpy(c, nhw, with_thr, with_nan, seed):
         x.flat[rng.integers(x.size)] = np.nan
     native, twin = _packed_both_ways(x, thr)
     lib = bittensor.native_kernels()
-    if h == w == 1 and lib:
+    if lib:
         native, bad = bittensor.pack_signs(lib, x, thr)
         native = "sign_forward received NaN input" if bad else native
     if with_nan:

@@ -1,6 +1,7 @@
 """CLI subcommands and exit codes, driven in-process."""
 
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -60,6 +61,42 @@ class TestTrain:
             "--data-dir", mnist_data, "--epochs", "0",
         ])
         assert rc == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--lr=nan", "--lr=inf", "--weight-decay=inf",
+                                      "--t-clip=-inf"])
+    def test_non_finite_float_flag(self, mnist_data, tmp_path, capsys, flag):
+        # --lr nan once trained nothing and saved the model
+        out = tmp_path / "run"
+        rc = cli.main([
+            "train", "--model", "lenet", "--dataset", "mnist", "--data-dir", mnist_data,
+            "--out-dir", str(out), "--epochs", "1", flag,
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_out_of_range(self, tmp_path, capsys):
+        d = write_mnist_dir(str(tmp_path / "m"), n_train=10, n_test=5)
+        path = os.path.join(d, "train-labels-idx1-ubyte")
+        blob = bytearray(open(path, "rb").read())
+        blob[8 + 3] = 200
+        open(path, "wb").write(bytes(blob))
+        rc = cli.main([
+            "train", "--model", "lenet", "--dataset", "mnist",
+            "--data-dir", d, "--epochs", "1",
+        ])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "offset 11" in err
+
+    def test_empty_split(self, tmp_path, capsys):
+        d = write_mnist_dir(str(tmp_path / "m"), n_train=10, n_test=0)
+        rc = cli.main([
+            "train", "--model", "lenet", "--dataset", "mnist",
+            "--data-dir", d, "--epochs", "1",
+        ])
+        assert rc == cli.EXIT_DATA
+        assert "t10k-images-idx3-ubyte: the file holds no images" in capsys.readouterr().err
 
     def test_corrupt_data_file(self, tmp_path):
         d = write_mnist_dir(str(tmp_path / "m"), n_train=10, n_test=5)
@@ -275,6 +312,19 @@ def test_shared_cache_directory_is_not_used(tmp_path):
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
 def test_cached_kernel_loads_without_compiler(tmp_path):
-    built = _bench_in_subprocess(tmp_path, None)  # the system cc builds it
+    # the cache is keyed on $CC, so the same command builds, then fails
+    cc = tmp_path / "cc"
+    cc.write_text(f'#!/bin/sh\nexec {shlex.quote(shutil.which("cc"))} "$@"\n')
+    cc.chmod(0o700)
+    built = _bench_in_subprocess(tmp_path, shlex.quote(str(cc)))
     assert built.startswith(f"kernel: native ({tmp_path / 'bnnkit'}{os.sep}")
-    assert _bench_in_subprocess(tmp_path, "false") == built
+    cc.write_text("#!/bin/sh\nexit 1\n")
+    assert _bench_in_subprocess(tmp_path, shlex.quote(str(cc))) == built
+
+
+def test_kernel_cache_is_keyed_on_the_compiler_command(tmp_path, monkeypatch):
+    # a library built without a vector popcount must not serve plain cc
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    paths = {bittensor._library_path(cc) for cc in ("cc", "cc -mno-avx512vpopcntdq")}
+    assert len(paths) == 2
+    assert all(os.path.dirname(p) == str(tmp_path / "bnnkit") for p in paths)

@@ -80,6 +80,21 @@ class TestMnist:
             data.load_mnist(d)
 
 
+    def test_label_out_of_range(self, tmp_path):
+        d = write_mnist_dir(tmp_path / "mnist", n_train=10)
+        labels = np.zeros(10, dtype=np.uint8)
+        labels[[4, 7]] = [10, 255]
+        write_idx_labels(str(tmp_path / "mnist" / "train-labels-idx1-ubyte"), labels)
+        with pytest.raises(DataFormatError, match="label 10 of record 4") as exc:
+            data.load_mnist(d)
+        assert exc.value.offset == 8 + 4
+
+    def test_empty_split(self, tmp_path):
+        d = write_mnist_dir(tmp_path / "mnist", n_train=0)
+        with pytest.raises(DataFormatError, match="train-images-idx3-ubyte: the file holds no"):
+            data.load_mnist(d)
+
+
 class TestCifar:
     def test_load(self, tmp_path):
         d = write_cifar_dir(tmp_path / "cifar", per_batch=12)
@@ -94,6 +109,22 @@ class TestCifar:
         path = tmp_path / "cifar" / "data_batch_3.bin"
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(DataFormatError):
+            data.load_cifar10(d)
+
+    def test_label_out_of_range(self, tmp_path):
+        d = write_cifar_dir(tmp_path / "cifar", per_batch=4)
+        path = tmp_path / "cifar" / "test_batch.bin"
+        blob = bytearray(path.read_bytes())
+        blob[2 * data.CIFAR_RECORD] = 10
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="test_batch.bin: label 10 of record 2") as exc:
+            data.load_cifar10(d)
+        assert exc.value.offset == 2 * data.CIFAR_RECORD
+
+    def test_empty_batch(self, tmp_path):
+        d = write_cifar_dir(tmp_path / "cifar", per_batch=4)
+        (tmp_path / "cifar" / "test_batch.bin").write_bytes(b"")
+        with pytest.raises(DataFormatError, match="test_batch.bin: size 0"):
             data.load_cifar10(d)
 
     def test_missing(self, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnn import arch, autodiff, layers, train
+from bnn import arch, autodiff, bittensor, layers, train
 from bnn.autodiff import STEConfig, Slot, Tape, sign_backward, sign_forward
 from bnn.errors import NumericError, ShapeError
 from bnn.layers import (
@@ -25,6 +25,7 @@ from bnn.layers import (
     compute_scaling_factor,
     concat,
     im2col,
+    patch_rows,
     residual_add,
 )
 
@@ -399,6 +400,23 @@ def test_col2im_ste_matches_sign_backward(c, padding, stride, k, h, w, t):
             mask = np.abs(x64) <= 1 / 3
             assert got.tobytes() == np.where(mask, whole, 0.0).astype(np.float32).tobytes()
             assert got.flat[1] == 0 != whole.flat[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 4), st.integers(1, 4), st.integers(1, 2),
+       st.integers(0, 2), st.integers(0, 6), st.integers(0, 6), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_patch_rows_match_im2col_of_padded_bits(c, kh, kw, stride, padding, dh, dw, n, seed):
+    """The native gather writes the bytes of im2col of the +1-padded sign
+    bits, copied into word-padded rows, for every C % 8, stride and pad."""
+    rng = np.random.default_rng(seed)
+    h, w = max(1, kh - 2 * padding) + dh, max(1, kw - 2 * padding) + dw
+    bits = bittensor.pack_channels(rng.standard_normal((n, c, h, w)).astype(np.float32))
+    got = patch_rows(bits, kh, kw, stride, padding)
+    want = bittensor.from_row_bytes(im2col(layers._pad_bits(bits, padding), kh, kw, stride))
+    assert got.shape == want.shape
+    assert got.words.dtype == want.words.dtype
+    assert got.words.tobytes() == want.words.tobytes()
 
 
 @pytest.mark.parametrize("c", [5, 44])

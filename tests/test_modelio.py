@@ -264,6 +264,14 @@ class TestMalformedDescriptor:
         modelio.load(path)
 
 
+def _packed_shape(value):
+    """An edit setting the shape of the first sign-packed parameter."""
+    def edit(desc):
+        next(p for e in desc["layers"] for p in e["params"]
+             if p["storage"] == "packed_binary")["shape"] = value
+    return edit
+
+
 class TestSizeCheckedBeforeBuild:
     """A small, CRC-valid file whose build_args ask for a huge DenseNet is
     refused from its own descriptor, before any graph is allocated."""
@@ -277,8 +285,9 @@ class TestSizeCheckedBeforeBuild:
          "cannot size the payload: OverflowError"),
         (lambda d: d["layers"][0].pop("buffers"), "cannot size the payload: KeyError"),
         (_set("norm_channels", value="3"), "cannot size the payload: TypeError"),
+        (_packed_shape([]), "cannot size the payload: IndexError"),
     ], ids=["short-payload", "layers-not-a-list", "shape-overflow", "no-buffers",
-            "norm-channels-str"])
+            "norm-channels-str", "packed-shape-empty"])
     def test_refused_without_building(self, tmp_path, monkeypatch, edit, match):
         path = str(tmp_path / "d.bnn")
         small = arch.build_densenet(arch.DenseNetSpec(k=4, b=1, num_classes=10),

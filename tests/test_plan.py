@@ -140,8 +140,10 @@ def test_plan_sees_every_gemm_at_the_graphs_shapes(monkeypatch):
     train.evaluate(g, ds, batch_size=16)
     assert len(shapes) == 10
     assert shapes == graph_shapes == [(16 * 64, 800, 64), (16, 1024, 1024)] * 5
-    # the stem's float patches, the binary conv's and the dense layer's bytes
-    assert gathered == graph_gathered == [np.float32, np.uint8, np.uint8] * 5
+    # the stem's float patches; the binary conv's and the dense layer's
+    # bytes only where the native gather_patches does not replace im2col
+    packed = [] if bittensor.native_kernels() else [np.uint8, np.uint8]
+    assert gathered == graph_gathered == ([np.float32] + packed) * 5
 
 
 HUGE = float(np.float32(3e38))
