@@ -5,9 +5,13 @@ Each digest covers STEPS (3) Adam steps: per step the loss and every
 parameter gradient, then, after the step, every parameter and BatchNorm
 buffer.  The models are LeNet (scaling modes N and FB, and N with weight
 decay), a CIFAR-preset densenet:k=16,b=2 and a CIFAR-preset resnet18 at
-batch 2, trained on seeded synthetic batches.  A second line per model, "<label> plan: <digest>", covers the
-logits its plan.InferencePlan gives for PLAN_IMAGES seeded images.  The native
-kernels and their numpy twins give the same bytes, so the two commands
+batch 2, trained on seeded synthetic batches.  A second line per model,
+"<label> plan: <digest>", covers the logits its plan.InferencePlan gives
+for PLAN_IMAGES seeded images.  After those ten lines, one
+"<label> file: <digest>" line per model covers the bytes modelio.save
+writes for it after the steps, its packed sign bits among them.  The
+native kernels and their numpy twins give the same bytes, so the two
+commands
 
     python scripts/train_digest.py
     CC=false XDG_CACHE_HOME="$(mktemp -d)" python scripts/train_digest.py
@@ -21,12 +25,13 @@ Usage: python scripts/train_digest.py
 import hashlib
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from bnn import arch, bittensor, train  # noqa: E402
+from bnn import arch, bittensor, modelio, train  # noqa: E402
 from bnn.autodiff import Tape  # noqa: E402
 from bnn.plan import InferencePlan  # noqa: E402
 
@@ -79,14 +84,26 @@ def digest(arrays):
     return h.hexdigest()
 
 
+def file_digest(model):
+    """SHA-256 of the bytes modelio.save writes for model."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.bnn")
+        modelio.save(model, path)
+        with open(path, "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
+
+
 def main():
     print(f"kernel: {bittensor.native_kernels() and 'native' or 'numpy'}", file=sys.stderr)
+    files = []
     for label, *run in RUNS:
         model, arrays = train_trace(*run)
         print(f"{label}: {digest(arrays)}")
         images = np.random.default_rng(1).standard_normal(
             (PLAN_IMAGES,) + model.input_shape).astype(np.float32)
         print(f"{label} plan: {digest([InferencePlan(model).run(images)])}")
+        files.append(f"{label} file: {file_digest(model)}")
+    print("\n".join(files))
 
 
 if __name__ == "__main__":

@@ -18,10 +18,11 @@
  * bn_normalize: y = gamma * ((x - mean) * inv_std) + beta in float32.
  * bn_grad_input: the input gradient k * ((m * g - sum g) - xhat * sum g xhat),
  *             with xhat recomputed from x, so no copy of it is kept.
- * pack_signs: float32 NCHW activations as sign bits packed along channels
- *             (bittensor.pack_channels), in one read of the floats; for the
- *             inference plan also thresholded, OR-pooled over MaxPool
+ * pack_signs: float32 NCHW activations as sign bits packed along channels,
+ *             in one read of the floats: thresholded, OR-pooled over MaxPool
  *             windows, flipped, and checked for NaN or values out of bounds.
+ *             Only bittensor.pack_signs, the one packer, calls it, on planes
+ *             of 32 pixels or more; its numpy twin packs the smaller ones.
  * maxpool_grad: MaxPool2d's input gradient for windows of k = s, each
  *             window's gradient at its first maximum, recomputed from the
  *             input and the output, so no index is kept.

@@ -119,16 +119,12 @@ class Tape:
 NAN_INPUT = "sign_forward received NaN input"
 
 
-def check_nan(r_i: np.ndarray) -> None:
-    """Raise NumericError if r_i holds a NaN, which sign has no value for."""
+def sign_forward(r_i: np.ndarray) -> np.ndarray:
+    """Elementwise sign with sign(0) = +1; output values in {-1, +1}.  A
+    NaN, which sign has no value for, raises NumericError."""
+    r_i = np.asarray(r_i)
     if np.isnan(r_i).any():
         raise NumericError(NAN_INPUT)
-
-
-def sign_forward(r_i: np.ndarray) -> np.ndarray:
-    """Elementwise sign with sign(0) = +1; output values in {-1, +1}."""
-    r_i = np.asarray(r_i)
-    check_nan(r_i)
     out = (r_i >= 0).astype(np.float32)
     out *= 2
     out -= 1

@@ -20,9 +20,10 @@ weight, computed only where a mode reads it):
 The activation gradient is never scaled.
 
 The binary-linear core is binary_conv: sign activations packed along
-channels (bittensor.pack_channels), gathered into word-padded patch rows
-(patch_rows: the native gather_patches, or im2col of the 0xFF-padded
-bytes) and multiplied with weight_bits by bittensor.binary_gemm; when
+channels by bittensor.pack_signs, the one packer, gathered into
+word-padded patch rows (patch_rows: the native gather_patches, or im2col
+of the 0xFF-padded bytes) and multiplied with weight_bits, which packs
+the weight with pack_signs too, by bittensor.binary_gemm; when
 C % 8 != 0 the 1-pad bits of each kernel position add +1 each, in both
 operands, and are subtracted.  The +-1 float patches exist only in
 backward, for the weight gradient.  QDense is a QConv2d whose binarized
@@ -218,7 +219,7 @@ class Layer:
 def weight_bits(w: np.ndarray) -> bittensor.BitTensor:
     """Sign bits of an (O, C, kh, kw) weight, one packed row per output in
     im2col's (ki, kj, c) order (a NaN raises, as in sign_forward)."""
-    return bittensor.from_row_bytes(bittensor.pack_channels(w).reshape(len(w), -1))
+    return bittensor.from_row_bytes(bittensor.pack_signs(w).reshape(len(w), -1))
 
 
 def _pad_bits(bits, p):
@@ -319,13 +320,13 @@ class QConv2d(Layer):
         if cfg.binarize_input:
             # sign bits packed along C (a NaN raises).  The input itself is
             # kept: backward applies sign's STE to it
-            bits = bittensor.pack_channels(xv)
+            bits = bittensor.pack_signs(xv)
             out_mat = binary_conv(bits, weight_bits(weight), kh, kw, s, p, c)
             y = out_mat.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
 
             def float_cols():  # packed patches are rebuilt as +-1 floats
                 padded = _pad_bits(bits, p)
-                signs = bittensor.unpack_rows(padded.reshape(n * hp * wp, -1), c)
+                signs = bittensor.unpack_signs(padded.reshape(n * hp * wp, -1), c)
                 return im2col(signs.reshape(n, hp, wp, c), kh, kw, s)
         else:
             # pixel-innermost patches: one batched GEMM writes NCHW directly

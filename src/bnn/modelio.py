@@ -67,19 +67,17 @@ def _payload_nbytes(shape, storage) -> int:
     return 4 * int(np.prod(shape, dtype=np.int64))
 
 
-def _pack_rows(values: np.ndarray) -> bytes:
-    """Sign-binarize and pack row-wise: byte prefixes of bittensor's words."""
-    rows = values.shape[0]
-    flat = values.reshape(rows, -1)
-    row_bytes = bittensor.pack_rows(flat).view(np.uint8)
-    return row_bytes[:, : (flat.shape[1] + 7) // 8].tobytes()
+def _pack_weight(values: np.ndarray) -> bytes:
+    """Sign-binarize and pack row-wise, each row padded to whole bytes with
+    1-bits (a NaN raises NumericError)."""
+    return bittensor.pack_signs(values.reshape(len(values), -1, 1, 1)).tobytes()
 
 
-def _unpack_rows(blob: bytes, shape) -> np.ndarray:
+def _unpack_weight(blob: bytes, shape) -> np.ndarray:
     rows = shape[0]
     n = int(np.prod(shape[1:], dtype=np.int64)) if len(shape) > 1 else 1
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(rows, (n + 7) // 8)
-    return bittensor.unpack_rows(raw, n).reshape(shape)
+    return bittensor.unpack_signs(raw, n).reshape(shape)
 
 
 def _descriptor(g: arch.ModelGraph, binary_storage: bool) -> dict:
@@ -142,7 +140,7 @@ def _write(g: arch.ModelGraph, path, binary_storage: bool,
     for layer in g.layers():
         for p in layer.params():
             if binary_storage and p.binary:
-                payloads.append(_pack_rows(p.value))
+                payloads.append(_pack_weight(p.value))
             else:
                 payloads.append(
                     np.ascontiguousarray(p.value, dtype="<f4").tobytes()
@@ -281,7 +279,7 @@ def load(path):
         for p in layer.params():
             raw = next(it)
             if desc["storage_mode"] == "packed_binary" and p.binary:
-                p.value = _unpack_rows(raw, p.value.shape)
+                p.value = _unpack_weight(raw, p.value.shape)
             else:
                 p.value = np.frombuffer(raw, dtype="<f4").reshape(
                     p.value.shape

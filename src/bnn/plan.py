@@ -9,7 +9,8 @@ float.  InferencePlan gives the same logits bit for bit with less work:
   after a Flatten is a conv whose kernel covers the flattened pixels,
   its columns permuted to read the channels-last bytes of the tensor.
 * A binary layer reads its input as sign bits packed along channels,
-  (N, H, W, ceil(C/8)) bytes as bittensor.pack_channels makes them.
+  (N, H, W, ceil(C/8)) bytes, made by bittensor.pack_signs, the one
+  packer.
   When that input is a BatchNorm whose consumers all binarize, BatchNorm
   then sign is one per-channel threshold compare on the BatchNorm's
   input (FINN's thresholding, arXiv 1612.07119, sec. 4), and the
@@ -17,8 +18,9 @@ float.  InferencePlan gives the same logits bit for bit with less work:
   its sign (threshold 0).
 * A MaxPool2d between a layer and such a BatchNorm becomes an OR over
   the packed bytes of each window.  The compare, the OR, the flip below
-  and the NaN and bounds checks are one native pass over the floats
-  (bittensor.pack_signs) when the kernels load.
+  and the NaN and bounds checks are one call of pack_signs: one native
+  pass over the floats on a float32 plane of 32 pixels or more when the
+  kernels load, numpy steps with the same bytes otherwise.
 * Every other node runs through its layer's own forward, on a throwaway
   Tape.
 
@@ -93,13 +95,14 @@ def _first_key(pred, lo, hi) -> np.ndarray:
 
 @dataclass
 class Thresholds:
-    """sign(BN(x)) of channel c is +1 exactly where (x >= thr[c]) XOR
-    flip[c]; BN(x) is NaN where x is NaN or outside [lo[c], hi[c]]."""
+    """sign(BN(x)) of channel c is +1 exactly where (x >= thr[c]) XOR bit
+    c % 8 of flip[c // 8]; BN(x) is NaN where x is NaN or outside
+    [lo[c], hi[c]].  The fields are pack_signs' arguments of those names."""
 
     thr: np.ndarray  # float32 (C,)
-    flip: np.ndarray  # bool (C,)
-    lo: np.ndarray  # float32 (C,)
-    hi: np.ndarray  # float32 (C,)
+    flip: np.ndarray  # uint8 (ceil(C/8),), LSB-first
+    lo: np.ndarray | None  # float32 (C,); None where every channel is unbounded
+    hi: np.ndarray | None
 
 
 def bn_thresholds(bn: BatchNorm):
@@ -115,7 +118,8 @@ def bn_thresholds(bn: BatchNorm):
         return None
     lo = np.full(bn.num_features, _KEY_MIN)
     hi = np.full(bn.num_features, _KEY_MAX)
-    if np.isnan(out(np.stack([lo, hi]))).any():
+    bounded = np.isnan(out(np.stack([lo, hi]))).any()
+    if bounded:
         # gamma = 0: NaN where |xhat| is inf, on both tails of the mean
         lo = _first_key(lambda k: ~np.isnan(out(k)), lo, mean)
         hi = _first_key(lambda k: np.isnan(out(k)), mean, hi + 1) - 1
@@ -123,8 +127,9 @@ def bn_thresholds(bn: BatchNorm):
     edge = _first_key(lambda k: (out(k) >= 0) != low_passes, lo, hi + 1)
     const = edge > hi
     return Thresholds(thr=np.where(const, np.float32(-np.inf), _floats(edge)),
-                      flip=np.where(const, ~low_passes, low_passes),
-                      lo=_floats(lo), hi=_floats(hi))
+                      flip=np.packbits(const != low_passes, bitorder="little"),
+                      lo=_floats(lo) if bounded else None,
+                      hi=_floats(hi) if bounded else None)
 
 
 def _binary_input(op) -> bool:
@@ -139,18 +144,6 @@ def _per_image(op) -> bool:
     if isinstance(op, QConv2d):
         return not (op.cfg.binarize_input or isinstance(op, QDense))
     return isinstance(op, (BatchNorm, MaxPool2d, Flatten))
-
-
-def _or_pool(b: np.ndarray, k: int, s: int) -> np.ndarray:
-    """Max pooling of the stored bits (N, H, W, bytes): OR over windows."""
-    _, h, w, _ = b.shape
-    oh, ow = (h - k) // s + 1, (w - k) // s + 1
-    out = b[:, : s * oh: s, : s * ow: s].copy()
-    for di in range(k):
-        for dj in range(k):
-            if di or dj:
-                out |= b[:, di: di + s * oh: s, dj: dj + s * ow: s]
-    return out
 
 
 class InferencePlan:
@@ -275,38 +268,15 @@ class InferencePlan:
     @staticmethod
     def _bits_step(th, pool, name):
         """Sign bits of BN(pool(x)) (th from bn_thresholds) or of x itself
-        (th None).  The native pack_signs compares, ORs each pool window,
-        flips and checks the bounds in one read of x; otherwise numpy does
-        each in turn, with the same bytes."""
-        thr, flip, lo, hi = None, None, None, None
-        if th is not None:
-            thr = th.thr
-            if th.flip.any():
-                flip = np.packbits(th.flip, bitorder="little")
-            if np.isfinite(th.lo).any() or np.isfinite(th.hi).any():
-                lo, hi = th.lo, th.hi
-        k, s = (pool.kernel, pool.stride) if pool else (1, 1)
+        (th None): pack_signs compares, ORs each pool window, flips and
+        checks the bounds."""
+        args = dict(vars(th) if th else {}, pool=(pool.kernel, pool.stride) if pool else (1, 1))
 
         def step(x):
-            if x.ndim == 2:
-                x = x[:, :, None, None]
-            lib = bittensor.native_kernels()
-            if lib and x.dtype == np.float32:
-                b, bad = bittensor.pack_signs(lib, x, thr, lo, hi, flip, (k, s))
-                if bad:
-                    raise NumericError(f"{name}: NaN reaches sign")
-                return b
-            # only the rows and columns some window covers
-            x = x[:, :, : (x.shape[2] - k) // s * s + k, : (x.shape[3] - k) // s * s + k]
-            if np.isnan(np.max(x)) or (lo is not None and not (
-                    (x >= lo[:, None, None]).all() and (x <= hi[:, None, None]).all())):
-                raise NumericError(f"{name}: NaN reaches sign")
-            b = bittensor.pack_channels(x, thr)
-            if pool:
-                b = _or_pool(b, k, s)
-            if flip is not None:
-                b ^= flip
-            return b
+            try:
+                return bittensor.pack_signs(x[:, :, None, None] if x.ndim == 2 else x, **args)
+            except NumericError:
+                raise NumericError(f"{name}: NaN reaches sign") from None
         return step
 
     @staticmethod

@@ -223,6 +223,12 @@ def _find_nan_layer(model, images):
     return "<loss>"
 
 
+def _require_images(*sets):
+    for ds in sets:
+        if not len(ds):
+            raise ValueError(f"the {ds.split} split holds no images")
+
+
 def evaluate(model: ModelGraph, ds: Dataset, batch_size=256):
     """Top-1/top-5 accuracy and mean loss on a dataset.
 
@@ -231,6 +237,7 @@ def evaluate(model: ModelGraph, ds: Dataset, batch_size=256):
     BatchNorm then sign is a per-channel threshold, as at deployment.  The
     logits equal model.forward(training=False) bit for bit.
     """
+    _require_images(ds)
     plan = InferencePlan(model)
     correct1 = 0
     correct5 = 0
@@ -259,6 +266,7 @@ def train(model: ModelGraph, train_ds: Dataset, test_ds: Dataset,
     Fully deterministic for a given (model, data, config) triple: the
     batch order is seeded and parameter updates are single-threaded.
     """
+    _require_images(train_ds, test_ds)
     set_t_clip(model, cfg.t_clip)
     set_scaling_mode(model, cfg.scaling_mode)
     params = model.params()

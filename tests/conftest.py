@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from bnn import bittensor
+from bnn.autodiff import NAN_INPUT
 from bnn.data import Dataset
+from bnn.errors import NumericError
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -55,6 +57,43 @@ def kernel_calls():
         yield calls
     finally:
         bittensor._native = saved
+
+
+def packed_signs(x, thr=None, lo=None, hi=None, flip=None, pool=(1, 1)):
+    """bittensor.pack_signs step by step, its oracle: over the rows and
+    columns some window covers, NAN_INPUT (returned) for a NaN or a value
+    outside [lo, hi]; else the compare, np.packbits along channels with
+    1-pad bits, a strided OR over each window and the XOR with flip."""
+    n, c, h, w = x.shape
+    k, s = pool
+    oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    x = x[:, :, : (oh - 1) * s + k, : (ow - 1) * s + k]
+    lo = -np.inf if lo is None else lo[:, None, None]
+    hi = np.inf if hi is None else hi[:, None, None]
+    if not ((x >= lo) & (x <= hi)).all():  # NaN fails both
+        return NAN_INPUT
+    bits = np.ones((n, -(-c // 8) * 8) + x.shape[2:], dtype=bool)
+    bits[:, :c] = x >= (0 if thr is None else thr[:, None, None])
+    b = np.packbits(bits, axis=1, bitorder="little").transpose(0, 2, 3, 1)
+    out = np.zeros((n, oh, ow, b.shape[-1]), np.uint8)
+    for i in range(k):
+        for j in range(k):
+            out |= b[:, i: i + s * oh: s, j: j + s * ow: s]
+    return out if flip is None else out ^ flip
+
+
+def packed_both_ways(x, **kwargs):
+    """bittensor.pack_signs(x, **kwargs) with the native kernel (when it
+    builds) and with its numpy twin: each the bytes, or the NumericError
+    text it raised."""
+    out = []
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels():
+            try:
+                out.append(bittensor.pack_signs(x, **kwargs))
+            except NumericError as e:
+                out.append(str(e))
+    return out
 
 
 def edit_descriptor(path, edit):

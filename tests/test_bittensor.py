@@ -22,14 +22,13 @@ from bnn.bittensor import (
     binary_gemm,
     from_row_bytes,
     pack,
-    pack_channels,
-    pack_rows,
+    pack_signs,
     popcount_words,
     unpack,
 )
 from bnn.errors import NumericError, ShapeError
 
-from conftest import REPO_ROOT, numpy_kernels
+from conftest import REPO_ROOT, numpy_kernels, packed_both_ways, packed_signs
 
 # the native xnor_gemm's rows per register block and output columns per
 # column block (with a vector popcount), and its columns per tile without
@@ -257,14 +256,16 @@ class TestErrors:
 
 @pytest.mark.parametrize("c", [8, 16, 64, 352])
 def test_pack_channels_bytes_equal_pack_rows_of_nhwc_signs(c):
+    """pack_signs along channels gives the np.packbits rows of the
+    channels-last signs."""
     rng = np.random.default_rng(c)
     x = rng.standard_normal((2, c, 5, 3)).astype(np.float32)
     x[rng.random(x.shape) < 0.1] = 0.0
     x[rng.random(x.shape) < 0.1] = -0.0
-    packed = pack_channels(x)
+    packed = pack_signs(x)
     assert packed.shape == (2, 5, 3, c // 8) and packed.dtype == np.uint8
-    rows = pack_rows(x.transpose(0, 2, 3, 1).reshape(-1, c)).view(np.uint8)
-    assert np.array_equal(packed.reshape(-1, c // 8), rows[:, : c // 8])
+    rows = np.packbits(x.transpose(0, 2, 3, 1).reshape(-1, c) >= 0, axis=1, bitorder="little")
+    assert np.array_equal(packed.reshape(-1, c // 8), rows)
 
 
 @pytest.mark.parametrize("c", [1, 3, 7, 9, 13, 65])
@@ -272,13 +273,19 @@ def test_pack_channels_pads_with_one_bits(c):
     rng = np.random.default_rng(c)
     x = rng.standard_normal((3, c, 2, 4))
     thr = rng.standard_normal(c)
-    for packed, ref in ((pack_channels(x), x >= 0),
-                        (pack_channels(x, thr), x >= thr[:, None, None])):
+    for packed, ref in ((pack_signs(x), x >= 0),
+                        (pack_signs(x, thr), x >= thr[:, None, None])):
         cb = -(-c // 8)
         bits = np.unpackbits(packed, axis=-1, bitorder="little")
         assert bits.shape == (3, 2, 4, 8 * cb)
         assert np.array_equal(bits[..., :c], ref.transpose(0, 2, 3, 1))
         assert np.all(bits[..., c:] == 1)
+
+
+def test_pack_raises_on_a_nan():
+    """A NaN has no sign: pack refuses it, as sign_forward does."""
+    with pytest.raises(NumericError):
+        pack(np.array([[0.5, np.nan, -1.0]], np.float32))
 
 
 @pytest.mark.parametrize("nbytes", [1, 7, 8, 9, 100, 104])
@@ -301,40 +308,34 @@ _EDGE = np.array([0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 1e-39, -1e-39],
                  np.float32)
 
 
-def _packed_both_ways(x, thr):
-    """pack_channels(x, thr) with the native kernel (when it builds) and
-    with its numpy twin: each the bytes, or the NumericError it raised."""
-    out = []
-    for kernels in (contextlib.nullcontext, numpy_kernels):
-        with kernels():
-            try:
-                out.append(pack_channels(x, thr))
-            except NumericError as e:
-                out.append(str(e))
-    return out
-
-
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from([1, 7, 8, 9, 44, 63, 64, 65, 384, 520, 1024]),
     st.one_of(st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)),
               st.tuples(st.integers(1, 300), st.just(1), st.just(1)),
-              st.tuples(st.integers(1, 2), st.integers(6, 9), st.integers(6, 9))),
+              st.tuples(st.integers(1, 2), st.integers(3, 9), st.integers(3, 9))),
+    st.sampled_from([(1, 1), (2, 2), (3, 2), (3, 1)]),
     st.booleans(),
     st.booleans(),
+    st.booleans(),
+    st.sampled_from([None, np.nan, np.float32(3.5), -np.inf]),
     st.integers(0, 2 ** 32 - 1),
 )
-def test_pack_channels_native_equals_numpy(c, nhw, with_thr, with_nan, seed):
-    """Bytes equal to the numpy packer, or the same NumericError, with x
-    on its thresholds (ties), on +-0.0 and NaN; (n, c, h, w) also stands
-    for an (O, C, kh, kw) weight.  pack_channels packs a plane under 32
-    pixels with np.packbits alone, so the native side is pack_signs
-    itself, on every shape: against np.packbits under 32 pixels (the plan
-    packs (N, F) bits with pack_signs) and the numpy planes loop above."""
+def test_pack_channels_native_equals_numpy(c, nhw, pool, with_thr, with_bounds, with_flip,
+                                           bad, seed):
+    """pack_signs with the native kernel and with its numpy twin give the
+    bytes of the step-by-step oracle, or the same NumericError, with thr
+    (x on its thresholds: ties), lo and hi, flip and a pool window, on
+    +-0.0, NaN and out-of-bounds values, on planes of 1 to 81 pixels: the
+    native kernel packs those of 32 or more, numpy's np.packbits the
+    smaller ones and its 8-plane OR the larger ones.  (n, c, h, w) also
+    stands for an (O, C, kh, kw) weight."""
     n, h, w = nhw
+    if pool[0] > min(h, w):
+        pool = (1, 1)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
-    thr = None
+    x = np.clip(rng.standard_normal((n, c, h, w)), -3, 3).astype(np.float32)
+    kwargs = dict(pool=pool)
     if with_thr:
         thr = rng.standard_normal(c).astype(np.float32)
         edge = rng.random(c) < 0.5
@@ -342,38 +343,48 @@ def test_pack_channels_native_equals_numpy(c, nhw, with_thr, with_nan, seed):
         # ties: x equal to its channel's threshold, where that is finite
         tie = (rng.random(x.shape) < 0.2) & np.isfinite(thr)[:, None, None]
         x[tie] = np.broadcast_to(thr[:, None, None], x.shape)[tie]
+        kwargs["thr"] = thr
+    if with_bounds:  # [-3, 3] on some channels, unbounded on the others
+        bounded = rng.random(c) < 0.5
+        kwargs["lo"] = np.where(bounded, -3, -np.inf).astype(np.float32)
+        kwargs["hi"] = np.where(bounded, 3, np.inf).astype(np.float32)
+    if with_flip:
+        kwargs["flip"] = rng.integers(0, 256, -(-c // 8), dtype=np.uint8)
     x[rng.random(x.shape) < 0.1] = 0.0
     x[rng.random(x.shape) < 0.1] = -0.0
-    if with_nan:
-        x.flat[rng.integers(x.size)] = np.nan
-    native, twin = _packed_both_ways(x, thr)
-    lib = bittensor.native_kernels()
-    if lib:
-        native, bad = bittensor.pack_signs(lib, x, thr)
-        native = "sign_forward received NaN input" if bad else native
-    if with_nan:
-        assert native == twin == "sign_forward received NaN input"
+    if bad is not None:  # may fall where no window reads it
+        x.flat[rng.integers(x.size)] = bad
+    ref = packed_signs(x, **kwargs)
+    native, twin = packed_both_ways(x, **kwargs)
+    if isinstance(ref, str):
+        assert native == twin == ref
     else:
-        assert native.dtype == np.uint8 and native.shape == (n, h, w, -(-c // 8))
-        assert native.tobytes() == twin.tobytes()
+        assert native.dtype == twin.dtype == np.uint8 and native.shape == twin.shape == ref.shape
+        assert native.tobytes() == twin.tobytes() == ref.tobytes()
 
 
 def test_pack_channels_non_float32_runs_numpy():
     """float64 input or thresholds have no native kernel: numpy compares
     in float64, where +-1e-300 is not the float32 zero it rounds to."""
     tiny = np.array([-1e-300, 1e-300])
-    assert pack_channels(tiny.reshape(1, 2, 1, 1)).tolist() == [[[[0xFE]]]]
-    zeros = np.zeros((1, 2, 1, 1), np.float32)
-    assert pack_channels(zeros, -tiny).tolist() == [[[[0xFE]]]]
+    x = np.broadcast_to(tiny.reshape(1, 2, 1, 1), (1, 2, 6, 6))
+    assert pack_signs(x)[0, 0, 0].tolist() == [0xFE]
+    zeros = np.zeros((1, 2, 6, 6), np.float32)
+    assert pack_signs(zeros, -tiny)[0, 0, 0].tolist() == [0xFE]
 
 
 @pytest.mark.parametrize("arg", ["x", "thr", "lo", "flip"])
 def test_pack_signs_checks_buffers_before_the_kernel_reads_them(arg):
+    """A buffer that does not fit x's channels, or that the kernel would
+    read as the wrong dtype, raises ShapeError on both routes (the 36-pixel
+    plane is the kernel's): x with more channels than thr, thr one
+    channel short, float64 lo, flip one byte short."""
     c = 9
-    good = dict(x=np.zeros((2, c, 3, 3), np.float32), thr=np.zeros(c, np.float32),
+    good = dict(x=np.zeros((2, c, 6, 6), np.float32), thr=np.zeros(c, np.float32),
                 lo=np.zeros(c, np.float32), flip=np.zeros(2, np.uint8))
-    bad = dict(x=good["x"].astype(np.float64), thr=np.zeros(c - 1, np.float32),
+    bad = dict(x=np.zeros((2, c + 1, 6, 6), np.float32), thr=np.zeros(c - 1, np.float32),
                lo=np.zeros(c, np.float64), flip=np.zeros(1, np.uint8))
     args = dict(good, **{arg: bad[arg]})
-    with pytest.raises(ShapeError):  # raised before the (absent) kernel is called
-        bittensor.pack_signs(None, args.pop("x"), **args)
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels(), pytest.raises(ShapeError):
+            pack_signs(**args)

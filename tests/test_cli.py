@@ -167,6 +167,25 @@ class TestSize:
         rc = cli.main(["size", "--model", "resnet7"])
         assert rc == cli.EXIT_USAGE
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        """A model too large for memory, asked for by --model or by a model
+        file's build_args, exits 4 with one line; the builders are patched
+        to raise as numpy does, so nothing large is allocated."""
+        path = str(tmp_path / "m.bnn")
+        modelio.save(arch.build_lenet(), path)
+
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 4.00 TiB for an array")
+
+        monkeypatch.setattr(arch, "build_densenet", too_large)
+        monkeypatch.setattr(arch, "build_lenet", too_large)
+        capsys.readouterr()
+        for argv in (["size", "--model", "densenet:k=100000,b=1"],
+                     ["export", "--model-file", path, "--out", str(tmp_path / "fp.bnn")]):
+            assert cli.main(argv) == cli.EXIT_RUNTIME
+            assert capsys.readouterr().err == (
+                "error: out of memory: Unable to allocate 4.00 TiB for an array\n")
+
     @pytest.mark.parametrize("model", ["lenet", "densenet:k=16,b=2", "resnet18"])
     @pytest.mark.parametrize("classes", ["0", "1", "-3"])
     def test_too_few_classes(self, model, classes, capsys):

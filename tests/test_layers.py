@@ -411,7 +411,7 @@ def test_patch_rows_match_im2col_of_padded_bits(c, kh, kw, stride, padding, dh, 
     bits, copied into word-padded rows, for every C % 8, stride and pad."""
     rng = np.random.default_rng(seed)
     h, w = max(1, kh - 2 * padding) + dh, max(1, kw - 2 * padding) + dw
-    bits = bittensor.pack_channels(rng.standard_normal((n, c, h, w)).astype(np.float32))
+    bits = bittensor.pack_signs(rng.standard_normal((n, c, h, w)).astype(np.float32))
     got = patch_rows(bits, kh, kw, stride, padding)
     want = bittensor.from_row_bytes(im2col(layers._pad_bits(bits, padding), kh, kw, stride))
     assert got.shape == want.shape

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bnn import arch, modelio
-from bnn.errors import ModelFormatError
+from bnn.errors import ModelFormatError, NumericError
 
 from conftest import edit_descriptor
 
@@ -122,25 +122,35 @@ class TestPackedRows:
     def test_golden_bytes(self):
         # row [+, -, +] -> bits 1,0,1; pad bits set -> 0b11111101
         vals = np.array([[0.5, -0.2, 0.0]], dtype=np.float32)
-        assert modelio._pack_rows(vals) == bytes([0b11111101])
+        assert modelio._pack_weight(vals) == bytes([0b11111101])
 
     def test_rows_padded_independently(self):
         vals = np.array([[1.0, -1.0, -1.0], [-1.0, -1.0, 1.0]],
                         dtype=np.float32)
-        blob = modelio._pack_rows(vals)
+        blob = modelio._pack_weight(vals)
         assert blob == bytes([0b11111001, 0b11111100])
 
     def test_unpack_inverse(self):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((5, 37)).astype(np.float32)
-        blob = modelio._pack_rows(vals)
-        out = modelio._unpack_rows(blob, (5, 37))
+        blob = modelio._pack_weight(vals)
+        out = modelio._unpack_weight(blob, (5, 37))
         assert np.array_equal(out, np.where(vals >= 0, 1.0, -1.0))
 
     def test_multibyte_lsb_first(self):
         vals = -np.ones((1, 9), dtype=np.float32)
         vals[0, 8] = 1.0  # only bit 8 set -> second byte LSB
-        assert modelio._pack_rows(vals) == bytes([0x00, 0b11111111])
+        assert modelio._pack_weight(vals) == bytes([0x00, 0b11111111])
+
+    def test_nan_binary_weight_is_refused(self, tmp_path):
+        """A NaN latent weight has no sign to store: save raises, as every
+        sign does, and writes no file."""
+        model = arch.build_lenet(seed=1)
+        next(p for p in model.params() if p.binary).value.flat[7] = np.nan
+        path = tmp_path / "m.bnn"
+        with pytest.raises(NumericError):
+            modelio.save(model, str(path))
+        assert not path.exists()
 
 
 class TestCorruption:

@@ -12,9 +12,9 @@ from bnn.autodiff import Slot, Tape
 from bnn.data import Dataset
 from bnn.errors import NumericError
 from bnn.layers import BatchNorm, MaxPool2d
-from bnn.plan import InferencePlan, Thresholds, _or_pool, bn_thresholds
+from bnn.plan import InferencePlan, Thresholds, bn_thresholds
 
-from conftest import numpy_kernels
+from conftest import numpy_kernels, packed_signs
 
 MODELS = [
     ("lenet", dict(scaling_mode="N")),
@@ -72,7 +72,7 @@ def test_plan_matches_graph_bit_for_bit(spec, kw):
     for nid, b in bits.items():
         v = values[nid]
         v = v.reshape(v.shape + (1, 1)) if v.ndim == 2 else v
-        np.testing.assert_array_equal(b, bittensor.pack_channels(v))
+        np.testing.assert_array_equal(b, bittensor.pack_signs(v))
 
 
 def _graph_evaluate(model, ds, batch_size):
@@ -176,6 +176,9 @@ def test_thresholds_agree_with_batchnorm(channels, xs):
     bn.running_mean[:], bn.running_var[:] = mean, var
     th = bn_thresholds(bn)  # any RuntimeWarning fails the test
     assert th is not None  # finite parameters, var >= 0
+    flip = np.unpackbits(th.flip, bitorder="little").astype(bool)
+    lo, hi = (np.full(len(channels), v, np.float32) if b is None else b
+              for b, v in ((th.lo, -np.inf), (th.hi, np.inf)))
     for c in range(len(channels)):
         t = th.thr[c]
         probes = [0.0, -0.0, np.inf, -np.inf, mean[c], *xs]
@@ -183,19 +186,19 @@ def test_thresholds_agree_with_batchnorm(channels, xs):
             with np.errstate(over="ignore"):  # below the least finite float
                 below = np.nextafter(t, np.float32(-np.inf))
             probes += [t, below]
-            if th.lo[c] <= below and t <= th.hi[c]:
+            if lo[c] <= below and t <= hi[c]:
                 col = np.zeros((2, len(channels)), np.float32)
                 col[:, c] = [below, t]
                 y = _oracle(bn, col)[:, c]
-                assert (y[0] >= 0) == th.flip[c] and (y[1] >= 0) != th.flip[c]
+                assert (y[0] >= 0) == flip[c] and (y[1] >= 0) != flip[c]
         col = np.zeros((len(probes), len(channels)), np.float32)
         col[:, c] = probes
         y = _oracle(bn, col)[:, c]
         x = col[:, c]
-        inside = (x >= th.lo[c]) & (x <= th.hi[c])
+        inside = (x >= lo[c]) & (x <= hi[c])
         np.testing.assert_array_equal(np.isnan(y), ~inside)
         np.testing.assert_array_equal((y >= 0)[inside],
-                                      ((x >= t) != th.flip[c])[inside])
+                                      ((x >= t) != flip[c])[inside])
 
 
 def test_zero_gamma_is_a_constant_channel_with_nan_tails():
@@ -203,9 +206,12 @@ def test_zero_gamma_is_a_constant_channel_with_nan_tails():
     bn.gamma.value[:] = [0.0, 0.0]
     bn.beta.value[:] = [0.5, -0.5]
     th = bn_thresholds(bn)
-    assert np.all(th.thr == -np.inf) and list(th.flip) == [False, True]
+    assert np.all(th.thr == -np.inf) and th.flip.tolist() == [0b10]
     # 0 * inf: the graph would hand sign a NaN, so the plan raises there
     assert np.all(np.isfinite(th.lo)) and np.all(np.isfinite(th.hi))
+    bn.gamma.value[:] = [1.0, -1.0]  # no NaN anywhere: no bounds to check
+    th = bn_thresholds(bn)
+    assert th.lo is None and th.hi is None and th.flip.tolist() == [0b10]
 
 
 def test_batchnorm_nan_at_its_mean_is_not_folded():
@@ -229,16 +235,8 @@ def _random_thresholds(rng, c):
     bounded[0] = True
     lo = np.where(bounded, np.float32(-3), np.float32(-np.inf)).astype(np.float32)
     hi = np.where(bounded, np.float32(3), np.float32(np.inf)).astype(np.float32)
-    return Thresholds(thr=thr, flip=rng.random(c) < 0.4, lo=lo, hi=hi)
-
-
-def _bits_reference(x, th, k, s):
-    """pack -> _or_pool -> XOR flip over the rows and columns some window
-    covers, the steps the fused bits step replaces."""
-    h, w = x.shape[2:]
-    x = x[:, :, : (h - k) // s * s + k, : (w - k) // s * s + k]
-    b = _or_pool(bittensor.pack_channels(x, th.thr), k, s)
-    return b ^ np.packbits(th.flip, bitorder="little")
+    return Thresholds(thr=thr, flip=np.packbits(rng.random(c) < 0.4, bitorder="little"),
+                      lo=lo, hi=hi)
 
 
 def _bits_both_ways(step, x):
@@ -273,7 +271,7 @@ def test_fused_bits_step_equals_pack_pool_flip(k, s, hw, c):
         x[1, :, hc:] = np.nan
     if wc < w:
         x[2, 0, :, wc:] = 100.0
-    ref = _bits_reference(x, th, k, s)
+    ref = packed_signs(x, **vars(th), pool=(k, s))
     native, twin = _bits_both_ways(step, x)
     assert native.tobytes() == twin.tobytes() == ref.tobytes()
     assert native.shape == ((3, (h - k) // s + 1, (w - k) // s + 1, -(-c // 8)))
@@ -291,8 +289,8 @@ def test_bits_step_without_pool_or_thresholds(c):
     rng = np.random.default_rng(c)
     th = _random_thresholds(rng, c)
     x = np.clip(rng.normal(0, 1, (4, c)), -2.9, 2.9).astype(np.float32)
-    for t, ref in ((th, _bits_reference(x[:, :, None, None], th, 1, 1)),
-                   (None, bittensor.pack_channels(x[:, :, None, None]))):
+    for t, ref in ((th, packed_signs(x[:, :, None, None], **vars(th))),
+                   (None, packed_signs(x[:, :, None, None]))):
         native, twin = _bits_both_ways(InferencePlan._bits_step(t, None, "bn"), x)
         assert native.tobytes() == twin.tobytes() == ref.tobytes()
     x[3, c - 1] = np.nan

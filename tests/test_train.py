@@ -206,6 +206,21 @@ class TestEvaluate:
         top1, _, _ = evaluate(model, te)
         assert top1 < 0.4  # untrained: near 0.1, generous band
 
+    def test_empty_split_is_named(self):
+        """A Dataset of no images raises ValueError naming its split,
+        before any training step changes the model."""
+        tr, te = tiny_pair()
+        empty = make_synth_dataset(0, seed=3, split="test")
+        model = arch.build_lenet(seed=0)
+        before = [p.value.copy() for p in model.params()]
+        with pytest.raises(ValueError, match="the test split holds no images"):
+            evaluate(model, empty)
+        with pytest.raises(ValueError, match="the test split holds no images"):
+            train(model, tr, empty, quick_cfg())
+        with pytest.raises(ValueError, match="the train split holds no images"):
+            train(model, make_synth_dataset(0), te, quick_cfg())
+        assert all(np.array_equal(a, p.value) for a, p in zip(before, model.params()))
+
     def test_top5_nan_below_five_classes(self):
         te = make_synth_dataset(40, class_count=3, seed=4, split="test")
         model = arch.build_lenet(num_classes=3, seed=0)
