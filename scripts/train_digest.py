@@ -4,20 +4,24 @@
 Each digest covers STEPS (3) Adam steps: per step the loss and every
 parameter gradient, then, after the step, every parameter and BatchNorm
 buffer.  The models are LeNet (scaling modes N and FB, and N with weight
-decay), a CIFAR-preset densenet:k=16,b=2 and a CIFAR-preset resnet18 at
-batch 2, trained on seeded synthetic batches.  A second line per model,
-"<label> plan: <digest>", covers the logits its plan.InferencePlan gives
-for PLAN_IMAGES seeded images.  After those ten lines, one
-"<label> file: <digest>" line per model covers the bytes modelio.save
-writes for it after the steps, its packed sign bits among them.  The
-native kernels and their numpy twins give the same bytes, so the two
-commands
+decay), a CIFAR-preset densenet:k=16,b=2, a CIFAR-preset resnet18 at
+batch 2 and a CIFAR-preset densenet:k=12,b=1, whose binary convs see
+channel counts that are not multiples of 8, trained on seeded synthetic
+batches.  A second line per model, "<label> plan: <digest>", covers the
+logits its plan.InferencePlan gives for PLAN_IMAGES seeded images.  After
+those twelve lines, one "<label> file: <digest>" line per model covers
+the bytes modelio.save writes for it after the steps, its packed sign
+bits among them.  The native kernels and their numpy twins give the same
+bytes, so the three commands
 
     python scripts/train_digest.py
     CC=false XDG_CACHE_HOME="$(mktemp -d)" python scripts/train_digest.py
+    MALLOC_PERTURB_=165 python scripts/train_digest.py
 
 must print the same lines; the second runs the numpy code, because the
-empty cache holds no compiled kernels and CC=false cannot build them.
+empty cache holds no compiled kernels and CC=false cannot build them, and
+the third fills fresh heap memory with a byte pattern, so a kernel that
+leaves part of its output unwritten changes a digest.
 
 Usage: python scripts/train_digest.py
 """
@@ -46,6 +50,8 @@ RUNS = [
     ("lenet N weight_decay=0.01", "lenet", "N", None, (1, 28, 28), 16, 0.01),
     # stride-2 binary convs, 1x1 qproj convs and residual_add
     ("resnet18", "resnet18", "N", "cifar", (3, 32, 32), 2, 0.0),
+    # binary convs over 24, 33, 36, 45 and 57 channels: C % 8 != 0
+    ("densenet:k=12,b=1", "densenet:k=12,b=1", "N", "cifar", (3, 32, 32), 4, 0.0),
 ]
 
 

@@ -8,6 +8,11 @@
  * gather_patches: sign bits packed along channels as one word-padded row
  *             of packed patch bytes per output pixel, im2col of the
  *             0xFF-padded bytes copied into whole words.
+ * unpack_patches: the same sign bits as the +-1 float32 patch matrix of
+ *             the weight gradient, im2col of the unpacked +1-padded signs:
+ *             each image decoded once, a byte through a table of 8 floats.
+ * transpose:  float32 (n, a, b) as (n, b, a) in 16 x 16 tiles, every
+ *             channels-first <-> channels-last copy of the binary path.
  * col2im_add: the adjoint of im2col, adding float32 patch gradients into
  *             a float64 channels-last buffer in kernel-offset (i, j) order.
  * col2im_store: that buffer, padding dropped, as the float32 NCHW input
@@ -36,6 +41,11 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+/* Each kernel starts on a 64-byte line, so its speed does not move with the
+ * size of the code before it: a 16-byte shift of gather_patches, from one
+ * more entry in the library's call table, made it 20% slower. */
+#define KERNEL __attribute__((aligned(64)))
 
 #ifdef __AVX512VPOPCNTDQ__
 #include <immintrin.h>
@@ -103,6 +113,7 @@ xnor_rows(const uint64_t *a, const uint64_t *bw, float *out, int rows,
 
 /* R_BLOCK rows of a at a time, each word of bw loaded once per row block
  * and column block, then the last m % R_BLOCK rows as one smaller block */
+KERNEL
 void xnor_gemm(const uint64_t *a, const uint64_t *bw, float *out,
                int64_t m, int64_t n, int64_t wpr, int64_t k)
 {
@@ -128,6 +139,7 @@ void xnor_gemm(const uint64_t *a, const uint64_t *bw, float *out,
  * 32-bit counts stay in L1 while every word of the tile's bw columns is
  * read, and N has no upper limit.  The inner loop runs along N, so the
  * compiler vectorises the popcount. */
+KERNEL
 void xnor_gemm(const uint64_t *a, const uint64_t *bw, float *out,
                int64_t m, int64_t n, int64_t wpr, int64_t k)
 {
@@ -174,6 +186,7 @@ static inline void copy_run(uint8_t *restrict dst, const uint8_t *restrict src, 
  * output pixel's row is its patch of the input padded by p pixels of 0xFF
  * bytes (+1), in im2col's (ki, kj, c) order: kh runs of kw * cb bytes,
  * then 0xFF bytes to the end of the row. */
+KERNEL
 void gather_patches(const uint8_t *bits, uint8_t *out, int64_t nb, int64_t h,
                     int64_t w, int64_t cb, int64_t kh, int64_t kw, int64_t s,
                     int64_t p, int64_t row)
@@ -206,10 +219,54 @@ void gather_patches(const uint8_t *bits, uint8_t *out, int64_t nb, int64_t h,
             }
 }
 
+/* bits is uint8 (nb, h, w, cb), cb >= ceil(c / 8), and out float32
+ * (nb * oh * ow, kh * kw * c), oh and ow as in gather_patches.  Each image
+ * is decoded, a byte at a time through a table of its 8 signs, into plane,
+ * scratch for its (h + 2p, w + 2p, c) floats, padded with +1; each output
+ * row is then kh runs of kw * c floats of plane, im2col's (ki, kj, c)
+ * order.  A 1 x 1 kernel at stride 1 and no padding decodes straight into
+ * out, whose rows are then the pixels. */
+KERNEL
+void unpack_patches(const uint8_t *bits, float *out, float *plane, int64_t nb,
+                    int64_t h, int64_t w, int64_t cb, int64_t c, int64_t kh,
+                    int64_t kw, int64_t s, int64_t p)
+{
+    const int64_t hp = h + 2 * p, wp = w + 2 * p, oh = (hp - kh) / s + 1,
+                  ow = (wp - kw) / s + 1, run = kw * c, used = (c + 7) / 8,
+                  tail = c - 8 * (used - 1);
+    const int direct = kh == 1 && kw == 1 && s == 1 && p == 0;
+    float table[256][8];
+    for (int v = 0; v < 256; v++)
+        for (int b = 0; b < 8; b++)
+            table[v][b] = (v >> b) & 1 ? 1.0f : -1.0f;
+    if (!direct)
+        for (int64_t q = 0; q < hp * wp * c; q++)
+            plane[q] = 1.0f;
+    for (int64_t i = 0; i < nb; i++, bits += h * w * cb) {
+        float *pl = direct ? out + i * h * w * c : plane;
+        for (int64_t y = 0; y < h; y++)
+            for (int64_t x = 0; x < w; x++) {
+                const uint8_t *src = bits + (y * w + x) * cb;
+                float *dst = pl + ((y + p) * wp + x + p) * c;
+                for (int64_t j = 0; j + 1 < used; j++, dst += 8)
+                    memcpy(dst, table[src[j]], sizeof table[0]);
+                memcpy(dst, table[src[used - 1]], tail * sizeof(float));
+            }
+        if (direct)
+            continue;
+        for (int64_t py = 0; py < oh; py++)
+            for (int64_t px = 0; px < ow; px++, out += kh * run)
+                for (int64_t k = 0; k < kh; k++)
+                    memcpy(out + k * run, plane + ((py * s + k) * wp + px * s) * c,
+                           run * sizeof(float));
+    }
+}
+
 /* g is (nb, oh, ow, kh, kw, c), acc is (nb, h, w, c).  Each acc row
  * gathers its patches' entries in (i, j) order, the order of col2im's
  * strided slice adds, so every float64 sum is the same; the row stays
  * in cache across its kh*kw adds. */
+KERNEL
 void col2im_add(const float *g, double *acc, int64_t nb, int64_t h,
                 int64_t w, int64_t c, int64_t oh, int64_t ow, int64_t kh,
                 int64_t kw, int64_t stride)
@@ -234,14 +291,42 @@ void col2im_add(const float *g, double *acc, int64_t nb, int64_t h,
         }
 }
 
-/* Pixels and channels per tile of col2im_store */
+/* Pixels and channels per tile of col2im_store, rows and columns per tile
+ * of transpose */
 #define S_TILE 16
+
+/* x is float32 (n, a, b) and out (n, b, a), its last two axes swapped.  A
+ * tile of S_TILE rows by S_TILE columns is read along b and written along
+ * a, so both sides use whole cache lines; full tiles have constant bounds,
+ * so the compiler unrolls them. */
+KERNEL
+void transpose(const float *x, float *out, int64_t n, int64_t a, int64_t b)
+{
+    for (int64_t i = 0; i < n; i++, x += a * b, out += a * b)
+        for (int64_t r0 = 0; r0 < a; r0 += S_TILE)
+            for (int64_t c0 = 0; c0 < b; c0 += S_TILE) {
+                const float *src = x + r0 * b + c0;
+                float *dst = out + c0 * a + r0;
+                if (a - r0 >= S_TILE && b - c0 >= S_TILE) {
+                    for (int64_t j = 0; j < S_TILE; j++)
+                        for (int64_t k = 0; k < S_TILE; k++)
+                            dst[j * a + k] = src[k * b + j];
+                    continue;
+                }
+                const int64_t nr = a - r0 < S_TILE ? a - r0 : S_TILE,
+                              nc = b - c0 < S_TILE ? b - c0 : S_TILE;
+                for (int64_t j = 0; j < nc; j++)
+                    for (int64_t k = 0; k < nr; k++)
+                        dst[j * a + k] = src[k * b + j];
+            }
+}
 
 /* acc is (nb, h + 2p, w + 2p, c), x (may be NULL) and out (nb, c, h, w).
  * A tile of S_TILE interior pixels by S_TILE channels is read along c
  * and written along the pixels, so both sides use whole cache lines.
  * The float32 rounding, then the float32 comparison of |x| with t_clip
  * (numpy's, as sign_backward does it), give sign_backward's bytes. */
+KERNEL
 void col2im_store(const double *acc, const float *x, float *out, int64_t nb,
                   int64_t h, int64_t w, int64_t c, int64_t p, double t_clip)
 {
@@ -335,6 +420,7 @@ static inline void row_grad(double *a, double *b, const float *x, const float *g
 /* Without g: s0 = sum x, s1 = sum (x - s0 / m)^2, m = n * hw, the two
  * passes over a channel while it is in cache.  With g: s0 = sum g,
  * s1 = sum g * xhat, xhat = (x - mean) * inv_std in float32. */
+KERNEL
 void bn_sums(const float *x, const float *g, const float *mean,
              const float *inv_std, double *s0, double *s1, int64_t n,
              int64_t c, int64_t hw)
@@ -381,6 +467,7 @@ void bn_sums(const float *x, const float *g, const float *mean,
     }
 }
 
+KERNEL
 void bn_normalize(const float *x, const float *mean, const float *inv_std,
                   const float *gamma, const float *beta, float *y, int64_t n,
                   int64_t c, int64_t hw)
@@ -401,6 +488,7 @@ void bn_normalize(const float *x, const float *mean, const float *inv_std,
 
 /* k, sg and sgx are per channel: gamma * inv_std / m, sum g and
  * sum g * xhat, each rounded to float32 */
+KERNEL
 void bn_grad_input(const float *x, const float *g, const float *mean,
                    const float *inv_std, const float *k, const float *sg,
                    const float *sgx, float *gx, int64_t n, int64_t c, int64_t hw)
@@ -430,6 +518,7 @@ void bn_grad_input(const float *x, const float *g, const float *mean,
  * channel along the pixels, so the reads run along x and vectorise, and
  * then ORed over the windows.  Returns 1 if a value read is NaN or outside
  * [lo[ch], hi[ch]] (if lo and hi), else 0. */
+KERNEL
 int pack_signs(const float *x, const float *thr, const float *lo, const float *hi,
                const uint8_t *flip, uint8_t *out, uint8_t *restrict plane, int64_t n,
                int64_t c, int64_t h, int64_t w, int64_t k, int64_t s)
@@ -513,7 +602,7 @@ pool_grad_row(const float *x, const float *y, const float *g, float *gx,
  * inputs of the window (0 * g: NaN where g is) and in the cropped rows and
  * columns; a window whose maximum is NaN matches no input.  s = 1, 2 and 3
  * are compiled with s constant. */
-SHORT_VECTORS
+KERNEL SHORT_VECTORS
 void maxpool_grad(const float *x, const float *y, const float *g, float *gx,
                   int64_t planes, int64_t h, int64_t w, int64_t s)
 {
@@ -544,6 +633,7 @@ void maxpool_grad(const float *x, const float *y, const float *g, float *gx,
  * m = b1 * m + c1 * g and v = b2 * v + (c2 * g) * g, then
  * value -= ((m / bias1) * lr) / (sqrt(v / bias2) + eps), clipped to
  * [-1, 1] if clip, NaN kept. */
+KERNEL
 void adam_step(float *value, const float *grad, float *m, float *v, int64_t n,
                float c1, float b1, float c2, float b2, float bias1, float bias2,
                float lr, float eps, float wd, int32_t decay, int32_t clip)

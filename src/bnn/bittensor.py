@@ -70,6 +70,8 @@ def native_kernels():
             ptr, i64, f32, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_float, ctypes.c_int32
             for name, args in (("xnor_gemm", [ptr] * 3 + [i64] * 4),
                                ("gather_patches", [ptr] * 2 + [i64] * 9),
+                               ("unpack_patches", [ptr] * 3 + [i64] * 9),
+                               ("transpose", [ptr] * 2 + [i64] * 3),
                                ("col2im_add", [ptr] * 2 + [i64] * 9),
                                ("col2im_store", [ptr] * 3 + [i64] * 5 + [ctypes.c_double]),
                                ("bn_sums", [ptr] * 6 + [i64] * 3),
@@ -232,12 +234,12 @@ def from_row_bytes(row_bytes: np.ndarray) -> BitTensor:
 
 
 def unpack_signs(row_bytes: np.ndarray, n: int) -> np.ndarray:
-    """Expand (rows, nbytes) LSB-first packed bytes into float32 (rows, n).
+    """Expand (..., nbytes) LSB-first packed bytes into float32 (..., n).
 
     Accepts the byte view of pack's words or any byte prefix of it that
     covers n bits.
     """
-    bits = np.unpackbits(row_bytes, axis=1, count=n, bitorder="little")
+    bits = np.unpackbits(row_bytes, axis=-1, count=n, bitorder="little")
     return bits.astype(np.float32) * 2.0 - 1.0
 
 
@@ -303,7 +305,7 @@ def binary_gemm(a: BitTensor, b: BitTensor) -> np.ndarray:
                       m, n_out, a.words_per_row, k)
         return out
     aw = np.ascontiguousarray(a.row_words().T)
-    block = min(m, _ROW_BLOCK)
+    block = max(1, min(m, _ROW_BLOCK))  # m = 0 for a batch of no images
     diff = np.empty((block, n_out), dtype=np.uint64)
     count = np.empty((block, n_out), dtype=np.int32)
     for start in range(0, m, block):

@@ -25,10 +25,12 @@ word-padded patch rows (patch_rows: the native gather_patches, or im2col
 of the 0xFF-padded bytes) and multiplied with weight_bits, which packs
 the weight with pack_signs too, by bittensor.binary_gemm; when
 C % 8 != 0 the 1-pad bits of each kernel position add +1 each, in both
-operands, and are subtracted.  The +-1 float patches exist only in
-backward, for the weight gradient.  QDense is a QConv2d whose binarized
-input runs this 1x1 path over (N, F, 1, 1), where col2im needs no
-float64 accumulator; its weight stays (O, F).
+operands, and are subtracted; swap_axes, every channels-first <->
+channels-last copy of the binary path, gives NCHW.  The +-1 float
+patches exist only in backward, for the weight gradient
+(unpack_patches).  QDense is a QConv2d whose binarized input runs this
+1x1 path over (N, F, 1, 1), where col2im needs no float64 accumulator;
+its weight stays (O, F).
 
 A convolution with a float input (the stem) gathers pixel-innermost
 patches, (N, kh*kw*C, OH*OW) in the same (ki, kj, c) order, so one
@@ -244,15 +246,44 @@ def patch_rows(bits, kh, kw, stride, padding) -> bittensor.BitTensor:
     return bittensor.BitTensor(shape=(m, 8 * kh * kw * cb), words=rows.reshape(-1).view("<u8"))
 
 
+def unpack_patches(bits, c, kh, kw, stride, padding) -> np.ndarray:
+    """im2col's rows of c channels' (N, H, W, bytes) sign bits padded with +1
+    pixels, as +-1 float32: the native unpack_patches, else its oracle."""
+    lib = bittensor.native_kernels()
+    if not lib:
+        return im2col(bittensor.unpack_signs(_pad_bits(bits, padding), c), kh, kw, stride)
+    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    n, h, w, cb = bits.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    m = n * ((hp - kh) // stride + 1) * ((wp - kw) // stride + 1)
+    out, plane = np.empty((m, kh * kw * c), np.float32), np.empty(hp * wp * c, np.float32)
+    lib.unpack_patches(bits.ctypes.data, out.ctypes.data, plane.ctypes.data, n, h, w, cb, c,
+                       kh, kw, stride, padding)
+    return out
+
+
+def swap_axes(x: np.ndarray) -> np.ndarray:
+    """(n, a, b) x as a C-contiguous (n, b, a): the native 16 x 16 tile
+    transpose for float32 x, else its twin, which copies nothing at a or b = 1."""
+    n, a, b = x.shape
+    lib = a > 1 and b > 1 and bittensor.native_float32(x)
+    if not lib:
+        return np.ascontiguousarray(x.transpose(0, 2, 1))
+    out = np.empty((n, b, a), np.float32)
+    lib.transpose(x.ctypes.data, out.ctypes.data, n, a, b)
+    return out
+
+
 def binary_conv(bits, w_bits, kh, kw, stride, padding, c):
-    """(N*OH*OW, O) exact float32 sums of the +-1 convolution of sign bits
+    """(N, O, OH, OW) exact float32 sums of the +-1 convolution of sign bits
     packed along c channels, (N, H, W, ceil(c/8)) bytes, with weight_bits,
     less the 1-pad bits of each kernel position, which add +1 each."""
+    (n, h, w, _), (o, k) = bits.shape, w_bits.shape
+    oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
     y = bittensor.binary_gemm(patch_rows(bits, kh, kw, stride, padding), w_bits)
-    pad_bits = w_bits.shape[1] - kh * kw * c
-    if pad_bits:
-        y -= pad_bits
-    return y
+    if k > kh * kw * c:
+        y -= k - kh * kw * c
+    return swap_axes(y.reshape(n, oh * ow, o)).reshape(n, o, oh, ow)
 
 
 class QConv2d(Layer):
@@ -311,23 +342,16 @@ class QConv2d(Layer):
         kh, kw = cfg.kernel
         c, o, s, p = cfg.in_channels, cfg.out_channels, cfg.stride, cfg.padding
         n, _, h, w = xv.shape
-        hp, wp = h + 2 * p, w + 2 * p
-        oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
+        oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
         weight = self.weight.value.reshape(o, c, kh, kw)
         # (O, C, kh, kw) -> (O, kh*kw*C), matching the im2col column order
-        w_flat = weight.transpose(0, 2, 3, 1).reshape(o, -1)
+        w_flat = swap_axes(weight.reshape(o, c, kh * kw)).reshape(o, -1)
         wb = autodiff.sign_forward(w_flat) if self.binary else w_flat
         if cfg.binarize_input:
             # sign bits packed along C (a NaN raises).  The input itself is
             # kept: backward applies sign's STE to it
             bits = bittensor.pack_signs(xv)
-            out_mat = binary_conv(bits, weight_bits(weight), kh, kw, s, p, c)
-            y = out_mat.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
-
-            def float_cols():  # packed patches are rebuilt as +-1 floats
-                padded = _pad_bits(bits, p)
-                signs = bittensor.unpack_signs(padded.reshape(n * hp * wp, -1), c)
-                return im2col(signs.reshape(n, hp, wp, c), kh, kw, s)
+            y = binary_conv(bits, weight_bits(weight), kh, kw, s, p, c)
         else:
             # pixel-innermost patches: one batched GEMM writes NCHW directly
             xp = np.pad(xv, ((0, 0), (0, 0), (p, p), (p, p))) if p else xv
@@ -337,26 +361,24 @@ class QConv2d(Layer):
         alpha = self._alpha()
         if alpha is not None and cfg.scaling_mode == "FB":
             y = y * alpha
-        y = np.ascontiguousarray(y)
         out = Slot(y.reshape(y.shape[: x.value.ndim]), name=self.name)
 
         def backward_fn(g_y):
-            g_y = g_y.reshape(n, o, oh, ow)
+            g_y = g_y.reshape(n, o, oh * ow)
             g_x = None
             if x.requires_grad or cfg.binarize_input:
-                g_mat = np.ascontiguousarray(g_y.transpose(0, 2, 3, 1)).reshape(-1, o)
+                g_mat = swap_axes(g_y).reshape(n * oh * ow, o)
             if x.requires_grad:  # False for the image batch
                 # activation gradient, through sign's STE for a binary
                 # input: never scaled by alpha
                 g_x = col2im(g_mat, wb, (n, c, h, w), kh, kw, s, p,
-                             xv if cfg.binarize_input else None, self.ste)
-                g_x = g_x.reshape(x.value.shape)
+                             xv if cfg.binarize_input else None, self.ste).reshape(x.value.shape)
             # weight gradient through the weight-sign STE, summed in n*P order
-            if cfg.binarize_input:
-                g_wb = g_mat.T @ float_cols()
+            if cfg.binarize_input:  # the packed patches rebuilt as +-1 floats
+                g_wb = g_mat.T @ unpack_patches(bits, c, kh, kw, s, p)
             else:
-                g_wb = np.tensordot(g_y.reshape(n, o, -1), cols, ((0, 2), (0, 2)))
-            g_wb = np.ascontiguousarray(g_wb.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+                g_wb = np.tensordot(g_y, cols, ((0, 2), (0, 2)))
+            g_wb = swap_axes(g_wb.reshape(o, kh * kw, c))
             return (g_x, self._weight_grad(g_wb.reshape(self.weight.value.shape), alpha))
 
         return tape.record(out, (x, self.weight), backward_fn)
@@ -759,7 +781,7 @@ class Flatten(Layer):
 
     def forward(self, tape, x, training=True):
         shape = x.value.shape
-        out = Slot(x.value.reshape(shape[0], -1), name=self.name)
+        out = Slot(x.value.reshape(shape[0], np.prod(shape[1:], dtype=int)), name=self.name)
 
         def backward_fn(g_y):
             return (g_y.reshape(shape),)

@@ -293,13 +293,9 @@ class InferencePlan:
         alpha = compute_scaling_factor(layer.weight.value) if cfg.scaling_mode == "FB" else None
 
         def step(xb):
-            xb = xb.reshape(len(xb), 1, kw, -1) if dense else xb
-            n, h, w, _ = xb.shape
+            xb = xb.reshape(len(xb), 1, kw, xb.shape[-1]) if dense else xb
             y = layers.binary_conv(xb, w_bits, kh, kw, s, p, c)
-            y = y.reshape(n, (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1, o)
-            y = y.transpose(0, 3, 1, 2)
             if alpha is not None:
                 y = y * alpha
-            y = np.ascontiguousarray(y)
-            return y.reshape(n, o) if dense else y
+            return y.reshape(len(y), o) if dense else y
         return step

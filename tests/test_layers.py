@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bnn import arch, autodiff, bittensor, layers, train
@@ -27,6 +27,8 @@ from bnn.layers import (
     im2col,
     patch_rows,
     residual_add,
+    swap_axes,
+    unpack_patches,
 )
 
 from conftest import kernel_calls, numpy_kernels
@@ -417,6 +419,58 @@ def test_patch_rows_match_im2col_of_padded_bits(c, kh, kw, stride, padding, dh, 
     assert got.shape == want.shape
     assert got.words.dtype == want.words.dtype
     assert got.words.tobytes() == want.words.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([1, 7, 8, 9, 33, 64]), st.integers(1, 5), st.integers(1, 5),
+       st.integers(1, 3), st.integers(0, 2), st.integers(0, 6), st.integers(0, 6),
+       st.sampled_from([0, 1, 3]), st.integers(0, 2 ** 32 - 1))
+@example(64, 1, 1, 1, 0, 0, 0, 3, 0)  # one pixel, decoded straight into the rows
+@example(9, 3, 3, 2, 1, 0, 0, 3, 0)  # one pixel in a padded window
+@example(33, 3, 3, 1, 1, 4, 6, 0, 0)  # no images
+def test_unpack_patches_match_im2col_of_unpacked_bits(c, kh, kw, stride, padding, dh, dw,
+                                                      n, seed):
+    """The native unpack writes the bytes of im2col of the +-1 floats of the
+    +1-padded sign bits, for every C % 8, stride and pad, and for n = 0."""
+    rng = np.random.default_rng(seed)
+    h, w = max(1, kh - 2 * padding) + dh, max(1, kw - 2 * padding) + dw
+    bits = bittensor.pack_signs(rng.standard_normal((n, c, h, w)).astype(np.float32))
+    signs = bittensor.unpack_signs(layers._pad_bits(bits, padding), c)  # (N, HP, WP, c)
+    want = im2col(signs, kh, kw, stride)
+    for kernels in (numpy_kernels, kernel_calls):  # the second skips without a compiler
+        with kernels() as calls:
+            got = unpack_patches(bits, c, kh, kw, stride, padding)
+        assert calls in (None, ["unpack_patches"])
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+@example(2, 37, 19, 0)  # both sides off multiples of 16
+@example(0, 17, 33, 0)
+def test_swap_axes_matches_numpy_transpose(n, a, b, seed):
+    """The native tile transpose gives np.ascontiguousarray(transpose)'s
+    bytes, full and partial tiles alike; a side of 1 copies nothing."""
+    x = np.random.default_rng(seed).standard_normal((n, a, b)).astype(np.float32)
+    want = np.ascontiguousarray(x.transpose(0, 2, 1))
+    with kernel_calls() as calls:
+        got = swap_axes(x)
+    assert calls == (["transpose"] if a > 1 and b > 1 else [])
+    assert got.flags.c_contiguous and got.dtype == np.float32 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["float64", "strided"])
+def test_swap_axes_numpy_cases(case):
+    """Non-float32 or non-contiguous input takes the numpy twin."""
+    x = np.random.default_rng(4).standard_normal((2, 17, 66))
+    x = x if case == "float64" else x.astype(np.float32)[:, :, ::2]
+    with kernel_calls() as calls:
+        got = swap_axes(x)
+    assert calls == []
+    assert got.dtype == x.dtype
+    assert got.tobytes() == np.ascontiguousarray(x.transpose(0, 2, 1)).tobytes()
 
 
 @pytest.mark.parametrize("c", [5, 44])

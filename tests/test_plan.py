@@ -112,6 +112,20 @@ def test_nan_image_raises_numeric_error():
         InferencePlan(g).run(x)
 
 
+@pytest.mark.parametrize("kernels", [contextlib.nullcontext, numpy_kernels])
+@pytest.mark.parametrize("spec,kw", [MODELS[0], MODELS[2], MODELS[4], MODELS[5]])
+def test_batch_of_no_images_gives_no_logits(spec, kw, kernels):
+    """A batch of zero images gives (0, classes) float32 logits from the
+    graph and from the plan, on the native kernels and on numpy."""
+    g = _trained_like(spec, kw)
+    x = np.zeros((0,) + g.input_shape, np.float32)
+    with kernels():
+        ref = g.forward(x, training=False).value
+        got = InferencePlan(g).run(x)
+    assert ref.shape == got.shape == (0, 10)
+    assert ref.dtype == got.dtype == np.float32
+
+
 def test_plan_sees_every_gemm_at_the_graphs_shapes(monkeypatch):
     """perfbench's exactness gate records the shapes by wrapping
     bittensor.binary_gemm; the plan must call it, as the graph does."""
