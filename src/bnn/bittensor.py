@@ -24,24 +24,28 @@ C % 8 != 0 a patch row also holds the 1-pad bits of each of its kh*kw
 pixels, in both operands; each adds +1 to the result, and
 layers.binary_conv subtracts their count.
 
-binary_gemm, the patch gather, pack_signs, layers.col2im, BatchNorm in
-training, the MaxPool2d backward and the Adam step run the C kernels of
-_kernels.c, compiled on first use with $CC -O3 -march=native
--ffp-contract=off -fno-math-errno into $XDG_CACHE_HOME/bnnkit, keyed on
-$CC and the CPU's flags too (see native_kernels); if that fails, their
-numpy code runs, with the same results.  With a vector popcount
-(AVX-512 VPOPCNTDQ) the native GEMM keeps a 6-row by 32-column block of
-counts in registers across every word; without one, its row-at-a-time
-loop is compiled, which was faster.
+binary_gemm, pack_signs and the layers' heavy passes run the C kernels of
+_kernels.c, compiled on first use (native_kernels), or else their numpy
+twins, with the same bytes.  With a vector popcount (AVX-512 VPOPCNTDQ)
+the native GEMM keeps a 6-row by 32-column block of counts in registers
+across every word; without one, its row-at-a-time loop was faster.
+
+in_parts runs the binary conv backward's heavy stages in parts, one per
+CPU, on persistent daemon threads; its first call sets numpy's bundled
+OpenBLAS to one thread, process-wide, so BLAS does not spin on the core
+the parts need.  Without such a setter, or on one CPU, it runs serially.
 """
 
 from __future__ import annotations
 
 import ctypes
+import glob
 import hashlib
 import os
+import queue
 import shlex
 import subprocess
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +99,79 @@ def native_float32(*arrays):
     lib = native_kernels()
     ok = all(a.dtype == np.float32 and a.flags.c_contiguous for a in arrays)
     return lib if lib and ok else None
+
+
+_parts = None  # parts per in_parts call, set on first use
+_split = threading.Lock()  # held while parts run: a nested or concurrent split runs whole
+_workers = []  # the job queue of each persistent worker thread
+if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
+    os.register_at_fork(after_in_child=_workers.clear)
+
+
+def openblas_threads(verb):
+    """numpy's bundled OpenBLAS {verb}_num_threads, verb "get" or "set"; or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    names = [f"{pre}_{verb}_num_threads{end}" for pre, end in
+             (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))]
+    fn = next((getattr(lib, nm) for lib in map(ctypes.CDLL, libs) for nm in names
+               if hasattr(lib, nm)), None)
+    if fn is not None:
+        fn.argtypes, fn.restype = ([], ctypes.c_int) if verb == "get" else ([ctypes.c_int], None)
+    return fn
+
+
+def split_parts():
+    """Parts per in_parts call: one per CPU this process may run on, with numpy's
+    OpenBLAS set to one thread, process-wide, on the first call; else 1."""
+    global _parts
+    if _parts is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        set_threads = openblas_threads("set") if cpus > 1 else None
+        if set_threads:
+            set_threads(1)
+        _parts = cpus if set_threads else 1
+    return _parts
+
+
+def _work(jobs):
+    while True:
+        fn, args, done = jobs.get()
+        try:
+            fn(*args)
+            fn = args = None  # hold nothing after a job: its buffers go with it
+            done.put(None)
+        except BaseException as e:
+            fn = args = None
+            done.put(e)
+
+
+def in_parts(fn, n, scratch=tuple):
+    """Run fn(lo, hi, *scratch()) over [0, n) in split_parts() contiguous
+    parts, at most n: this thread runs the first, persistent daemon threads
+    the others, and it returns once all have finished, re-raising the first
+    exception raised.  scratch() is called, and its buffers freed, in this
+    thread: a worker's malloc arena would keep what it allocates, and frees
+    in worker order would vary the heap.  A call made while another runs
+    (nested, or from a second thread) runs fn(0, n, *scratch()) here."""
+    parts = min(split_parts(), n)
+    if parts <= 1 or not _split.acquire(blocking=False):
+        return fn(0, n, *scratch()) if n > 0 else None
+    try:
+        while len(_workers) < parts - 1:
+            _workers.append(queue.SimpleQueue())
+            threading.Thread(target=_work, args=(_workers[-1],), daemon=True).start()
+        cuts, done = [n * i // parts for i in range(parts + 1)], queue.SimpleQueue()
+        bufs = [scratch() for _ in range(parts)]
+        for jobs, lo, hi, buf in zip(_workers, cuts[1:], cuts[2:], bufs[1:]):
+            jobs.put((fn, (lo, hi, *buf), done))
+        try:
+            fn(0, cuts[1], *bufs[0])
+        finally:
+            errors = [e for e in (done.get() for _ in range(parts - 1)) if e is not None]
+        if errors:
+            raise errors[0]
+    finally:
+        _split.release()
 
 
 def _library_path(cc: str) -> str:

@@ -88,6 +88,8 @@ def cmd_bench(args):
     print(f"kernel: {bittensor.kernel_status}")
     print("equality check passed: packed kernel == float reference, exact")
     print(bench.format_table(rows))
+    blas = bittensor.openblas_threads("get")
+    print(f"parts: {bittensor.split_parts()}, BLAS threads: {blas() if blas else 'unknown'}")
     return EXIT_OK
 
 

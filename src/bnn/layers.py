@@ -40,30 +40,22 @@ requires_grad=False (the image batch), so col2im never runs for it.
 
 im2col takes channels-last input of any dtype; its columns are in
 (ki, kj, c) order.  Weights stay (O, C, kh, kw), as stored in the model
-file, and flatten to match with w.transpose(0, 2, 3, 1).reshape(O, -1).
-col2im adds float32 patch gradients back with the native col2im_add
-kernel when it loads (bittensor.native_kernels), in the same order, so
-with the same sums, as its numpy strided slice adds; col2im_store then
-writes them as the float32 NCHW gradient of the unpadded input, masked
-by the STE for a binary layer's input, with the bytes that slicing and
-sign_backward give in numpy (which runs when x or the gradient is not
-float32).
+file.  col2im, its adjoint, adds the patch gradients back and stores the
+NCHW input gradient, masked by the STE for a binary layer's input: the
+native col2im_add and col2im_store for float32, else numpy's strided
+slice adds and sign_backward, with the same bytes.
 
-BatchNorm in training sees its input as (n, c, hw), hw = 1 for (N, F),
-and works in three passes, native (bn_sums, bn_normalize, bn_grad_input
-of _kernels.c) for float32 and otherwise their numpy twins, with the
-same bytes: float64 channel sums in a fixed lane order (_bn_sums_numpy,
-a cache-sized block of channels at a time), the float32 normalize, and
-an input gradient that recomputes xhat from the input, so the tape keeps
-no copy of it.  Evaluation normalizes with the running statistics in
-numpy.
+The binary conv's backward runs its three heavy stages in parts, one per
+CPU (bittensor.in_parts), each split where no sum crosses a part, so the
+bytes do not depend on the CPU count: col2im by whole blocks of images,
+unpack_patches by images, and the weight-gradient GEMM by output columns,
+in whole 16-column units of over 100^3 multiply-adds (OpenBLAS sums
+smaller GEMMs in another order).
 
-MaxPool2d's forward takes the maximum over strided slices in numpy and
-keeps no index; its backward gives each window's gradient to the first
-input, in row-major window order, equal to the maximum.  For float32
-windows with kernel = stride the native maxpool_grad finds it again from
-the input and the output in one pass, with the bytes of the numpy slices
-that run otherwise.
+BatchNorm in training works on (n, c, hw) in three passes, native for
+float32 and otherwise numpy twins with the same bytes, and keeps no
+xhat; MaxPool2d keeps no index, and its backward finds each window's
+first maximum again.  Evaluation normalizes with the running statistics.
 
 These forwards serve training and ModelGraph.forward.  Evaluation runs
 plan.InferencePlan instead: it calls the forward of every layer that is
@@ -179,22 +171,30 @@ def col2im(g_mat: np.ndarray, w: np.ndarray, x_shape: tuple, kh: int, kw: int,
     if native and x is not None:
         x = np.ascontiguousarray(x)
     step = max(1, _COL2IM_BLOCK_BYTES // (hp * wp * c * 8))
-    for b in range(0, n, step):
-        nb = min(step, n - b)
-        g = (g_mat[b * oh * ow: (b + nb) * oh * ow] @ w).reshape(nb, oh, ow, kh, kw, c)
-        acc = np.zeros((nb, hp, wp, c))
-        if native:  # same sums in the same order, the same stored bytes
-            lib.col2im_add(g.ctypes.data, acc.ctypes.data, nb, hp, wp, c, oh, ow,
-                           kh, kw, stride)
-            lib.col2im_store(acc.ctypes.data, None if x is None else x[b].ctypes.data,
-                             out[b].ctypes.data, nb, h, wd, c, p,
-                             0.0 if x is None else ste.t_clip)
-        else:
-            for i in range(kh):
-                rows = slice(i, i + stride * oh, stride)
-                for j in range(kw):
-                    acc[:, rows, j: j + stride * ow: stride] += g[:, :, :, i, j]
-            out[b: b + nb] = acc[:, p: p + h, p: p + wd].transpose(0, 3, 1, 2)
+
+    def blocks(lo, hi, g_buf, acc_buf):  # a part: whole blocks, the same GEMMs in any split
+        for b in range(lo * step, min(n, hi * step), step):
+            nb = min(step, n - b)
+            g = np.matmul(g_mat[b * oh * ow: (b + nb) * oh * ow], w, out=g_buf[: nb * oh * ow])
+            g = g.reshape(nb, oh, ow, kh, kw, c)
+            acc = acc_buf[:nb]
+            acc.fill(0)
+            if native:  # same sums in the same order, the same stored bytes
+                lib.col2im_add(g.ctypes.data, acc.ctypes.data, nb, hp, wp, c, oh, ow,
+                               kh, kw, stride)
+                lib.col2im_store(acc.ctypes.data, None if x is None else x[b].ctypes.data,
+                                 out[b].ctypes.data, nb, h, wd, c, p,
+                                 0.0 if x is None else ste.t_clip)
+            else:
+                for i in range(kh):
+                    rows = slice(i, i + stride * oh, stride)
+                    for j in range(kw):
+                        acc[:, rows, j: j + stride * ow: stride] += g[:, :, :, i, j]
+                out[b: b + nb] = acc[:, p: p + h, p: p + wd].transpose(0, 3, 1, 2)
+
+    nb0 = min(step, n)  # images in a block; each part gets a GEMM block and an accumulator
+    bittensor.in_parts(blocks, -(-n // step), lambda: (
+        np.empty((nb0 * oh * ow, w.shape[1]), np.result_type(g_mat, w)), np.empty((nb0, hp, wp, c))))
     if x is None or native:
         return out
     return autodiff.sign_backward(out, x, ste)
@@ -255,10 +255,14 @@ def unpack_patches(bits, c, kh, kw, stride, padding) -> np.ndarray:
     bits = np.ascontiguousarray(bits, dtype=np.uint8)
     n, h, w, cb = bits.shape
     hp, wp = h + 2 * padding, w + 2 * padding
-    m = n * ((hp - kh) // stride + 1) * ((wp - kw) // stride + 1)
-    out, plane = np.empty((m, kh * kw * c), np.float32), np.empty(hp * wp * c, np.float32)
-    lib.unpack_patches(bits.ctypes.data, out.ctypes.data, plane.ctypes.data, n, h, w, cb, c,
-                       kh, kw, stride, padding)
+    r = ((hp - kh) // stride + 1) * ((wp - kw) // stride + 1)  # rows per image
+    out = np.empty((n * r, kh * kw * c), np.float32)
+
+    def images(lo, hi, plane):
+        lib.unpack_patches(bits[lo].ctypes.data, out[lo * r].ctypes.data, plane.ctypes.data,
+                           hi - lo, h, w, cb, c, kh, kw, stride, padding)
+
+    bittensor.in_parts(images, n, lambda: (np.empty(hp * wp * c, np.float32),))  # a plane a part
     return out
 
 
@@ -375,7 +379,18 @@ class QConv2d(Layer):
                              xv if cfg.binarize_input else None, self.ste).reshape(x.value.shape)
             # weight gradient through the weight-sign STE, summed in n*P order
             if cfg.binarize_input:  # the packed patches rebuilt as +-1 floats
-                g_wb = g_mat.T @ unpack_patches(bits, c, kh, kw, s, p)
+                pm = unpack_patches(bits, c, kh, kw, s, p)
+                g_wb = np.empty((o, pm.shape[1]), np.result_type(g_mat, pm))
+                # in parts of whole 16-column units, each part of M*N*K over
+                # 100^3: OpenBLAS sums smaller GEMMs in another order
+                unit = 16 * (100 ** 3 // (16 * max(1, len(pm) * o)) + 1)
+                units = max(1, pm.shape[1] // unit)
+
+                def columns(lo, hi):
+                    cols = slice(unit * lo, pm.shape[1] if hi == units else unit * hi)
+                    np.matmul(g_mat.T, pm[:, cols], out=g_wb[:, cols])
+
+                bittensor.in_parts(columns, units)
             else:
                 g_wb = np.tensordot(g_y, cols, ((0, 2), (0, 2)))
             g_wb = swap_axes(g_wb.reshape(o, kh * kw, c))
@@ -628,6 +643,9 @@ class BatchNorm(Layer):
         """Batch statistics as float64 lane sums (bn_sums); the tape keeps
         x and per-channel values, and backward recomputes xhat from them."""
         v = x.value
+        if not v.size:
+            raise ShapeError(f"{self.name}: batch statistics need a value per channel, "
+                             f"got an input of shape {v.shape}")
         dt = v.dtype
         xs = np.ascontiguousarray(v).reshape(v.shape[0], self.num_features, -1)
         m = xs.shape[0] * xs.shape[2]

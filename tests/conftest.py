@@ -59,6 +59,17 @@ def kernel_calls():
         bittensor._native = saved
 
 
+@contextlib.contextmanager
+def split_in(parts):
+    """Run bittensor.in_parts with this many parts (split_parts() is one
+    per CPU, or 1)."""
+    saved, bittensor._parts = bittensor.split_parts(), parts
+    try:
+        yield
+    finally:
+        bittensor._parts = saved
+
+
 def packed_signs(x, thr=None, lo=None, hi=None, flip=None, pool=(1, 1)):
     """bittensor.pack_signs step by step, its oracle: over the rows and
     columns some window covers, NAN_INPUT (returned) for a NaN or a value

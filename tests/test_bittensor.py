@@ -7,6 +7,10 @@ packed kernel must agree exactly (integer arithmetic, no tolerance).
 import contextlib
 import os
 import re
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from bnn.bittensor import (
 )
 from bnn.errors import NumericError, ShapeError
 
-from conftest import REPO_ROOT, numpy_kernels, packed_both_ways, packed_signs
+from conftest import REPO_ROOT, numpy_kernels, packed_both_ways, packed_signs, split_in
 
 # the native xnor_gemm's rows per register block and output columns per
 # column block (with a vector popcount), and its columns per tile without
@@ -388,3 +392,130 @@ def test_pack_signs_checks_buffers_before_the_kernel_reads_them(arg):
     for kernels in (contextlib.nullcontext, numpy_kernels):
         with kernels(), pytest.raises(ShapeError):
             pack_signs(**args)
+
+
+def recorded_parts(n, parts, fn=None):
+    """The (lo, hi, thread) of each fn(lo, hi) that in_parts runs."""
+    seen = []
+
+    def part(lo, hi):
+        seen.append((lo, hi, threading.get_ident()))
+        if fn:
+            fn(lo, hi)
+
+    with split_in(parts):
+        bittensor.in_parts(part, n)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+def test_in_parts_covers_the_range_in_contiguous_parts(n, parts):
+    """min(parts, n) parts, contiguous and covering [0, n); the first runs
+    in the calling thread; n = 0 runs nothing."""
+    seen = recorded_parts(n, parts)
+    assert len(seen) == min(parts, n)
+    cuts = [0] + [hi for _, hi, _ in seen]
+    assert [(lo, hi) for lo, hi, _ in seen] == list(zip(cuts, cuts[1:]))
+    assert cuts[-1] == n and all(lo < hi for lo, hi, _ in seen)
+    assert not seen or seen[0][2] == threading.get_ident()
+
+
+def test_in_parts_nested_call_runs_whole_in_its_thread():
+    inner = []
+
+    def outer(lo, hi):
+        inner.append((recorded_parts(4, 3), threading.get_ident()))
+
+    recorded_parts(2, 2, outer)
+    assert len(inner) == 2
+    for seen, thread in inner:
+        assert seen == [(0, 4, thread)]
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_in_parts_reraises_a_part_error_after_every_part_ends(failing):
+    """A part's exception reaches the caller, from the calling thread or a
+    worker, once every part has finished; the helper works again after."""
+    ended = []
+
+    def part(lo, hi):
+        time.sleep(0.01 * (2 - lo))
+        if lo == failing:
+            raise KeyError(f"part {lo}")
+        ended.append(lo)
+
+    with split_in(3):
+        with pytest.raises(KeyError, match=f"part {failing}"):
+            bittensor.in_parts(part, 3)
+        assert sorted(ended) == [i for i in range(3) if i != failing]
+        assert len(recorded_parts(3, 3)) == 3
+
+
+def test_in_parts_workers_keep_no_buffer_of_a_job():
+    """Once in_parts returns, no thread holds the job's closure, its
+    scratch or what they reference (a worker that kept them would keep
+    their memory until its next job)."""
+    big = np.zeros(1 << 16)
+    refs = [weakref.ref(big)]
+
+    def scratch():
+        buf = np.empty(1 << 16)
+        refs.append(weakref.ref(buf))
+        return (buf,)
+
+    def part(lo, hi, buf):
+        buf[:] = big[lo]
+
+    with split_in(2):
+        bittensor.in_parts(part, 4, scratch)
+    assert len(refs) == 3
+    del part, big
+    assert [r() for r in refs] == [None] * 3
+
+
+def test_in_parts_under_thread_switches_from_two_callers():
+    """More parts than cores, a switch interval of 1 us and two Python
+    threads calling at once (one of them then runs whole): every element is
+    written by exactly one part, on every call."""
+    def caller(results):
+        for _ in range(50):
+            out = np.zeros(101, np.int64)
+
+            def part(lo, hi):
+                for i in range(lo, hi):
+                    out[i] += 1
+
+            bittensor.in_parts(part, len(out))
+            results.append(bool((out == 1).all()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with split_in(8):
+            results = [[], []]
+            threads = [threading.Thread(target=caller, args=(r,)) for r in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[True] * 50] * 2
+
+
+def test_split_parts_is_one_without_a_blas_setter_or_a_second_cpu(monkeypatch):
+    """The parts follow the CPUs only when numpy's OpenBLAS can be set to
+    one thread, and a single CPU never asks for the setter."""
+    monkeypatch.setattr(bittensor, "_parts", None)
+    monkeypatch.setattr(bittensor, "openblas_threads", lambda verb: None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert bittensor.split_parts() == 1
+    monkeypatch.setattr(bittensor, "_parts", None)
+    set_to = []
+    monkeypatch.setattr(bittensor, "openblas_threads", lambda verb: set_to.append)
+    assert bittensor.split_parts() == 3 and set_to == [1]
+    monkeypatch.setattr(bittensor, "_parts", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert bittensor.split_parts() == 1 and set_to == [1]

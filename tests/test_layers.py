@@ -31,7 +31,7 @@ from bnn.layers import (
     unpack_patches,
 )
 
-from conftest import kernel_calls, numpy_kernels
+from conftest import kernel_calls, numpy_kernels, split_in
 
 
 def conv2d_reference(x, w, stride, padding, pad_value=0.0):
@@ -440,9 +440,75 @@ def test_unpack_patches_match_im2col_of_unpacked_bits(c, kh, kw, stride, padding
     for kernels in (numpy_kernels, kernel_calls):  # the second skips without a compiler
         with kernels() as calls:
             got = unpack_patches(bits, c, kh, kw, stride, padding)
-        assert calls in (None, ["unpack_patches"])
+        # one native call per part of the images
+        assert calls is None or (set(calls) <= {"unpack_patches"}
+                                  and len(calls) <= bittensor.split_parts())
         assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def in_each_split(run):
+    """run()'s bytes with the work split in 1, 2 and 3 parts; all equal."""
+    got = []
+    for parts in (1, 2, 3):
+        with split_in(parts):
+            got.append([a.tobytes() for a in run()])
+    assert got[0] == got[1] == got[2]
+
+
+split_shapes = dict(n=st.sampled_from([0, 1, 2, 3, 5]), c=st.sampled_from([1, 5, 8, 9, 33]),
+                    k=st.sampled_from([1, 3]), stride=st.integers(1, 2),
+                    padding=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**split_shapes, images_a_block=st.sampled_from([1, 2, 1000]), ste=st.booleans())
+def test_col2im_bytes_do_not_depend_on_the_split(n, c, k, stride, padding, seed,
+                                                  images_a_block, ste):
+    """col2im splits whole blocks of images among the parts, so every GEMM
+    block and float64 sum is the same in any split, natively and in numpy."""
+    rng = np.random.default_rng(seed)
+    h, w, o = 12, 11, 64
+    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    g = rng.standard_normal((n * oh * ow, o)).astype(np.float32)
+    wb = rng.standard_normal((o, k * k * c)).astype(np.float32)
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32) if ste else None
+    saved = layers._COL2IM_BLOCK_BYTES
+    layers._COL2IM_BLOCK_BYTES = images_a_block * (h + 2 * padding) * (w + 2 * padding) * c * 8
+    try:
+        for kernels in (contextlib.nullcontext, numpy_kernels):
+            with kernels():
+                in_each_split(lambda: [col2im(g, wb, (n, c, h, w), k, k, stride, padding, x,
+                                              STEConfig(0.7))])
+    finally:
+        layers._COL2IM_BLOCK_BYTES = saved
+
+
+@settings(max_examples=40, deadline=None)
+@given(**split_shapes)
+def test_unpack_patches_bytes_do_not_depend_on_the_split(n, c, k, stride, padding, seed):
+    """The native unpack gives each part its images and its own scratch plane."""
+    rng = np.random.default_rng(seed)
+    bits = bittensor.pack_signs(rng.standard_normal((n, c, 5, 4)).astype(np.float32))
+    with kernel_calls():
+        in_each_split(lambda: [unpack_patches(bits, c, k, k, stride, padding)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(**split_shapes)
+def test_binary_conv_backward_bytes_do_not_depend_on_the_split(n, c, k, stride, padding, seed):
+    """A whole binary QConv2d backward, the input gradient and the weight
+    gradient (whose GEMM splits by columns, large enough here to split),
+    gives the same bytes in 1, 2 and 3 parts, natively and in numpy."""
+    rng = np.random.default_rng(seed)
+    layer = QConv2d(QLayerConfig(c, 64, (k, k), stride, padding), rng=rng)
+    x = ste_edge_input(rng, (n, c, 16, 15), 0.5)
+    oh, ow = (16 + 2 * padding - k) // stride + 1, (15 + 2 * padding - k) // stride + 1
+    g_y = rng.standard_normal((n, 64, oh, ow)).astype(np.float32)
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels():
+            in_each_split(lambda: (lambda y, xs, g_w: (y, xs.grad, g_w))(
+                *_step(layer.forward, layer.weight, x, g_y)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -783,6 +849,22 @@ class TestBatchNorm:
     def test_bad_ndim(self):
         with pytest.raises(ShapeError):
             BatchNorm(3).forward(Tape(), Slot(np.ones((2, 3, 4), dtype=np.float32)))
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4, 4), (0, 3), (2, 3, 0, 4)])
+    def test_training_on_no_values_raises_and_keeps_running_stats(self, shape):
+        bn = BatchNorm(3, name="bn7")
+        bn.running_mean[:], bn.running_var[:] = [1, 2, 3], [4, 5, 6]
+        before = bn.running_mean.tobytes(), bn.running_var.tobytes()
+        with pytest.raises(ShapeError, match="bn7"):
+            bn.forward(Tape(), Slot(np.zeros(shape, np.float32)), training=True)
+        assert (bn.running_mean.tobytes(), bn.running_var.tobytes()) == before
+
+    def test_lenet_training_forward_on_no_images_names_the_batchnorm(self):
+        g = arch.build_model("lenet")
+        stats = [b.tobytes() for layer in g.layers() for b in layer.buffers().values()]
+        with pytest.raises(ShapeError, match="bn0"):
+            g.forward(np.zeros((0, 1, 28, 28), np.float32), training=True)
+        assert stats == [b.tobytes() for layer in g.layers() for b in layer.buffers().values()]
 
 
 def bn_train_step(x, g_y, gamma, beta):
