@@ -12,18 +12,20 @@ logits its plan.InferencePlan gives for PLAN_IMAGES seeded images.  After
 those twelve lines, one "<label> file: <digest>" line per model covers
 the bytes modelio.save writes for it after the steps, its packed sign
 bits among them.  The native kernels and their numpy twins give the same
-bytes, so the four commands
+bytes, so the five commands
 
     python scripts/train_digest.py
     CC=false XDG_CACHE_HOME="$(mktemp -d)" python scripts/train_digest.py
     MALLOC_PERTURB_=165 python scripts/train_digest.py
     taskset -c 0 python scripts/train_digest.py
+    taskset -c 0,1 python scripts/train_digest.py
 
 must print the same lines; the second runs the numpy code, because the
 empty cache holds no compiled kernels and CC=false cannot build them, the
 third fills fresh heap memory with a byte pattern, so a kernel that
-leaves part of its output unwritten changes a digest, and the fourth runs
-the binary conv backward in one part where the first runs one per CPU.
+leaves part of its output unwritten changes a digest, and the fourth and
+fifth run every split pass (bittensor.in_parts) in one and in two parts
+where the first runs one per CPU.
 
 Usage: python scripts/train_digest.py
 """

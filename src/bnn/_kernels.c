@@ -19,7 +19,8 @@
  *             gradient; given the binary layer's input x, 0 wherever
  *             |x| > t_clip, the straight-through estimator of sign.
  * bn_sums:    BatchNorm's per-channel float64 sums in training, of x and
- *             (x - mean)^2, or of the output gradient g and g * xhat.
+ *             (x - mean)^2, or of the output gradient g and g * xhat, over
+ *             a range of the channels.
  * bn_normalize: y = gamma * ((x - mean) * inv_std) + beta in float32.
  * bn_grad_input: the input gradient k * ((m * g - sum g) - xhat * sum g xhat),
  *             with xhat recomputed from x, so no copy of it is kept.
@@ -419,37 +420,39 @@ static inline void row_grad(double *a, double *b, const float *x, const float *g
 
 /* Without g: s0 = sum x, s1 = sum (x - s0 / m)^2, m = n * hw, the two
  * passes over a channel while it is in cache.  With g: s0 = sum g,
- * s1 = sum g * xhat, xhat = (x - mean) * inv_std in float32. */
+ * s1 = sum g * xhat, xhat = (x - mean) * inv_std in float32.  Only the
+ * channels [c0, c1) of the c are summed, so that parts of the channels can
+ * run at once with each channel's sums as in one call. */
 KERNEL
 void bn_sums(const float *x, const float *g, const float *mean,
              const float *inv_std, double *s0, double *s1, int64_t n,
-             int64_t c, int64_t hw)
+             int64_t c, int64_t hw, int64_t c0, int64_t c1)
 {
     const double m = (double)(n * hw);
     if (hw == 1) {
-        for (int64_t f = 0; f < c; f++)
+        for (int64_t f = c0; f < c1; f++)
             s0[f] = s1[f] = 0.0;
         for (int64_t i = 0; i < n; i++) {
             const float *xr = x + i * c;
             if (g) {
                 const float *gr = g + i * c;
-                for (int64_t f = 0; f < c; f++) {
+                for (int64_t f = c0; f < c1; f++) {
                     s0[f] += (double)gr[f];
                     s1[f] += (double)gr[f] * (double)((xr[f] - mean[f]) * inv_std[f]);
                 }
             } else
-                for (int64_t f = 0; f < c; f++)
+                for (int64_t f = c0; f < c1; f++)
                     s0[f] += (double)xr[f];
         }
         if (!g)
             for (int64_t i = 0; i < n; i++)
-                for (int64_t f = 0; f < c; f++) {
+                for (int64_t f = c0; f < c1; f++) {
                     const double d = (double)x[i * c + f] - s0[f] / m;
                     s1[f] += d * d;
                 }
         return;
     }
-    for (int64_t ch = 0; ch < c; ch++) {
+    for (int64_t ch = c0; ch < c1; ch++) {
         double a[LANES] = {0}, b[LANES] = {0};
         if (g) {
             for (int64_t i = 0; i < n; i++)
@@ -487,13 +490,15 @@ void bn_normalize(const float *x, const float *mean, const float *inv_std,
 }
 
 /* k, sg and sgx are per channel: gamma * inv_std / m, sum g and
- * sum g * xhat, each rounded to float32 */
+ * sum g * xhat, each rounded to float32; m is the batch's n * hw, which a
+ * call on part of the images does not see */
 KERNEL
 void bn_grad_input(const float *x, const float *g, const float *mean,
                    const float *inv_std, const float *k, const float *sg,
-                   const float *sgx, float *gx, int64_t n, int64_t c, int64_t hw)
+                   const float *sgx, float *gx, int64_t n, int64_t c, int64_t hw,
+                   int64_t count)
 {
-    const float m = (float)(n * hw);
+    const float m = (float)count;
     for (int64_t i = 0; i < n; i++, x += c * hw, g += c * hw, gx += c * hw)
         if (hw == 1)
             for (int64_t f = 0; f < c; f++)

@@ -30,10 +30,13 @@ twins, with the same bytes.  With a vector popcount (AVX-512 VPOPCNTDQ)
 the native GEMM keeps a 6-row by 32-column block of counts in registers
 across every word; without one, its row-at-a-time loop was faster.
 
-in_parts runs the binary conv backward's heavy stages in parts, one per
-CPU, on persistent daemon threads; its first call sets numpy's bundled
-OpenBLAS to one thread, process-wide, so BLAS does not spin on the core
-the parts need.  Without such a setter, or on one CPU, it runs serially.
+in_parts runs the heavy passes in parts, one per CPU, on persistent
+daemon threads: pack_signs by images and the native GEMM by 6-row blocks
+here, and layers' gather, transpose, BatchNorm, float GEMMs and binary
+conv backward.  Its first call, in the first forward (so in evaluation
+and bnn eval too), sets numpy's bundled OpenBLAS to one thread,
+process-wide, so BLAS does not spin on the core the parts need.  Without
+such a setter, or on one CPU, it runs serially.
 """
 
 from __future__ import annotations
@@ -78,9 +81,9 @@ def native_kernels():
                                ("transpose", [ptr] * 2 + [i64] * 3),
                                ("col2im_add", [ptr] * 2 + [i64] * 9),
                                ("col2im_store", [ptr] * 3 + [i64] * 5 + [ctypes.c_double]),
-                               ("bn_sums", [ptr] * 6 + [i64] * 3),
+                               ("bn_sums", [ptr] * 6 + [i64] * 5),
                                ("bn_normalize", [ptr] * 6 + [i64] * 3),
-                               ("bn_grad_input", [ptr] * 8 + [i64] * 3),
+                               ("bn_grad_input", [ptr] * 8 + [i64] * 4),
                                ("pack_signs", [ptr] * 7 + [i64] * 6),
                                ("maxpool_grad", [ptr] * 4 + [i64] * 4),
                                ("adam_step", [ptr] * 4 + [i64] + [f32] * 9 + [i32] * 2)):
@@ -145,14 +148,21 @@ def _work(jobs):
             done.put(e)
 
 
-def in_parts(fn, n, scratch=tuple):
+def in_parts(fn, n, scratch=tuple, split=True):
     """Run fn(lo, hi, *scratch()) over [0, n) in split_parts() contiguous
-    parts, at most n: this thread runs the first, persistent daemon threads
-    the others, and it returns once all have finished, re-raising the first
-    exception raised.  scratch() is called, and its buffers freed, in this
-    thread: a worker's malloc arena would keep what it allocates, and frees
-    in worker order would vary the heap.  A call made while another runs
-    (nested, or from a second thread) runs fn(0, n, *scratch()) here."""
+    parts, at most n (n = 0 runs nothing): this thread runs the first,
+    persistent daemon threads the others, and it returns once all have
+    finished, re-raising the first exception raised.  scratch() is called,
+    and its buffers freed, in this thread: a worker's malloc arena would
+    keep what it allocates, and frees in worker order would vary the heap.
+    A call made while another runs (nested, or from a second thread) runs
+    fn(0, n, *scratch()) here.  So does a call with split False, n = 0
+    too: the caller's size rule for work too small to pay for a second
+    part (a split costs 5-25 us more on a 2-vCPU VM).  fn must call no module-level bnn
+    function: perfbench's tracer wraps them, with one span stack for all
+    threads."""
+    if not split:
+        return fn(0, n, *scratch())
     parts = min(split_parts(), n)
     if parts <= 1 or not _split.acquire(blocking=False):
         return fn(0, n, *scratch()) if n > 0 else None
@@ -259,7 +269,8 @@ def pack_signs(x, thr=None, lo=None, hi=None, flip=None, pool=(1, 1)) -> np.ndar
     pixels (a dense layer's (N, F, 1, 1), a 4 x 4 map, a conv weight) over
     the channels-last view into one np.packbits, 3-50x faster than the
     kernel there; else it ORs the 8 channel planes of each byte, 12x faster
-    than np.packbits at (8, 352, 32, 32).  Both give the kernel's bytes."""
+    than np.packbits at (8, 352, 32, 32).  Both give the kernel's bytes.
+    The kernel runs in parts of the images, each with its own plane."""
     n, c, h, w = x.shape
     cb, (k, s) = -(-c // 8), pool
     oh, ow = (h - k) // s + 1, (w - k) // s + 1
@@ -271,11 +282,17 @@ def pack_signs(x, thr=None, lo=None, hi=None, flip=None, pool=(1, 1)) -> np.ndar
     lib = native_kernels()
     if lib and h * w >= 32 and x.dtype == np.float32 and (
             thr is None or thr.dtype == np.float32):
-        out = np.empty((n, oh, ow, cb), np.uint8)
-        plane = np.empty(((oh - 1) * s + k) * ((ow - 1) * s + k), np.uint8)
+        out, bad = np.empty((n, oh, ow, cb), np.uint8), np.zeros(n, bool)
         arrays = [None if a is None else np.ascontiguousarray(a) for a in (x, thr, lo, hi, flip)]
-        if lib.pack_signs(*(None if a is None else a.ctypes.data for a in arrays),
-                          out.ctypes.data, plane.ctypes.data, n, c, h, w, k, s):
+        x, args = arrays[0], [None if a is None else a.ctypes.data for a in arrays[1:]]
+
+        def images(i, j, plane):  # a part's flag goes to its first image
+            bad[i] = lib.pack_signs(x[i:].ctypes.data, *args, out[i:].ctypes.data,
+                                    plane.ctypes.data, j - i, c, h, w, k, s)
+
+        pixels = ((oh - 1) * s + k) * ((ow - 1) * s + k)
+        in_parts(images, n, lambda: (np.empty(pixels, np.uint8),))
+        if bad.any():
             raise NumericError(NAN_INPUT)
         return out
     x = x[:, :, : (oh - 1) * s + k, : (ow - 1) * s + k]  # what some window covers
@@ -363,7 +380,10 @@ def binary_gemm(a: BitTensor, b: BitTensor) -> np.ndarray:
     """Multiply packed (M, K) a by the transpose of packed (N, K) b.
 
     Returns float32 (M, N) of exact integers K - 2 * popcount(a XOR b);
-    numpy accumulates them one 64-bit word column at a time.
+    numpy accumulates them one 64-bit word column at a time.  The native
+    GEMM runs in parts of whole 6-row blocks from M = 1024 rows on: every
+    part reads all of b, and a dense layer's GEMM over its batch (LeNet's
+    100 x 1024 x 1024, ~50 us) ran 1.6x slower in two parts.
     """
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise ShapeError("binary_gemm expects 2-D BitTensors")
@@ -378,8 +398,13 @@ def binary_gemm(a: BitTensor, b: BitTensor) -> np.ndarray:
     lib = native_kernels()
     if lib:
         aw = np.ascontiguousarray(a.row_words(), dtype=np.uint64)
-        lib.xnor_gemm(aw.ctypes.data, bw.ctypes.data, out.ctypes.data,
-                      m, n_out, a.words_per_row, k)
+
+        def rows(lo, hi):  # in parts of whole blocks of 6 rows, the kernel's
+            lo, hi = 6 * lo, min(m, 6 * hi)
+            lib.xnor_gemm(aw[lo:].ctypes.data, bw.ctypes.data, out[lo:].ctypes.data,
+                          hi - lo, n_out, a.words_per_row, k)
+
+        in_parts(rows, -(-m // 6), split=m >= 1024)
         return out
     aw = np.ascontiguousarray(a.row_words().T)
     block = max(1, min(m, _ROW_BLOCK))  # m = 0 for a batch of no images

@@ -45,12 +45,18 @@ NCHW input gradient, masked by the STE for a binary layer's input: the
 native col2im_add and col2im_store for float32, else numpy's strided
 slice adds and sign_backward, with the same bytes.
 
-The binary conv's backward runs its three heavy stages in parts, one per
-CPU (bittensor.in_parts), each split where no sum crosses a part, so the
-bytes do not depend on the CPU count: col2im by whole blocks of images,
-unpack_patches by images, and the weight-gradient GEMM by output columns,
-in whole 16-column units of over 100^3 multiply-adds (OpenBLAS sums
-smaller GEMMs in another order).
+The heavy passes run in parts, one per CPU (bittensor.in_parts), each
+split where no sum crosses a part, so the bytes do not depend on the CPU
+count: the packer, patch gather and transpose by images, the binary GEMM
+by 6-row blocks, the stem's forward GEMM by images (each the GEMM the
+batched call makes), BatchNorm's sums by channels and its normalize and
+input gradient by images (with the whole batch's m), col2im by whole
+blocks of images, unpack_patches by images, and the float GEMMs (gemm:
+both weight gradients, and the dense layer's input gradient) in whole
+32-row or 32-column units of over 100^3 multiply-adds (OpenBLAS sums
+smaller GEMMs in another order).  The first split, in the first forward,
+sets OpenBLAS to one thread, in evaluation too.  A pass too small to pay
+for a second part runs in one, by the size rule its docstring gives.
 
 BatchNorm in training works on (n, c, hw) in three passes, native for
 float32 and otherwise numpy twins with the same bytes, and keeps no
@@ -138,6 +144,30 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
     return np.ascontiguousarray(view).reshape(n * oh * ow, kh * kw * c)
 
 
+def gemm(a, b, axis):
+    """a @ b, in parts along axis 0 (rows) or 1 (columns) of the output, each
+    a whole number of 32-row or 32-column units of over 100^3 multiply-adds.
+    OpenBLAS sums smaller GEMMs with its small-matrix kernels, in another
+    order, so every part sums as the whole GEMM does; and a part packs all
+    of the other operand, so one of 16 rows did too little to pay (the
+    LeNet stem's 32-row weight gradient ran 13% slower in two parts)."""
+    out = np.empty((len(a), b.shape[1]), np.result_type(a, b))
+    size = out.shape[axis]
+    per = a.shape[0] * a.shape[1] * b.shape[1] // max(1, size)  # multiply-adds a row or column
+    unit = 32 * (100 ** 3 // (32 * max(1, per)) + 1)
+    units = max(1, size // unit)
+
+    def part(lo, hi):
+        at = slice(unit * lo, size if hi == units else unit * hi)
+        if axis:
+            np.matmul(a, b[:, at], out=out[:, at])
+        else:
+            np.matmul(a[at], b, out=out[at])
+
+    bittensor.in_parts(part, units)
+    return out
+
+
 # col2im accumulates this many bytes of images at a time, so that its
 # float64 sums stay in cache across the kh*kw slice adds
 _COL2IM_BLOCK_BYTES = 1 << 20
@@ -159,7 +189,7 @@ def col2im(g_mat: np.ndarray, w: np.ndarray, x_shape: tuple, kh: int, kw: int,
     if h == wd == kh == kw == 1 and not p:
         # one pixel, a 1x1 kernel: each sum is a single product, so the
         # float64 accumulator would give the same bytes
-        g = (g_mat @ w).astype(g_mat.dtype, copy=False).reshape(x_shape)
+        g = gemm(g_mat, w, 1).astype(g_mat.dtype, copy=False).reshape(x_shape)
         return g if x is None else autodiff.sign_backward(g, x, ste)
     hp, wp = h + 2 * p, wd + 2 * p
     oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
@@ -233,17 +263,20 @@ def patch_rows(bits, kh, kw, stride, padding) -> bittensor.BitTensor:
     """The packed patches of (N, H, W, bytes) sign bits padded with +1
     pixels, one word-padded row per output pixel in im2col's (ki, kj, c)
     order: the native gather_patches writes each row once, and otherwise
-    im2col of the padded bits is copied into whole words, its byte oracle."""
+    im2col of the padded bits is copied into whole words, its byte oracle.
+    The gather runs in parts of the images once the rows take 256 KB: a
+    dense layer's (128 KB at LeNet eval, ~9 us) ran 2.5x slower split."""
     lib = bittensor.native_kernels()
     if not lib:
         return bittensor.from_row_bytes(im2col(_pad_bits(bits, padding), kh, kw, stride))
     bits = np.ascontiguousarray(bits, dtype=np.uint8)
     n, h, w, cb = bits.shape
-    m = n * ((h + 2 * padding - kh) // stride + 1) * ((w + 2 * padding - kw) // stride + 1)
-    rows = np.empty((m, -(-kh * kw * cb // 8) * 8), np.uint8)
-    lib.gather_patches(bits.ctypes.data, rows.ctypes.data, n, h, w, cb, kh, kw,
-                       stride, padding, rows.shape[1])
-    return bittensor.BitTensor(shape=(m, 8 * kh * kw * cb), words=rows.reshape(-1).view("<u8"))
+    r = ((h + 2 * padding - kh) // stride + 1) * ((w + 2 * padding - kw) // stride + 1)
+    rows = np.empty((n * r, -(-kh * kw * cb // 8) * 8), np.uint8)  # r an image
+    bittensor.in_parts(lambda lo, hi: lib.gather_patches(
+        bits[lo:].ctypes.data, rows[lo * r:].ctypes.data, hi - lo, h, w, cb, kh, kw,
+        stride, padding, rows.shape[1]), n, split=rows.nbytes >= 1 << 18)
+    return bittensor.BitTensor(shape=(n * r, 8 * kh * kw * cb), words=rows.reshape(-1).view("<u8"))
 
 
 def unpack_patches(bits, c, kh, kw, stride, padding) -> np.ndarray:
@@ -268,13 +301,16 @@ def unpack_patches(bits, c, kh, kw, stride, padding) -> np.ndarray:
 
 def swap_axes(x: np.ndarray) -> np.ndarray:
     """(n, a, b) x as a C-contiguous (n, b, a): the native 16 x 16 tile
-    transpose for float32 x, else its twin, which copies nothing at a or b = 1."""
+    transpose for float32 x, else its twin, which copies nothing at a or b = 1.
+    The transpose runs in parts of n once x takes 1 MB: LeNet's weight
+    transposes (200 KB, ~11 us) ran 1.5x slower in two parts."""
     n, a, b = x.shape
     lib = a > 1 and b > 1 and bittensor.native_float32(x)
     if not lib:
         return np.ascontiguousarray(x.transpose(0, 2, 1))
     out = np.empty((n, b, a), np.float32)
-    lib.transpose(x.ctypes.data, out.ctypes.data, n, a, b)
+    bittensor.in_parts(lambda lo, hi: lib.transpose(
+        x[lo:].ctypes.data, out[lo:].ctypes.data, hi - lo, a, b), n, split=x.nbytes >= 1 << 20)
     return out
 
 
@@ -360,7 +396,9 @@ class QConv2d(Layer):
             # pixel-innermost patches: one batched GEMM writes NCHW directly
             xp = np.pad(xv, ((0, 0), (0, 0), (p, p), (p, p))) if p else xv
             cols = im2col(xp.transpose(0, 2, 3, 1), kh, kw, s, pixels_inner=True)
-            y = np.matmul(wb, cols).reshape(n, o, oh, ow)
+            y = np.empty((n, o, oh * ow), np.result_type(wb, cols))  # an image a GEMM
+            bittensor.in_parts(lambda lo, hi: np.matmul(wb, cols[lo:hi], out=y[lo:hi]), n)
+            y = y.reshape(n, o, oh, ow)
 
         alpha = self._alpha()
         if alpha is not None and cfg.scaling_mode == "FB":
@@ -380,19 +418,10 @@ class QConv2d(Layer):
             # weight gradient through the weight-sign STE, summed in n*P order
             if cfg.binarize_input:  # the packed patches rebuilt as +-1 floats
                 pm = unpack_patches(bits, c, kh, kw, s, p)
-                g_wb = np.empty((o, pm.shape[1]), np.result_type(g_mat, pm))
-                # in parts of whole 16-column units, each part of M*N*K over
-                # 100^3: OpenBLAS sums smaller GEMMs in another order
-                unit = 16 * (100 ** 3 // (16 * max(1, len(pm) * o)) + 1)
-                units = max(1, pm.shape[1] // unit)
-
-                def columns(lo, hi):
-                    cols = slice(unit * lo, pm.shape[1] if hi == units else unit * hi)
-                    np.matmul(g_mat.T, pm[:, cols], out=g_wb[:, cols])
-
-                bittensor.in_parts(columns, units)
-            else:
-                g_wb = np.tensordot(g_y, cols, ((0, 2), (0, 2)))
+                g_wb = gemm(g_mat.T, pm, 1)
+            else:  # np.tensordot's operands and GEMM, split by rows
+                a = g_y.transpose(1, 0, 2).reshape(o, -1)
+                g_wb = gemm(a, cols.transpose(0, 2, 1).reshape(a.shape[1], cols.shape[1]), 0)
             g_wb = swap_axes(g_wb.reshape(o, kh * kw, c))
             return (g_x, self._weight_grad(g_wb.reshape(self.weight.value.shape), alpha))
 
@@ -537,26 +566,35 @@ def bn_sums(x, g=None, mean=None, inv_std=None):
     """Per-channel float64 sums over (n, c, hw) x: (sum x, sum (x - sum x / m)^2),
     m = n * hw; or, given the output gradient g, (sum g, sum g * xhat) with
     xhat = (x - mean) * inv_std in x's dtype.  The native bn_sums when x
-    (and g) are float32, else its numpy twin, with the same bytes."""
+    (and g) are float32, else its numpy twin, with the same bytes.  The
+    kernel runs in parts of the channels, except at hw = 1, where its sums
+    run along the features: LeNet's (100, 1024, 1), ~20 us, ran 1.4x
+    slower split."""
     n, c, hw = x.shape
     lib = bittensor.native_float32(*((x,) if g is None else (x, g, mean, inv_std)))
     if lib:
         s0, s1 = np.empty(c), np.empty(c)
         grad = (None,) * 3 if g is None else (g.ctypes.data, mean.ctypes.data,
                                               inv_std.ctypes.data)
-        lib.bn_sums(x.ctypes.data, *grad, s0.ctypes.data, s1.ctypes.data, n, c, hw)
+        bittensor.in_parts(lambda c0, c1: lib.bn_sums(
+            x.ctypes.data, *grad, s0.ctypes.data, s1.ctypes.data, n, c, hw, c0, c1), c,
+            split=hw > 1)
         return s0, s1
     return _bn_sums_numpy(x, g, mean, inv_std)
 
 
 def bn_normalize(x, mean, inv_std, gamma, beta):
     """gamma * ((x - mean) * inv_std) + beta per channel of (n, c, hw) x,
-    every operation in x's dtype."""
+    every operation in x's dtype.  The kernel runs in parts of the images
+    once x takes 2 MB: at LeNet's (100, 32, 144), 1.8 MB, ~36 us, two parts
+    were slower."""
     lib = bittensor.native_float32(x, mean, inv_std, gamma, beta)
     if lib:
         y = np.empty_like(x)
-        lib.bn_normalize(x.ctypes.data, mean.ctypes.data, inv_std.ctypes.data,
-                         gamma.ctypes.data, beta.ctypes.data, y.ctypes.data, *x.shape)
+        bittensor.in_parts(lambda lo, hi: lib.bn_normalize(
+            x[lo:].ctypes.data, mean.ctypes.data, inv_std.ctypes.data, gamma.ctypes.data,
+            beta.ctypes.data, y[lo:].ctypes.data, hi - lo, *x.shape[1:]), len(x),
+            split=x.nbytes >= 1 << 21)
         return y
     y = x - mean[:, None]
     y *= inv_std[:, None]
@@ -568,15 +606,18 @@ def bn_normalize(x, mean, inv_std, gamma, beta):
 def bn_grad_input(x, g, mean, inv_std, k, sg, sgx):
     """BatchNorm's input gradient in training, k * ((m * g - sg) - xhat * sgx)
     per channel of (n, c, hw) x, with xhat = (x - mean) * inv_std recomputed
-    and every operation in x's dtype."""
+    and every operation in x's dtype, m = n * hw.  The kernel runs in parts
+    of the images, each given the batch's m, once x takes 2 MB, as in
+    bn_normalize."""
     lib = bittensor.native_float32(x, g, mean, inv_std, k, sg, sgx)
+    n, c, hw = x.shape
     if lib:
         gx = np.empty_like(x)
-        lib.bn_grad_input(x.ctypes.data, g.ctypes.data, mean.ctypes.data,
-                          inv_std.ctypes.data, k.ctypes.data, sg.ctypes.data,
-                          sgx.ctypes.data, gx.ctypes.data, *x.shape)
+        bittensor.in_parts(lambda lo, hi: lib.bn_grad_input(
+            x[lo:].ctypes.data, g[lo:].ctypes.data, mean.ctypes.data, inv_std.ctypes.data,
+            k.ctypes.data, sg.ctypes.data, sgx.ctypes.data, gx[lo:].ctypes.data, hi - lo, c, hw,
+            n * hw), n, split=x.nbytes >= 1 << 21)
         return gx
-    n, c, hw = x.shape
     xhat = x - mean[:, None]
     xhat *= inv_std[:, None]
     xhat *= sgx[:, None]
@@ -759,10 +800,13 @@ class AvgPool2d(Layer):
         y /= k * k
         out = Slot(y, name=self.name)
 
-        def backward_fn(g_y):
-            g = np.zeros((n, c, h, w), dtype=g_y.dtype)
-            expanded = np.repeat(np.repeat(g_y, k, axis=2), k, axis=3) / (k * k)
-            g[:, :, : oh * k, : ow * k] = expanded
+        def backward_fn(g_y):  # g_y / k^2 at each input of its window, 0 where none
+            g = np.empty((n, c, h, w), dtype=g_y.dtype)
+            g[:, :, k * oh:] = g[:, :, :, k * ow:] = 0
+            q = g_y / (k * k)
+            for i in range(k):
+                for j in range(k):
+                    g[:, :, i: k * oh: k, j: k * ow: k] = q
             return (g,)
 
         return tape.record(out, (x,), backward_fn)

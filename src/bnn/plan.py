@@ -26,6 +26,10 @@ float.  InferencePlan gives the same logits bit for bit with less work:
 
 The GEMMs and patch gathers go through layers.binary_conv, as in
 training; it looks bittensor.binary_gemm up on its module at each call.
+Like training, the plan runs the packer, the gather, the GEMM, the
+transpose and the stem's GEMM in parts, one per CPU (bittensor.in_parts):
+the first of them sets numpy's OpenBLAS to one thread, so the float
+GEMMs of the stem and the head run on one BLAS thread here too.
 
 Thresholds come from calling the BatchNorm layer, not from a copy of its
 arithmetic.  Each float32 operation of its eval expression is monotone in

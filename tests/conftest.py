@@ -60,14 +60,18 @@ def kernel_calls():
 
 
 @contextlib.contextmanager
-def split_in(parts):
+def split_in(parts, size_rules=True):
     """Run bittensor.in_parts with this many parts (split_parts() is one
-    per CPU, or 1)."""
+    per CPU, or 1); without size_rules, work that a caller's size rule
+    keeps whole (split=False) is split too, so that small shapes split."""
     saved, bittensor._parts = bittensor.split_parts(), parts
+    in_parts = bittensor.in_parts
+    if not size_rules:
+        bittensor.in_parts = lambda fn, n, scratch=tuple, split=True: in_parts(fn, n, scratch)
     try:
         yield
     finally:
-        bittensor._parts = saved
+        bittensor._parts, bittensor.in_parts = saved, in_parts
 
 
 def packed_signs(x, thr=None, lo=None, hi=None, flip=None, pool=(1, 1)):

@@ -5,6 +5,7 @@ packed kernel must agree exactly (integer arithmetic, no tolerance).
 """
 
 import contextlib
+import itertools
 import os
 import re
 import sys
@@ -32,7 +33,8 @@ from bnn.bittensor import (
 )
 from bnn.errors import NumericError, ShapeError
 
-from conftest import REPO_ROOT, numpy_kernels, packed_both_ways, packed_signs, split_in
+from conftest import (REPO_ROOT, kernel_calls, numpy_kernels, packed_both_ways, packed_signs,
+                      split_in)
 
 # the native xnor_gemm's rows per register block and output columns per
 # column block (with a vector popcount), and its columns per tile without
@@ -503,6 +505,49 @@ def test_in_parts_under_thread_switches_from_two_callers():
     finally:
         sys.setswitchinterval(interval)
     assert results == [[True] * 50] * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1, 2, 3, 5]), st.sampled_from([1, 9, 33]),
+       st.sampled_from([(1, 1), (2, 2), (3, 2)]), st.sampled_from([None, np.nan, 5.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_pack_signs_bytes_do_not_depend_on_the_split(n, c, pool, bad, seed):
+    """The native packer runs one call a part of the images, each with its
+    own plane, and gives the oracle's bytes in 1, 2 and 3 parts.  A NaN or
+    an out-of-bounds value in the last image alone, which only the last
+    part reads, raises NumericError in every split."""
+    rng = np.random.default_rng(seed)
+    x = np.clip(rng.standard_normal((n, c, 7, 6)), -3, 3).astype(np.float32)
+    kwargs = dict(thr=rng.standard_normal(c).astype(np.float32), pool=pool,
+                  lo=np.full(c, -4, np.float32), hi=np.full(c, 4, np.float32),
+                  flip=rng.integers(0, 256, -(-c // 8), dtype=np.uint8))
+    if bad is not None and n:
+        x[-1, -1, 0, 0] = bad  # every pool window at the corner reads it
+    want = packed_signs(x, **kwargs)
+    want = want if isinstance(want, str) else want.tobytes()
+    for parts in (1, 2, 3):
+        with kernel_calls() as calls, split_in(parts):
+            try:
+                got = pack_signs(x, **kwargs).tobytes()
+            except NumericError as e:
+                got = str(e)
+        assert got == want and calls == ["pack_signs"] * min(n, parts)
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 7, 13, 1031])
+def test_binary_gemm_bytes_do_not_depend_on_the_split(m):
+    """The native GEMM runs one call a part of whole 6-row blocks, and gives
+    the float GEMM of the signs in 1, 2 and 3 parts, at M % 6 != 0, M = 0
+    and M = 1; the size rules on, 1031 rows split and fewer do not."""
+    rng = np.random.default_rng(m)
+    a, b = sign_operand(rng, (m, 130)), sign_operand(rng, (37, 130))
+    ap = pack(a) if m else BitTensor((0, 130), np.empty(0, np.uint64))
+    want = (sign_of(a) @ sign_of(b).T).astype(np.float32)
+    for parts, rules in itertools.product((1, 2, 3), (True, False)):
+        with kernel_calls() as calls, split_in(parts, size_rules=rules):
+            got = binary_gemm(ap, pack(b))
+        split = min(parts, -(-m // 6)) if m >= 1024 or not rules else 1
+        assert got.tobytes() == want.tobytes() and calls.count("xnor_gemm") == split
 
 
 def test_split_parts_is_one_without_a_blas_setter_or_a_second_cpu(monkeypatch):

@@ -448,10 +448,11 @@ def test_unpack_patches_match_im2col_of_unpacked_bits(c, kh, kw, stride, padding
 
 
 def in_each_split(run):
-    """run()'s bytes with the work split in 1, 2 and 3 parts; all equal."""
+    """run()'s bytes with the work split in 1, 2 and 3 parts, the size rules
+    off so that small shapes split too; all equal."""
     got = []
     for parts in (1, 2, 3):
-        with split_in(parts):
+        with split_in(parts, size_rules=False):
             got.append([a.tobytes() for a in run()])
     assert got[0] == got[1] == got[2]
 
@@ -511,6 +512,83 @@ def test_binary_conv_backward_bytes_do_not_depend_on_the_split(n, c, k, stride, 
                 *_step(layer.forward, layer.weight, x, g_y)))
 
 
+@settings(max_examples=25, deadline=None)
+@given(**split_shapes)
+def test_binary_conv_forward_splits_by_images_and_rows(n, c, k, stride, padding, seed):
+    """The forward's packer and patch gather (by images), its GEMM (by blocks
+    of 6 rows, M = n * OH * OW mostly not a multiple of 6) and its transpose
+    (by images) each run as one kernel call a part, and give the same bytes
+    in 1, 2 and 3 parts, for n = 0 and 1 and C % 8 != 0 too."""
+    rng = np.random.default_rng(seed)
+    layer = QConv2d(QLayerConfig(c, 13, (k, k), stride, padding), rng=rng)
+    x = rng.standard_normal((n, c, 9, 8)).astype(np.float32)
+    with kernel_calls() as calls:
+        in_each_split(lambda: [layer.forward(Tape(), Slot(x)).value])
+        calls.clear()
+        with split_in(2, size_rules=False):
+            y = layer.forward(Tape(), Slot(x)).value
+    rows = n * y.shape[2] * y.shape[3]  # the weight's transpose splits by its 13 outputs
+    want = {"pack_signs": min(n, 2), "gather_patches": min(n, 2),
+            "xnor_gemm": min(-(-rows // 6), 2),
+            "transpose": 2 * (c > 1 and k > 1) + (min(n, 2) if rows > n else 0)}
+    assert {name: calls.count(name) for name in want} == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([0, 1, 2, 3]), st.sampled_from([1, 3]), st.integers(0, 2 ** 32 - 1))
+def test_float_conv_bytes_do_not_depend_on_the_split(n, c, seed):
+    """The stem's forward GEMM (an image a part, as the batched GEMM runs)
+    and its weight gradient (by 32-row units, two of them here from n = 2
+    on) give the same bytes in 1, 2 and 3 parts, natively and in numpy."""
+    rng = np.random.default_rng(seed)
+    layer = QConv2d(QLayerConfig(c, 64, (3, 3), 1, 1, binarize_input=False), binary=False,
+                    rng=rng)
+    x = rng.standard_normal((n, c, 32, 32)).astype(np.float32)
+    g_y = rng.standard_normal((n, 64, 32, 32)).astype(np.float32)
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels():
+            in_each_split(lambda: _step(layer.forward, layer.weight, x, g_y, False)[::2])
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_dense_input_gradient_bytes_do_not_depend_on_the_split(n):
+    """QDense's one-pixel input gradient g_mat @ w splits by 32-column units
+    of over 100^3 multiply-adds (two at n = 8), with the same bytes."""
+    rng = np.random.default_rng(n)
+    layer = QDense(1024, 256, rng=rng)
+    x = ste_edge_input(rng, (n, 1024), 0.5)
+    g_y = rng.standard_normal((n, 256)).astype(np.float32)
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels():
+            in_each_split(lambda: (lambda y, xs, g_w: (y, xs.grad, g_w))(
+                *_step(layer.forward, layer.weight, x, g_y)))
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 7, 6), (2, 9, 4, 4), (1, 33, 8, 8), (3, 20), (5, 9)])
+def test_batchnorm_bytes_do_not_depend_on_the_split(shape):
+    """BatchNorm's sums split by channels, its normalize and input gradient
+    by images, the latter with the whole batch's m: at 3 parts of
+    (3, ...) each part holds one image, whose own count would change m."""
+    rng = np.random.default_rng(len(shape))
+    x = bn_input(shape, "wide", rng)
+    g_y = rng.standard_normal(shape).astype(np.float32)
+    gamma = rng.standard_normal(shape[1]).astype(np.float32)
+
+    def run():  # a fresh layer, whose running statistics are updated once
+        bn = BatchNorm(shape[1])
+        bn.gamma.value = gamma
+        tape = Tape()
+        xs = Slot(x)
+        out = bn.forward(tape, xs)
+        tape.record(Slot(np.float32(0)), (out,), lambda g: (g_y,))
+        tape.backward(tape.nodes[-1].output)
+        return out.value, xs.grad, bn.gamma.grad, bn.beta.grad, bn.running_mean, bn.running_var
+
+    for kernels in (kernel_calls, numpy_kernels):
+        with kernels():
+            in_each_split(run)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 3), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
 @example(2, 37, 19, 0)  # both sides off multiples of 16
@@ -525,6 +603,8 @@ def test_swap_axes_matches_numpy_transpose(n, a, b, seed):
     assert calls == (["transpose"] if a > 1 and b > 1 else [])
     assert got.flags.c_contiguous and got.dtype == np.float32 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    with kernel_calls():  # by images, n = 0 and 1 included
+        in_each_split(lambda: [swap_axes(x)])
 
 
 @pytest.mark.parametrize("case", ["float64", "strided"])
@@ -1228,6 +1308,24 @@ class TestPooling:
                 total = row if total is None else np.float32(total + row)
             want[idx] = np.float32(total / np.float32(k * k))
         assert out.dtype == np.float32 and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k,h,w", [(2, 8, 8), (2, 7, 9), (3, 9, 10), (3, 11, 13)])
+    def test_avgpool_backward_equals_the_repeat_expression(self, k, h, w):
+        """The backward's one division and k^2 strided stores give the bytes
+        of np.repeat twice, divided by k^2 and stored into zeros, the rows
+        and columns past the last window of odd H and W included."""
+        rng = np.random.default_rng(k + h + w)
+        oh, ow = h // k, w // k
+        g_y = (rng.standard_normal((2, 3, oh, ow))
+               * 2.0 ** rng.integers(-30, 31, (2, 3, oh, ow))).astype(np.float32)
+        want = np.zeros((2, 3, h, w), np.float32)
+        want[:, :, : oh * k, : ow * k] = np.repeat(np.repeat(g_y, k, axis=2), k, axis=3) / (k * k)
+        tape = Tape()
+        AvgPool2d(k).forward(tape, Slot(np.zeros((2, 3, h, w), np.float32)))
+        junk = np.full((2, 3, h, w), np.nan, np.float32)  # freed memory the backward may reuse
+        del junk
+        (g,) = tape.nodes[-1].backward_fn(g_y)
+        assert g.dtype == np.float32 and g.tobytes() == want.tobytes()
 
     def test_avgpool_stride_must_equal_kernel(self):
         with pytest.raises(ShapeError):

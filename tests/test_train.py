@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from bnn.train import (
     write_tclip_csv,
 )
 
-from conftest import REPO_ROOT, kernel_calls, make_synth_dataset, numpy_kernels
+from conftest import REPO_ROOT, kernel_calls, make_synth_dataset, numpy_kernels, split_in
 
 
 def tiny_pair():
@@ -403,3 +404,41 @@ def test_adam_native_step_equals_numpy(weight_decay, lr_type):
     native, calls, twin = runs
     assert calls == (["adam_step"] * 10 if lr_type is float else [])
     assert native == twin
+
+
+def test_split_parts_keep_the_tracer_span_stack_in_order():
+    """perfbench's Tracer keeps one span stack for all threads, so no part
+    that bittensor.in_parts runs may call a module-level bnn function.  With
+    every split stage in 2 parts (size rules off), a LeNet training step,
+    an evaluate and a densenet:k=12,b=1 training step open every span in
+    the calling thread and close it in order, inside the span that was open
+    when it began."""
+    from bnn import train as bnn_train  # evaluate as the tracer wraps it
+
+    spec = importlib.util.spec_from_file_location(
+        "tracing", os.path.join(REPO_ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer, threads = tracing.Tracer(), set()
+    begin = tracer.begin
+    tracer.begin = lambda *args: threads.add(threading.get_ident()) or begin(*args)
+    tracer.install()
+    try:
+        with split_in(2, size_rules=False):
+            for name, preset in (("lenet", None), ("densenet:k=12,b=1", "cifar")):
+                model = arch.build_model(name, num_classes=10, seed=0, preset=preset)
+                rng = np.random.default_rng(0)
+                x = rng.standard_normal((4,) + model.input_shape).astype(np.float32)
+                tape = Tape()
+                logits = model.forward(x, tape=tape, training=True)
+                tape.backward(softmax_cross_entropy(tape, logits, rng.integers(0, 10, 4)))
+                if name == "lenet":
+                    bnn_train.evaluate(model, make_synth_dataset(8, seed=2, split="test"))
+    finally:
+        tracer.uninstall()
+    assert tracer.spans and not tracer._stack and threads == {threading.get_ident()}
+    names = {span[0] for span in tracer.spans}
+    assert {"bittensor.binary_gemm", "autodiff.Tape.backward", "train.evaluate"} <= names
+    for i, (_, _, parent, t0, t1, _) in enumerate(tracer.spans):
+        assert t0 <= t1 and parent < i
+        assert parent < 0 or tracer.spans[parent][3] <= t0 <= t1 <= tracer.spans[parent][4]
