@@ -11,6 +11,8 @@
  * unpack_patches: the same sign bits as the +-1 float32 patch matrix of
  *             the weight gradient, im2col of the unpacked +1-padded signs:
  *             each image decoded once, a byte through a table of 8 floats.
+ * float_patches: float32 NCHW input as the float stem's pixel-innermost
+ *             patches, im2col of the zero-padded input, in parts of images.
  * transpose:  float32 (n, a, b) as (n, b, a) in 16 x 16 tiles, every
  *             channels-first <-> channels-last copy of the binary path.
  * col2im_add: the adjoint of im2col, adding float32 patch gradients into
@@ -261,6 +263,39 @@ void unpack_patches(const uint8_t *bits, float *out, float *plane, int64_t nb,
                     memcpy(out + k * run, plane + ((py * s + k) * wp + px * s) * c,
                            run * sizeof(float));
     }
+}
+
+/* x is float32 (nb, c, h, w), out (nb, kh * kw * c, oh * ow) as in
+ * gather_patches: row (i, j, ch) of an image holds, for each output row py,
+ * input row py * s + i - p from column j - p at stride s, +0.0 outside [a, e). */
+KERNEL
+void float_patches(const float *x, float *out, int64_t nb, int64_t c, int64_t h,
+                   int64_t w, int64_t kh, int64_t kw, int64_t s, int64_t p)
+{
+    const int64_t oh = (h + 2 * p - kh) / s + 1, ow = (w + 2 * p - kw) / s + 1;
+    for (int64_t b = 0; b < nb; b++)
+        for (int64_t i = 0; i < kh; i++)
+            for (int64_t j = 0; j < kw; j++) {
+                const int64_t x0 = j - p, end = x0 < w ? (w - 1 - x0) / s + 1 : 0,
+                              hi = end < ow ? end : ow, lo = x0 < 0 ? (s - 1 - x0) / s : 0;
+                for (int64_t ch = 0; ch < c; ch++)
+                    for (int64_t py = 0, y = i - p; py < oh; py++, y += s, out += ow) {
+                        const int in = y >= 0 && y < h && lo < hi;
+                        const float *src = x + ((b * c + ch) * h + (in ? y : 0)) * w + x0;
+                        const int64_t a = in ? lo : ow, e = in ? hi : ow;
+                        for (int64_t px = 0; px < a; px++)
+                            out[px] = 0.0f;
+                        if (s == 1 && e - a >= 8) {
+                            for (int64_t q = a; q + 8 < e; q += 8)
+                                memcpy(out + q, src + q, 32);
+                            memcpy(out + e - 8, src + e - 8, 32);
+                        } else
+                            for (int64_t px = a; px < e; px++)
+                                out[px] = src[px * s];
+                        for (int64_t px = e; px < ow; px++)
+                            out[px] = 0.0f;
+                    }
+            }
 }
 
 /* g is (nb, oh, ow, kh, kw, c), acc is (nb, h, w, c).  Each acc row

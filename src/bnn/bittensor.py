@@ -78,6 +78,7 @@ def native_kernels():
             for name, args in (("xnor_gemm", [ptr] * 3 + [i64] * 4),
                                ("gather_patches", [ptr] * 2 + [i64] * 9),
                                ("unpack_patches", [ptr] * 3 + [i64] * 9),
+                               ("float_patches", [ptr] * 2 + [i64] * 8),
                                ("transpose", [ptr] * 2 + [i64] * 3),
                                ("col2im_add", [ptr] * 2 + [i64] * 9),
                                ("col2im_store", [ptr] * 3 + [i64] * 5 + [ctypes.c_double]),

@@ -33,7 +33,8 @@ patches exist only in backward, for the weight gradient
 its weight stays (O, F).
 
 A convolution with a float input (the stem) gathers pixel-innermost
-patches, (N, kh*kw*C, OH*OW) in the same (ki, kj, c) order, so one
+patches, (N, kh*kw*C, OH*OW) in the same (ki, kj, c) order (the native
+float_patches for float32, else im2col of the zero-padded input), so one
 batched GEMM w @ cols writes NCHW; its weight gradient sums over n*P in
 the same order, and it skips the gradient of an input slot with
 requires_grad=False (the image batch), so col2im never runs for it.
@@ -48,15 +49,16 @@ slice adds and sign_backward, with the same bytes.
 The heavy passes run in parts, one per CPU (bittensor.in_parts), each
 split where no sum crosses a part, so the bytes do not depend on the CPU
 count: the packer, patch gather and transpose by images, the binary GEMM
-by 6-row blocks, the stem's forward GEMM by images (each the GEMM the
-batched call makes), BatchNorm's sums by channels and its normalize and
-input gradient by images (with the whole batch's m), col2im by whole
-blocks of images, unpack_patches by images, and the float GEMMs (gemm:
-both weight gradients, and the dense layer's input gradient) in whole
-32-row or 32-column units of over 100^3 multiply-adds (OpenBLAS sums
-smaller GEMMs in another order).  The first split, in the first forward,
-sets OpenBLAS to one thread, in evaluation too.  A pass too small to pay
-for a second part runs in one, by the size rule its docstring gives.
+by 6-row blocks, the stem's native patch gather and forward GEMM by
+images, in the same parts (each the GEMM the batched call makes),
+BatchNorm's sums by channels and its normalize and input gradient by
+images (with the whole batch's m), col2im by whole blocks of images,
+unpack_patches by images, and the float GEMMs (gemm: both weight
+gradients, and the dense layer's input gradient) in whole 32-row or
+32-column units of over 100^3 multiply-adds (OpenBLAS sums smaller GEMMs
+in another order).  The first split, in the first forward, sets OpenBLAS
+to one thread, in evaluation too.  A pass too small to pay for a second
+part runs in one, by the size rule its docstring gives.
 
 BatchNorm in training works on (n, c, hw) in three passes, native for
 float32 and otherwise numpy twins with the same bytes, and keeps no
@@ -393,11 +395,23 @@ class QConv2d(Layer):
             bits = bittensor.pack_signs(xv)
             y = binary_conv(bits, weight_bits(weight), kh, kw, s, p, c)
         else:
-            # pixel-innermost patches: one batched GEMM writes NCHW directly
-            xp = np.pad(xv, ((0, 0), (0, 0), (p, p), (p, p))) if p else xv
-            cols = im2col(xp.transpose(0, 2, 3, 1), kh, kw, s, pixels_inner=True)
-            y = np.empty((n, o, oh * ow), np.result_type(wb, cols))  # an image a GEMM
-            bittensor.in_parts(lambda lo, hi: np.matmul(wb, cols[lo:hi], out=y[lo:hi]), n)
+            # pixel-innermost patches: one batched GEMM writes NCHW directly;
+            # natively each part gathers its own images' patches first
+            lib = bittensor.native_float32(xv)
+            if lib:
+                cols = np.empty((n, kh * kw * c, oh * ow), np.float32)
+            else:
+                xp = np.pad(xv, ((0, 0), (0, 0), (p, p), (p, p))) if p else xv
+                cols = im2col(xp.transpose(0, 2, 3, 1), kh, kw, s, pixels_inner=True)
+            y = np.empty((n, o, oh * ow), np.result_type(wb, cols))
+
+            def images(lo, hi):  # an image a GEMM, as the batched call runs
+                if lib:
+                    lib.float_patches(xv[lo:].ctypes.data, cols[lo:].ctypes.data, hi - lo,
+                                      c, h, w, kh, kw, s, p)
+                np.matmul(wb, cols[lo:hi], out=y[lo:hi])
+
+            bittensor.in_parts(images, n)
             y = y.reshape(n, o, oh, ow)
 
         alpha = self._alpha()

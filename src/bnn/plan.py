@@ -27,9 +27,11 @@ float.  InferencePlan gives the same logits bit for bit with less work:
 The GEMMs and patch gathers go through layers.binary_conv, as in
 training; it looks bittensor.binary_gemm up on its module at each call.
 Like training, the plan runs the packer, the gather, the GEMM, the
-transpose and the stem's GEMM in parts, one per CPU (bittensor.in_parts):
-the first of them sets numpy's OpenBLAS to one thread, so the float
-GEMMs of the stem and the head run on one BLAS thread here too.
+transpose and the stem's gather and GEMM in parts, one per CPU
+(bittensor.in_parts): the first of them sets numpy's OpenBLAS to one
+thread, so the float GEMMs of the stem and the head run on one BLAS
+thread here too.  The per-image steps before the first binary GEMM run
+_CHUNK images a part, split_parts() parts at a time.
 
 Thresholds come from calling the BatchNorm layer, not from a copy of its
 arithmetic.  Each float32 operation of its eval expression is monotone in
@@ -72,9 +74,10 @@ def _floats(k) -> np.ndarray:
 
 _KEY_MIN, _KEY_MAX = (int(k) for k in _keys([-np.inf, np.inf]))
 # The steps before the first one that is not per-image (a binary layer's
-# GEMM, a dense layer) run on this many images at a time: the LeNet stem's
-# patches and output for 32 images take 4 MB, so they stay in cache and
-# their memory is reused chunk after chunk instead of faulted in per batch.
+# GEMM, a dense layer) run on this many images a part (split_parts() of
+# them a chunk): the LeNet stem's patches and output for 32 images take
+# 4 MB, so each part's stay in its core's cache and their memory is reused
+# chunk after chunk instead of faulted in per batch.
 _CHUNK = 32
 _WAYS = 15  # probes per channel and round: 8 rounds cover the 2**32 keys
 
@@ -238,12 +241,13 @@ class InferencePlan:
                 f"{self.graph.input_shape}"
             )
         head, tail = self._steps[: self._head], self._steps[self._head:]
-        if len(x) <= _CHUNK:
+        chunk = _CHUNK * bittensor.split_parts()
+        if len(x) <= chunk:
             values = self._execute(head, {self._input: x})
         else:  # the head's values for the later steps, assembled chunk by chunk
             values = {}
-            for lo in range(0, len(x), _CHUNK):
-                part = self._execute(head, {self._input: x[lo: lo + _CHUNK]})
+            for lo in range(0, len(x), chunk):
+                part = self._execute(head, {self._input: x[lo: lo + chunk]})
                 for k, v in part.items():
                     if lo == 0:
                         values[k] = np.empty((len(x),) + v.shape[1:], v.dtype)

@@ -287,14 +287,16 @@ def train(model: ModelGraph, train_ds: Dataset, test_ds: Dataset,
             augment=cfg.augment,
         ):
             tape = Tape()
-            logits = model.forward(images, tape=tape, training=True)
-            loss = softmax_cross_entropy(tape, logits, labels)
-            if np.isnan(loss.value):
-                bad = _find_nan_layer(model, images)
+            try:
+                logits = model.forward(images, tape=tape, training=True)
+                loss = softmax_cross_entropy(tape, logits, labels)
+            except NumericError:  # a NaN reached a binary layer's sign
+                loss = None
+            if loss is None or np.isnan(loss.value):
                 raise NumericError(
-                    f"training diverged: NaN loss at epoch {epoch}; first "
-                    f"NaN-producing layer: {bad}"
-                )
+                    f"training diverged: NaN at epoch {epoch}; first "
+                    f"NaN-producing layer: {_find_nan_layer(model, images)}"
+                ) from None
             tape.backward(loss)
             if cfg.lr > 0:
                 opt.step(lr)

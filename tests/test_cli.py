@@ -98,6 +98,28 @@ class TestTrain:
         assert rc == cli.EXIT_DATA
         assert "t10k-images-idx3-ubyte: the file holds no images" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["conv0", "head"])
+    def test_training_nan_exits_4(self, mnist_data, tmp_path, capsys, monkeypatch, where):
+        """A NaN that stops the forward at a binary layer's sign (conv0's
+        weight) or reaches the loss (the head's) is one error line, exit 4."""
+        build = cli._build_for_dataset
+
+        def poisoned(*args):
+            model = build(*args)
+            w = {l.name: l for l in model.layers()}[where].weight.value
+            w[(0,) * w.ndim] = np.nan
+            return model
+
+        monkeypatch.setattr(cli, "_build_for_dataset", poisoned)
+        rc = cli.main([
+            "train", "--model", "lenet", "--dataset", "mnist", "--data-dir", mnist_data,
+            "--out-dir", str(tmp_path / "run"), "--epochs", "1", "--batch-size", "30",
+        ])
+        assert rc == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: training diverged: NaN at epoch 0; first NaN-producing layer: {where}"]
+
     def test_corrupt_data_file(self, tmp_path):
         d = write_mnist_dir(str(tmp_path / "m"), n_train=10, n_test=5)
         path = os.path.join(d, "train-images-idx3-ubyte")

@@ -421,6 +421,30 @@ def test_patch_rows_match_im2col_of_padded_bits(c, kh, kw, stride, padding, dh, 
     assert got.words.tobytes() == want.words.tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0, 1, 3, 5]), st.sampled_from([1, 3, 5, 16]), st.integers(1, 5),
+       st.integers(1, 5), st.integers(1, 3), st.integers(0, 2), st.integers(0, 6),
+       st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+@example(3, 3, 3, 3, 1, 1, 0, 0, 0)  # one pixel in a padded window
+@example(1, 16, 5, 2, 3, 2, 1, 0, 0)  # non-square, stride 3, a one-pixel-wide plane
+def test_float_patches_match_im2col_of_the_padded_input(n, c, kh, kw, stride, padding,
+                                                        dh, dw, seed):
+    """The native float_patches writes every element of its twin, im2col of
+    the zero-padded input with pixels innermost (-0.0 kept, +0.0 where a
+    window reads padding), into an output filled with NaN beforehand."""
+    rng = np.random.default_rng(seed)
+    h, w = max(1, kh - 2 * padding) + dh, max(1, kw - 2 * padding) + dw
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    x[x > 1] = -0.0
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    want = im2col(xp.transpose(0, 2, 3, 1), kh, kw, stride, pixels_inner=True)
+    got = np.full(want.shape, np.nan, np.float32)
+    with kernel_calls():
+        bittensor.native_kernels().float_patches(x.ctypes.data, got.ctypes.data, n, c, h, w,
+                                                  kh, kw, stride, padding)
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from([1, 7, 8, 9, 33, 64]), st.integers(1, 5), st.integers(1, 5),
        st.integers(1, 3), st.integers(0, 2), st.integers(0, 6), st.integers(0, 6),
@@ -535,19 +559,36 @@ def test_binary_conv_forward_splits_by_images_and_rows(n, c, k, stride, padding,
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from([0, 1, 2, 3]), st.sampled_from([1, 3]), st.integers(0, 2 ** 32 - 1))
-def test_float_conv_bytes_do_not_depend_on_the_split(n, c, seed):
-    """The stem's forward GEMM (an image a part, as the batched GEMM runs)
-    and its weight gradient (by 32-row units, two of them here from n = 2
-    on) give the same bytes in 1, 2 and 3 parts, natively and in numpy."""
+@given(st.sampled_from([0, 1, 2, 3]), st.sampled_from([1, 3]), st.integers(1, 2),
+       st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+def test_float_conv_bytes_do_not_depend_on_the_split(n, c, stride, padding, seed):
+    """The stem's patches (gathered natively in the GEMM's parts), its
+    forward GEMM (an image a part, as the batched GEMM runs) and its weight
+    gradient (by 32-row units, two of them here from n = 2 on) give the
+    same bytes in 1, 2 and 3 parts, natively and in numpy, and the same
+    bytes on both routes."""
     rng = np.random.default_rng(seed)
-    layer = QConv2d(QLayerConfig(c, 64, (3, 3), 1, 1, binarize_input=False), binary=False,
-                    rng=rng)
+    layer = QConv2d(QLayerConfig(c, 64, (3, 3), stride, padding, binarize_input=False),
+                    binary=False, rng=rng)
     x = rng.standard_normal((n, c, 32, 32)).astype(np.float32)
-    g_y = rng.standard_normal((n, 64, 32, 32)).astype(np.float32)
+    side = (32 + 2 * padding - 3) // stride + 1
+    g_y = rng.standard_normal((n, 64, side, side)).astype(np.float32)
+
+    def run():  # the output, the patches backward reads, the weight gradient
+        tape = Tape()
+        y = layer.forward(tape, Slot(x, requires_grad=False))
+        fn = tape.nodes[-1].backward_fn
+        cols = fn.__closure__[fn.__code__.co_freevars.index("cols")].cell_contents
+        tape.record(Slot(np.float32(0)), (y,), lambda g: (g_y,))
+        tape.backward(tape.nodes[-1].output)
+        return [y.value, cols, layer.weight.grad]
+
+    routes = []
     for kernels in (contextlib.nullcontext, numpy_kernels):
         with kernels():
-            in_each_split(lambda: _step(layer.forward, layer.weight, x, g_y, False)[::2])
+            in_each_split(run)
+            routes.append([a.tobytes() for a in run()])
+    assert routes[0] == routes[1]
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])

@@ -7,6 +7,7 @@ import pytest
 
 from bnn import arch, modelio
 from bnn.errors import ModelFormatError, NumericError
+from bnn.plan import InferencePlan
 
 from conftest import edit_descriptor
 
@@ -85,6 +86,22 @@ class TestRoundTrip:
             model.forward(x, training=False).value,
             loaded.forward(x, training=False).value,
         )
+
+    def test_resnet_roundtrip(self, tmp_path):
+        """A CIFAR ResNet-18 (mode N) file rebuilds through build_resnet:
+        save -> load -> save is byte-identical, and the loaded model's
+        logits are the saved one's, from the graph and from the plan."""
+        model = arch.build_resnet(18, num_classes=10, preset="cifar", seed=4)
+        x = np.random.default_rng(4).standard_normal((3, 3, 32, 32)).astype(np.float32)
+        model.forward(x, training=True)  # running statistics off their defaults
+        p1, p2 = str(tmp_path / "a.bnn"), str(tmp_path / "b.bnn")
+        modelio.save(model, p1)
+        loaded, norm = modelio.load(p1)
+        modelio.save(loaded, p2, normalization=norm)
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+        want = model.forward(x, training=False).value
+        assert loaded.forward(x, training=False).value.tobytes() == want.tobytes()
+        assert InferencePlan(loaded).run(x).tobytes() == want.tobytes()
 
 
 class TestSizePrediction:

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bnn import arch, bittensor, layers, train
+from bnn import arch, bittensor, layers, plan, train
 from bnn.autodiff import Slot, Tape
 from bnn.data import Dataset
 from bnn.errors import NumericError
 from bnn.layers import BatchNorm, MaxPool2d
 from bnn.plan import InferencePlan, Thresholds, bn_thresholds
 
-from conftest import numpy_kernels, packed_signs
+from conftest import numpy_kernels, packed_signs, split_in
 
 MODELS = [
     ("lenet", dict(scaling_mode="N")),
@@ -73,6 +73,22 @@ def test_plan_matches_graph_bit_for_bit(spec, kw):
         v = values[nid]
         v = v.reshape(v.shape + (1, 1)) if v.ndim == 2 else v
         np.testing.assert_array_equal(b, bittensor.pack_signs(v))
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("spec,kw", [MODELS[0], MODELS[5]])  # ResNet: a padded stem
+def test_plan_chunks_hold_32_images_a_part(spec, kw, parts):
+    """The plan runs its per-image head split_parts() * 32 images at a
+    time; batches one below, at and one above a chunk, and two chunks and
+    a short one, give the graph's logits in 1, 2 and 3 parts."""
+    g = _trained_like(spec, kw)
+    rng = np.random.default_rng(parts)
+    chunk = plan._CHUNK * parts
+    with split_in(parts):
+        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+            x = rng.normal(0, 1, (n,) + g.input_shape).astype(np.float32)
+            ref = g.forward(x, training=False).value
+            assert InferencePlan(g).run(x).tobytes() == ref.tobytes()
 
 
 def _graph_evaluate(model, ds, batch_size):
@@ -154,10 +170,11 @@ def test_plan_sees_every_gemm_at_the_graphs_shapes(monkeypatch):
     train.evaluate(g, ds, batch_size=16)
     assert len(shapes) == 10
     assert shapes == graph_shapes == [(16 * 64, 800, 64), (16, 1024, 1024)] * 5
-    # the stem's float patches; the binary conv's and the dense layer's
-    # bytes only where the native gather_patches does not replace im2col
-    packed = [] if bittensor.native_kernels() else [np.uint8, np.uint8]
-    assert gathered == graph_gathered == ([np.float32] + packed) * 5
+    # the stem's float patches, the binary conv's and the dense layer's
+    # bytes only where the native float_patches and gather_patches do not
+    # replace im2col
+    numpy_route = [] if bittensor.native_kernels() else [np.float32, np.uint8, np.uint8]
+    assert gathered == graph_gathered == numpy_route * 5
 
 
 HUGE = float(np.float32(3e38))

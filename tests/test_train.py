@@ -9,6 +9,7 @@ import pytest
 
 from bnn import arch
 from bnn.autodiff import Slot, Tape
+from bnn.errors import NumericError
 from bnn.layers import Param
 from bnn.train import (
     Adam,
@@ -322,6 +323,19 @@ def test_find_nan_layer_keeps_model_state(where):
     before = snapshot()
     assert _find_nan_layer(model, images) == where
     assert snapshot() == before
+
+
+@pytest.mark.parametrize("where", ["conv0", "head"])
+def test_training_nan_names_its_layer(where):
+    """A NaN in the stem's weight stops the forward at qconv0's sign, and
+    one in the head's reaches the loss: training names the layer either way."""
+    tr, te = tiny_pair()
+    model = arch.build_lenet(seed=0)
+    layer = {l.name: l for l in model.layers()}[where]
+    layer.weight.value[(0,) * layer.weight.value.ndim] = np.nan
+    with pytest.raises(NumericError, match=rf"^training diverged: NaN at epoch 0; "
+                                           rf"first NaN-producing layer: {where}$"):
+        train(model, tr, te, quick_cfg())
 
 
 def _train_digest_module():
