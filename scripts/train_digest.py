@@ -11,8 +11,11 @@ batches.  A second line per model, "<label> plan: <digest>", covers the
 logits its plan.InferencePlan gives for PLAN_IMAGES seeded images.  After
 those twelve lines, one "<label> file: <digest>" line per model covers
 the bytes modelio.save writes for it after the steps, its packed sign
-bits among them.  The native kernels and their numpy twins give the same
-bytes, so the five commands
+bits among them.  The last line, "builders: <digest>", covers the graphs
+the builders make for BUILDS, untrained: each node's id, inputs and op
+(a layer's spec, STE t_clip and scaling mode), the initial parameters
+and buffers and the build_args.  The native kernels and their numpy
+twins give the same bytes, so the five commands
 
     python scripts/train_digest.py
     CC=false XDG_CACHE_HOME="$(mktemp -d)" python scripts/train_digest.py
@@ -31,6 +34,7 @@ Usage: python scripts/train_digest.py
 """
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -56,6 +60,17 @@ RUNS = [
     ("resnet18", "resnet18", "N", "cifar", (3, 32, 32), 2, 0.0),
     # binary convs over 24, 33, 36, 45 and 57 channels: C % 8 != 0
     ("densenet:k=12,b=1", "densenet:k=12,b=1", "N", "cifar", (3, 32, 32), 4, 0.0),
+]
+
+# (model spec, arch.build_model keywords): the three CIFAR models in FB at t_clip 0.3
+CIFAR_FB = dict(num_classes=10, scaling_mode="FB", t_clip=0.3, preset="cifar")
+BUILDS = [
+    ("lenet", dict(binary=False)),
+    ("resnet26", CIFAR_FB),
+    ("resnet34:width=wide", CIFAR_FB),
+    ("densenet:k=8,b=1,bottleneck=true", CIFAR_FB),
+    ("resnet18", dict(num_classes=10)),
+    ("densenet:k=8,b=1", dict(num_classes=10)),
 ]
 
 
@@ -103,6 +118,23 @@ def file_digest(model):
             return hashlib.sha256(f.read()).hexdigest()
 
 
+def graph_arrays(model):
+    """What a builder decided for model, as arrays: its name, shapes, nodes
+    and build_args as JSON text, then every parameter and buffer."""
+    def op(o):
+        if isinstance(o, str):
+            return o
+        ste, cfg = getattr(o, "ste", None), getattr(o, "cfg", None)
+        return [o.spec(), ste and ste.t_clip, cfg and cfg.scaling_mode]
+
+    text = json.dumps([model.name, model.input_shape, model.num_classes, model.output_id,
+                       model.build_args, [[n.id, n.inputs, op(n.op)] for n in model.nodes]],
+                      sort_keys=True)
+    return [np.frombuffer(text.encode(), np.uint8)] + [
+        a for layer in model.layers()
+        for a in [p.value for p in layer.params()] + list(layer.buffers().values())]
+
+
 def main():
     print(f"kernel: {bittensor.native_kernels() and 'native' or 'numpy'}", file=sys.stderr)
     files = []
@@ -114,6 +146,8 @@ def main():
         print(f"{label} plan: {digest([InferencePlan(model).run(images)])}")
         files.append(f"{label} file: {file_digest(model)}")
     print("\n".join(files))
+    built = (arch.build_model(spec, **kw) for spec, kw in BUILDS)
+    print(f"builders: {digest(a for model in built for a in graph_arrays(model))}")
 
 
 if __name__ == "__main__":

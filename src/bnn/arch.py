@@ -18,10 +18,17 @@ Convention notes:
 * ImageNet-geometry presets (7x7 stem, 1000 classes) exist for
   parameter-count reproduction; desk-scale presets use a 3x3 stride-1
   stem.
+
+Every builder goes through one _Builder, which holds what the layers of
+a graph share (the binary flag, the STEConfig, the scaling mode and the
+generator that draws each layer's initial weights, in the order the
+layers are made) behind add(op, *srcs) and conv(...); ResNet and
+DenseNet share _input_shape, _stem and _classifier.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,54 +133,46 @@ def apply_node(node: GraphNode, tape: Tape, inputs: list, training=False) -> Slo
 
 
 class _Builder:
-    def __init__(self, name, input_shape, num_classes):
+    """A graph being built, with what its layers share: whether the inner
+    layers are binary, the STE, the scaling mode and the generator that
+    draws each layer's initial weights as the layer is made."""
+
+    def __init__(self, name, input_shape, num_classes, binary, t_clip, scaling_mode, seed):
         self.graph = ModelGraph(name, tuple(input_shape), num_classes)
         self.graph.nodes.append(GraphNode(0, "input", []))
-        self._next = 1
+        self.binary, self.ste, self.mode = binary, STEConfig(t_clip), scaling_mode
+        self.rng = np.random.default_rng(seed)
         self._counts = {}
 
-    def _fresh(self, prefix):
+    def fresh(self, prefix):
         i = self._counts.get(prefix, 0)
         self._counts[prefix] = i + 1
         return f"{prefix}{i}"
 
-    def add(self, layer, src):
-        nid = self._next
-        self._next += 1
-        self.graph.nodes.append(GraphNode(nid, layer, [src]))
-        return nid
+    def add(self, op, *srcs):
+        """A node applying op (a Layer, "concat" or "add") to the nodes srcs."""
+        self.graph.nodes.append(GraphNode(len(self.graph.nodes), op, list(srcs)))
+        return len(self.graph.nodes) - 1
 
-    def add_concat(self, srcs):
-        nid = self._next
-        self._next += 1
-        self.graph.nodes.append(GraphNode(nid, "concat", list(srcs)))
-        return nid
+    def bn(self, src, c):
+        return self.add(BatchNorm(c, name=self.fresh("bn")), src)
 
-    def add_residual(self, a, b):
-        nid = self._next
-        self._next += 1
-        self.graph.nodes.append(GraphNode(nid, "add", [a, b]))
-        return nid
+    def conv(self, src, in_c, out_c, k, stride=1, padding=0, prefix="qconv", binary=None):
+        """A k x k convolution of src, binary (weights and input) as the
+        model is unless binary=False (the float stem)."""
+        binary = self.binary if binary is None else binary
+        cfg = QLayerConfig(in_c, out_c, (k, k), stride, padding, self.mode, binarize_input=binary)
+        return self.add(QConv2d(cfg, binary, self.ste, self.rng, self.fresh(prefix)), src)
+
+    def head(self, src, c):
+        """The float classifier, the one layer with a bias."""
+        return self.add(QDense(c, self.graph.num_classes, binary=False, bias=True,
+                               binarize_input=False, rng=self.rng, name="head"), src)
 
     def done(self, output_id, build_args):
         self.graph.output_id = output_id
         self.graph.build_args = build_args
         return self.graph
-
-
-def _conv(b, src, in_c, out_c, kernel, stride, padding, binary, ste, mode, rng,
-          prefix, binarize_input=True):
-    cfg = QLayerConfig(
-        in_channels=in_c,
-        out_channels=out_c,
-        kernel=kernel,
-        stride=stride,
-        padding=padding,
-        scaling_mode=mode,
-        binarize_input=binary and binarize_input,
-    )
-    layer = QConv2d(cfg, binary=binary, ste=ste, rng=rng, name=b._fresh(prefix))
-    return b.add(layer, src)
 
 
 def build_lenet(binary=True, num_classes=10, t_clip=0.5, scaling_mode="N",
@@ -185,58 +184,58 @@ def build_lenet(binary=True, num_classes=10, t_clip=0.5, scaling_mode="N",
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
-    ste = STEConfig(t_clip)
-    rng = np.random.default_rng(seed)
-    b = _Builder("lenet" if binary else "lenet-fp", (1, 28, 28), num_classes)
-
-    x = _conv(b, 0, 1, 32, (5, 5), 1, 0, False, ste, scaling_mode, rng, "conv")
-    x = b.add(MaxPool2d(2, name=b._fresh("pool")), x)          # 32x12x12
-    x = b.add(BatchNorm(32, name=b._fresh("bn")), x)
-    x = _conv(b, x, 32, 64, (5, 5), 1, 0, binary, ste, scaling_mode, rng,
-              "qconv" if binary else "conv")                    # 64x8x8
-    x = b.add(MaxPool2d(2, name=b._fresh("pool")), x)          # 64x4x4
-    x = b.add(BatchNorm(64, name=b._fresh("bn")), x)
-    x = b.add(Flatten(name="flatten"), x)                       # 1024
-    hidden = QDense(
-        1024, 1024, binary=binary, binarize_input=binary,
-        scaling_mode=scaling_mode, ste=ste, rng=rng,
-        name="qdense0" if binary else "dense0",
-    )
-    x = b.add(hidden, x)
-    x = b.add(BatchNorm(1024, name=b._fresh("bn")), x)
-    head = QDense(
-        1024, num_classes, binary=False, bias=True, binarize_input=False,
-        rng=rng, name="head",
-    )
-    x = b.add(head, x)
+    b = _Builder("lenet" if binary else "lenet-fp", (1, 28, 28), num_classes, binary,
+                 t_clip, scaling_mode, seed)
+    x = b.conv(0, 1, 32, 5, prefix="conv", binary=False)
+    x = b.bn(b.add(MaxPool2d(2, name=b.fresh("pool")), x), 32)      # 32x12x12
+    x = b.conv(x, 32, 64, 5, prefix="qconv" if binary else "conv")  # 64x8x8
+    x = b.bn(b.add(MaxPool2d(2, name=b.fresh("pool")), x), 64)      # 64x4x4
+    x = b.add(Flatten(name="flatten"), x)                           # 1024
+    hidden = QDense(1024, 1024, binary=binary, binarize_input=binary,
+                    scaling_mode=scaling_mode, ste=b.ste, rng=b.rng,
+                    name="qdense0" if binary else "dense0")
+    x = b.head(b.bn(b.add(hidden, x), 1024), 1024)
     return b.done(x, {
         "model": "lenet", "binary": binary, "num_classes": num_classes,
         "t_clip": t_clip, "scaling_mode": scaling_mode, "seed": seed,
     })
 
 
-def build_resnet_block(b, src, in_c, out_c, stride, bottleneck, ste, mode,
-                       rng, binary=True):
+def _input_shape(preset):
+    shapes = {"imagenet": (3, 224, 224), "cifar": (3, 32, 32)}
+    if preset not in shapes:
+        raise ValueError(f"unknown preset {preset!r}")
+    return shapes[preset]
+
+
+def _stem(b, c, preset):
+    """The float first convolution to c channels: 7x7 stride 2 and a 3x3
+    stride-2 max pool at ImageNet geometry, 3x3 stride 1 at CIFAR's."""
+    if preset == "cifar":
+        return b.conv(0, 3, c, 3, 1, 1, prefix="conv", binary=False)
+    x = b.conv(0, 3, c, 7, 2, 3, prefix="conv", binary=False)
+    return b.add(MaxPool2d(3, 2, name="stempool"), x)
+
+
+def _classifier(b, src, c):
+    """BatchNorm, global average pooling and the float head."""
+    x = b.add(GlobalAvgPool(), b.bn(src, c))
+    return b.head(x, c)
+
+
+def build_resnet_block(b, src, in_c, out_c, stride, bottleneck):
     """One residual block; returns (output node id, output channels)."""
     if bottleneck:
         mid = max(1, out_c // 4)
-        y = b.add(BatchNorm(in_c, name=b._fresh("bn")), src)
-        y = _conv(b, y, in_c, mid, (1, 1), stride, 0, binary, ste, mode, rng, "qconv")
-        y = b.add(BatchNorm(mid, name=b._fresh("bn")), y)
-        y = _conv(b, y, mid, mid, (3, 3), 1, 1, binary, ste, mode, rng, "qconv")
-        y = b.add(BatchNorm(mid, name=b._fresh("bn")), y)
-        y = _conv(b, y, mid, out_c, (1, 1), 1, 0, binary, ste, mode, rng, "qconv")
+        y = b.conv(b.bn(src, in_c), in_c, mid, 1, stride)
+        y = b.conv(b.bn(y, mid), mid, mid, 3, 1, 1)
+        y = b.conv(b.bn(y, mid), mid, out_c, 1)
     else:
-        y = b.add(BatchNorm(in_c, name=b._fresh("bn")), src)
-        y = _conv(b, y, in_c, out_c, (3, 3), stride, 1, binary, ste, mode, rng, "qconv")
-        y = b.add(BatchNorm(out_c, name=b._fresh("bn")), y)
-        y = _conv(b, y, out_c, out_c, (3, 3), 1, 1, binary, ste, mode, rng, "qconv")
+        y = b.conv(b.bn(src, in_c), in_c, out_c, 3, stride, 1)
+        y = b.conv(b.bn(y, out_c), out_c, out_c, 3, 1, 1)
     if stride != 1 or in_c != out_c:
-        shortcut = _conv(b, src, in_c, out_c, (1, 1), stride, 0, binary, ste,
-                         mode, rng, "qproj")
-    else:
-        shortcut = src
-    return b.add_residual(y, shortcut), out_c
+        src = b.conv(src, in_c, out_c, 1, stride, prefix="qproj")
+    return b.add("add", y, src), out_c
 
 
 _RESNET_PRESETS = {
@@ -268,53 +267,27 @@ def build_resnet(depth=18, width="thin", num_classes=1000, binary=True,
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
     blocks, bottleneck = _RESNET_PRESETS[depth]
-    stem_c, stages = _RESNET_WIDTHS[width]
-    ste = STEConfig(t_clip)
-    rng = np.random.default_rng(seed)
-    if preset == "imagenet":
-        input_shape = (3, 224, 224)
-    elif preset == "cifar":
-        input_shape = (3, 32, 32)
-    else:
-        raise ValueError(f"unknown preset {preset!r}")
-    b = _Builder(f"resnet{depth}-{width}", input_shape, num_classes)
-
-    if preset == "imagenet":
-        x = _conv(b, 0, 3, stem_c, (7, 7), 2, 3, False, ste, scaling_mode, rng, "conv")
-        x = b.add(MaxPool2d(3, 2, name="stempool"), x)
-    else:
-        x = _conv(b, 0, 3, stem_c, (3, 3), 1, 1, False, ste, scaling_mode, rng, "conv")
-    c = stem_c
+    c, stages = _RESNET_WIDTHS[width]
+    b = _Builder(f"resnet{depth}-{width}", _input_shape(preset), num_classes, binary,
+                 t_clip, scaling_mode, seed)
+    x = _stem(b, c, preset)
     for si, (n_blocks, out_c) in enumerate(zip(blocks, stages)):
         for bi in range(n_blocks):
             stride = 2 if (si > 0 and bi == 0) else 1
-            x, c = build_resnet_block(
-                b, x, c, out_c, stride, bottleneck, ste, scaling_mode, rng,
-                binary=binary,
-            )
-    x = b.add(BatchNorm(c, name=b._fresh("bn")), x)
-    x = b.add(GlobalAvgPool(), x)
-    head = QDense(c, num_classes, binary=False, bias=True,
-                  binarize_input=False, rng=rng, name="head")
-    x = b.add(head, x)
-    return b.done(x, {
+            x, c = build_resnet_block(b, x, c, out_c, stride, bottleneck)
+    return b.done(_classifier(b, x, c), {
         "model": "resnet", "depth": depth, "width": width, "binary": binary,
         "num_classes": num_classes, "t_clip": t_clip,
         "scaling_mode": scaling_mode, "seed": seed, "preset": preset,
     })
 
 
-def build_densenet_block(b, src, in_c, k, bottleneck, ste, mode, rng,
-                         binary=True):
+def build_densenet_block(b, src, in_c, k, bottleneck):
     """One dense block: new features concatenated onto the input."""
-    y = b.add(BatchNorm(in_c, name=b._fresh("bn")), src)
+    y, c = b.bn(src, in_c), in_c
     if bottleneck:
-        y = _conv(b, y, in_c, 4 * k, (1, 1), 1, 0, binary, ste, mode, rng, "qconv")
-        y = b.add(BatchNorm(4 * k, name=b._fresh("bn")), y)
-        y = _conv(b, y, 4 * k, k, (3, 3), 1, 1, binary, ste, mode, rng, "qconv")
-    else:
-        y = _conv(b, y, in_c, k, (3, 3), 1, 1, binary, ste, mode, rng, "qconv")
-    return b.add_concat([src, y]), in_c + k
+        y, c = b.bn(b.conv(y, in_c, 4 * k, 1), 4 * k), 4 * k
+    return b.add("concat", src, b.conv(y, c, k, 3, 1, 1)), in_c + k
 
 
 def transition_width(k: int, reduction: float) -> int:
@@ -325,42 +298,20 @@ def transition_width(k: int, reduction: float) -> int:
 def build_densenet(spec: DenseNetSpec, bottleneck=False, binary=True,
                    t_clip=0.5, scaling_mode="N", seed=0,
                    preset="imagenet") -> ModelGraph:
-    ste = STEConfig(t_clip)
-    rng = np.random.default_rng(seed)
-    if preset == "imagenet":
-        input_shape = (3, 224, 224)
-    elif preset == "cifar":
-        input_shape = (3, 32, 32)
-    else:
-        raise ValueError(f"unknown preset {preset!r}")
     name = f"densenet{densenet_depth(spec.b)}-k{spec.k}"
-    b = _Builder(name, input_shape, spec.num_classes)
-
+    b = _Builder(name, _input_shape(preset), spec.num_classes, binary, t_clip,
+                 scaling_mode, seed)
     c = 2 * spec.k
-    if preset == "imagenet":
-        x = _conv(b, 0, 3, c, (7, 7), 2, 3, False, ste, scaling_mode, rng, "conv")
-        x = b.add(MaxPool2d(3, 2, name="stempool"), x)
-    else:
-        x = _conv(b, 0, 3, c, (3, 3), 1, 1, False, ste, scaling_mode, rng, "conv")
+    x = _stem(b, c, preset)
     for unit in range(4):
         for _ in range(2 * spec.b):
-            x, c = build_densenet_block(
-                b, x, c, spec.k, bottleneck, ste, scaling_mode, rng,
-                binary=binary,
-            )
+            x, c = build_densenet_block(b, x, c, spec.k, bottleneck)
         if unit < 3:
             out_c = transition_width(spec.k, spec.reduction)
-            x = b.add(BatchNorm(c, name=b._fresh("bn")), x)
-            x = _conv(b, x, c, out_c, (1, 1), 1, 0, binary, ste, scaling_mode,
-                      rng, "qtrans")
-            x = b.add(AvgPool2d(2, name=b._fresh("transpool")), x)
+            x = b.conv(b.bn(x, c), c, out_c, 1, prefix="qtrans")
+            x = b.add(AvgPool2d(2, name=b.fresh("transpool")), x)
             c = out_c
-    x = b.add(BatchNorm(c, name=b._fresh("bn")), x)
-    x = b.add(GlobalAvgPool(), x)
-    head = QDense(c, spec.num_classes, binary=False, bias=True,
-                  binarize_input=False, rng=rng, name="head")
-    x = b.add(head, x)
-    return b.done(x, {
+    return b.done(_classifier(b, x, c), {
         "model": "densenet", "k": spec.k, "b": spec.b,
         "reduction": spec.reduction, "bottleneck": bottleneck,
         "binary": binary, "num_classes": spec.num_classes, "t_clip": t_clip,
@@ -405,65 +356,55 @@ def summary(g: ModelGraph) -> str:
 
 
 MODEL_SPEC_HELP = (
-    "lenet | densenet:k=<int>,b=<int>[,reduction=<float>] | "
+    "lenet | densenet:k=<int>,b=<int>[,reduction=<float>][,bottleneck=true|false] | "
     "resnet18 | resnet34[:width=thin|wide] | resnet26 | resnet68"
 )
 
 
 def build_model(spec_str: str, num_classes=None, binary=True, t_clip=0.5,
                 scaling_mode="N", seed=0, preset=None) -> ModelGraph:
-    """Build a model from a spec string like 'densenet:k=128,b=2'."""
+    """Build a model from a spec string like 'densenet:k=128,b=2'.  An
+    option the model does not take, one given twice or a bottleneck other
+    than true or false raises ValueError naming it."""
     name, _, rest = spec_str.partition(":")
     opts = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise ValueError(f"bad model option {item!r} in {spec_str!r}")
-            opts[key.strip()] = val.strip()
+    for item in rest.split(",") if rest else ():
+        key, _, val = (part.strip() for part in item.partition("="))
+        if not val:
+            raise ValueError(f"bad model option {item!r} in {spec_str!r}")
+        if key in opts:
+            raise ValueError(f"model option {key!r} given twice in {spec_str!r}")
+        opts[key] = val
     name = name.strip().lower()
     if num_classes is not None and num_classes < 2:
         raise ValueError("num_classes must be >= 2")
+    classes = 1000 if num_classes is None else num_classes
+    preset = preset or "imagenet"
     if name == "lenet":
-        return build_lenet(
-            binary=binary, num_classes=10 if num_classes is None else num_classes,
-            t_clip=t_clip, scaling_mode=scaling_mode, seed=seed,
-        )
-    if name == "densenet":
+        kind, build = name, functools.partial(
+            build_lenet, num_classes=10 if num_classes is None else num_classes)
+    elif name == "densenet":
         try:
-            spec = DenseNetSpec(
-                k=int(opts.pop("k")),
-                b=int(opts.pop("b")),
-                reduction=float(opts.pop("reduction", 0.5)),
-                num_classes=1000 if num_classes is None else num_classes,
-            )
+            spec = DenseNetSpec(k=int(opts.pop("k")), b=int(opts.pop("b")),
+                                reduction=float(opts.pop("reduction", 0.5)),
+                                num_classes=classes)
         except KeyError as exc:
             raise ValueError(
                 f"densenet spec needs k and b, e.g. densenet:k=128,b=2 "
                 f"(got {spec_str!r})"
             ) from exc
-        bottleneck = opts.pop("bottleneck", "false").lower() == "true"
-        if opts:
-            raise ValueError(f"unknown densenet options {sorted(opts)}")
-        return build_densenet(
-            spec, bottleneck=bottleneck, binary=binary, t_clip=t_clip,
-            scaling_mode=scaling_mode, seed=seed,
-            preset=preset or "imagenet",
-        )
-    if name.startswith("resnet"):
-        try:
-            depth = int(name[len("resnet"):])
-        except ValueError:
-            raise ValueError(
-                f"unknown model {spec_str!r}; valid: {MODEL_SPEC_HELP}"
-            ) from None
-        width = opts.pop("width", "thin")
-        if opts:
-            raise ValueError(f"unknown resnet options {sorted(opts)}")
-        return build_resnet(
-            depth=depth, width=width,
-            num_classes=1000 if num_classes is None else num_classes,
-            binary=binary, t_clip=t_clip, scaling_mode=scaling_mode,
-            seed=seed, preset=preset or "imagenet",
-        )
-    raise ValueError(f"unknown model {spec_str!r}; valid: {MODEL_SPEC_HELP}")
+        bottleneck = opts.pop("bottleneck", "false").lower()
+        if bottleneck not in ("true", "false"):
+            raise ValueError(f"densenet option bottleneck must be true or false, "
+                             f"got {bottleneck!r}")
+        kind, build = name, functools.partial(build_densenet, spec, preset=preset,
+                                              bottleneck=bottleneck == "true")
+    elif name.startswith("resnet") and name[len("resnet"):].isdigit():
+        kind, build = "resnet", functools.partial(
+            build_resnet, depth=int(name[len("resnet"):]), width=opts.pop("width", "thin"),
+            num_classes=classes, preset=preset)
+    else:
+        raise ValueError(f"unknown model {spec_str!r}; valid: {MODEL_SPEC_HELP}")
+    if opts:
+        raise ValueError(f"unknown {kind} options {sorted(opts)}")
+    return build(binary=binary, t_clip=t_clip, scaling_mode=scaling_mode, seed=seed)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -119,35 +120,23 @@ def cmd_sweep(args):
     train_ds, test_ds = _load_dataset(args.dataset, args.data_dir)
     cfg = _train_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    preset = "cifar" if args.dataset == "cifar10" else None
+
+    def build(**change):
+        return _build_for_dataset(args.model, args.dataset, train_ds.class_count,
+                                  replace(cfg, **change))
 
     if args.kind == "tclip":
         grid = args.grid or list(train_mod.DEFAULT_TCLIP_GRID)
-
-        def build(t):
-            return arch.build_model(
-                args.model, num_classes=train_ds.class_count, t_clip=t,
-                scaling_mode=cfg.scaling_mode, seed=cfg.seed, preset=preset,
-            )
-
-        rows = train_mod.sweep_tclip(build, train_ds, test_ds, grid, cfg,
-                                     log=print)
+        rows = train_mod.sweep_tclip(lambda t: build(t_clip=t), train_ds, test_ds, grid,
+                                     cfg, log=print)
         out = os.path.join(args.out_dir, "sweep_tclip.csv")
         train_mod.write_tclip_csv(rows, out)
         best = max(rows, key=lambda r: r[2])
         print(f"wrote {out}; best threshold {best[0]} "
               f"(top-1 {best[2]:.4f})")
     else:  # scaling
-
-        def build(mode):
-            return arch.build_model(
-                args.model, num_classes=train_ds.class_count,
-                t_clip=cfg.t_clip, scaling_mode=mode, seed=cfg.seed,
-                preset=preset,
-            )
-
         modes, columns = train_mod.compare_scaling_modes(
-            build, train_ds, test_ds, cfg, log=print
+            lambda mode: build(scaling_mode=mode), train_ds, test_ds, cfg, log=print
         )
         out = os.path.join(args.out_dir, "sweep_scaling.csv")
         train_mod.write_scaling_csv(modes, columns, out)

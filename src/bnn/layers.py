@@ -17,7 +17,8 @@ weight, computed only where a mode reads it):
   N  - no scaling anywhere (default),
   B  - weight gradient multiplied by the factor in backward only,
   FB - forward output and weight gradient both multiplied by the factor.
-The activation gradient is never scaled.
+The activation gradient is never scaled.  QConv2d.scaling alone computes
+the factor and gives the FB forward scale; QDense and the plan call it.
 
 The binary-linear core is binary_conv: sign activations packed along
 channels by bittensor.pack_signs, the one packer, gathered into
@@ -60,10 +61,11 @@ in another order).  The first split, in the first forward, sets OpenBLAS
 to one thread, in evaluation too.  A pass too small to pay for a second
 part runs in one, by the size rule its docstring gives.
 
-BatchNorm in training works on (n, c, hw) in three passes, native for
-float32 and otherwise numpy twins with the same bytes, and keeps no
-xhat; MaxPool2d keeps no index, and its backward finds each window's
-first maximum again.  Evaluation normalizes with the running statistics.
+BatchNorm works on (n, c, hw), native for float32 and otherwise numpy
+twins with the same bytes: in training in three passes, keeping no xhat;
+in evaluation in bn_normalize's one pass with the running statistics, on
+no tape.  MaxPool2d keeps no index, and its backward finds each window's
+first maximum again.
 
 These forwards serve training and ModelGraph.forward.  Evaluation runs
 plan.InferencePlan instead: it calls the forward of every layer that is
@@ -75,6 +77,7 @@ does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,12 +365,17 @@ class QConv2d(Layer):
             )
         return self._conv(tape, x, x.value)
 
-    def _alpha(self):
-        """alpha where the mode reads it: the FB forward and the B/FB
-        weight gradient; else None."""
-        if self.binary and self.cfg.scaling_mode in ("B", "FB"):
-            return compute_scaling_factor(self.weight.value)
-        return None
+    def scaling(self):
+        """(alpha, scale): alpha = mean|w| where a mode reads it (the FB
+        forward, the B and FB weight gradient), else None, and the forward
+        scale of the output, y -> y * alpha in FB, else y -> y.  The one
+        owner of alpha: the forwards of QConv2d and QDense call it, and the
+        plan once per binary layer, when it is built."""
+        mode = self.cfg.scaling_mode
+        if not (self.binary and mode in ("B", "FB")):
+            return None, lambda y: y
+        alpha = compute_scaling_factor(self.weight.value)
+        return alpha, (lambda y: y * alpha) if mode == "FB" else (lambda y: y)
 
     def _weight_grad(self, g_wb, alpha):
         """The latent weight's gradient from that of the weight signs:
@@ -414,9 +422,8 @@ class QConv2d(Layer):
             bittensor.in_parts(images, n)
             y = y.reshape(n, o, oh, ow)
 
-        alpha = self._alpha()
-        if alpha is not None and cfg.scaling_mode == "FB":
-            y = y * alpha
+        alpha, scale = self.scaling()
+        y = scale(y)
         out = Slot(y.reshape(y.shape[: x.value.ndim]), name=self.name)
 
         def backward_fn(g_y):
@@ -483,10 +490,8 @@ class QDense(QConv2d):
         if self.cfg.binarize_input:
             return self._conv(tape, x, x.value[:, :, None, None])
         wb = autodiff.sign_forward(self.weight.value) if self.binary else self.weight.value
-        out = x.value @ wb.T
-        alpha = self._alpha()
-        if alpha is not None and self.cfg.scaling_mode == "FB":
-            out = out * alpha
+        alpha, scale = self.scaling()
+        out = scale(x.value @ wb.T)
         if self.bias is not None:
             out = out + self.bias.value
         slot = Slot(out, name=self.name)
@@ -667,34 +672,24 @@ class BatchNorm(Layer):
 
     def forward(self, tape, x, training=True):
         v = x.value
-        if v.ndim == 4:
-            axes, shape = (0, 2, 3), (1, -1, 1, 1)
-        elif v.ndim == 2:
-            axes, shape = (0,), (1, -1)
-        else:
+        if v.ndim not in (2, 4):
             raise ShapeError(f"{self.name}: unsupported input ndim {v.ndim}")
         if v.shape[1] != self.num_features:
             raise ShapeError(
                 f"{self.name}: expected {self.num_features} channels, "
                 f"got {v.shape[1]}"
             )
+        # (n, c, hw); the product, not -1, so that a batch of no images reshapes
+        xs = np.ascontiguousarray(v).reshape(v.shape[:2] + (math.prod(v.shape[2:]),))
         if training:
-            return self._train_forward(tape, x)
-        mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (v - mean.reshape(shape)) * inv_std.reshape(shape)
-        y = self.gamma.value.reshape(shape) * xhat + self.beta.value.reshape(shape)
-        out = Slot(y.astype(v.dtype), name=self.name)
+            return self._train_forward(tape, x, xs)
+        # the running statistics, on no tape: nothing differentiates an eval pass
+        inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+        stats = (self.running_mean, inv_std, self.gamma.value, self.beta.value)
+        y = bn_normalize(xs, *(a.astype(v.dtype, copy=False) for a in stats))
+        return Slot(y.reshape(v.shape), name=self.name)
 
-        def backward_fn(g_y):
-            g_beta = g_y.sum(axis=axes)
-            g_gamma = (g_y * xhat).sum(axis=axes)
-            g_x = g_y * self.gamma.value.reshape(shape) * inv_std.reshape(shape)
-            return (g_x.astype(v.dtype), g_gamma, g_beta)
-
-        return tape.record(out, (x, self.gamma, self.beta), backward_fn)
-
-    def _train_forward(self, tape, x):
+    def _train_forward(self, tape, x, xs):
         """Batch statistics as float64 lane sums (bn_sums); the tape keeps
         x and per-channel values, and backward recomputes xhat from them."""
         v = x.value
@@ -702,7 +697,6 @@ class BatchNorm(Layer):
             raise ShapeError(f"{self.name}: batch statistics need a value per channel, "
                              f"got an input of shape {v.shape}")
         dt = v.dtype
-        xs = np.ascontiguousarray(v).reshape(v.shape[0], self.num_features, -1)
         m = xs.shape[0] * xs.shape[2]
         s, d = bn_sums(xs)
         mean, var = s / m, d / m

@@ -37,22 +37,20 @@ import numpy as np
 
 from . import arch, bittensor
 from .errors import ModelFormatError
-from .layers import QConv2d
 
 MAGIC = b"BNN1"
 VERSION = 1
 
 
+def _param_storage(param, binary_storage: bool = True) -> str:
+    """The one storage rule: a binary weight is packed in a deployment file."""
+    return "packed_binary" if binary_storage and param.binary else "float32"
+
+
 def storage_class(layer) -> str:
-    if isinstance(layer, QConv2d) and layer.binary:  # QDense too
-        return "packed_binary"
-    return "float32"
-
-
-def _param_storage(layer, param, binary_storage: bool) -> str:
-    if binary_storage and param.binary:
-        return "packed_binary"
-    return "float32"
+    """packed_binary for a layer that packs a parameter in a deployment file."""
+    packed = any(_param_storage(p) == "packed_binary" for p in layer.params())
+    return "packed_binary" if packed else "float32"
 
 
 def _packed_nbytes(shape) -> int:
@@ -89,7 +87,7 @@ def _descriptor(g: arch.ModelGraph, binary_storage: bool) -> dict:
                 {
                     "name": p.name,
                     "shape": list(p.value.shape),
-                    "storage": _param_storage(layer, p, binary_storage),
+                    "storage": _param_storage(p, binary_storage),
                 }
                 for p in layer.params()
             ],
@@ -139,7 +137,7 @@ def _write(g: arch.ModelGraph, path, binary_storage: bool,
     payloads = []
     for layer in g.layers():
         for p in layer.params():
-            if binary_storage and p.binary:
+            if _param_storage(p, binary_storage) == "packed_binary":
                 payloads.append(_pack_weight(p.value))
             else:
                 payloads.append(
@@ -260,7 +258,8 @@ def load(path):
             "expects the deployment format)"
         )
     # every field, down to each parameter's shape and storage, as save() writes it
-    expect_desc = _descriptor(g, desc.get("storage_mode") == "packed_binary")
+    binary_storage = desc.get("storage_mode") == "packed_binary"
+    expect_desc = _descriptor(g, binary_storage)
     if desc != expect_desc:
         key = min(k for k in desc.keys() | expect_desc.keys()
                   if desc.get(k) != expect_desc.get(k))
@@ -278,7 +277,7 @@ def load(path):
     for layer in g.layers():
         for p in layer.params():
             raw = next(it)
-            if desc["storage_mode"] == "packed_binary" and p.binary:
+            if _param_storage(p, binary_storage) == "packed_binary":
                 p.value = _unpack_weight(raw, p.value.shape)
             else:
                 p.value = np.frombuffer(raw, dtype="<f4").reshape(

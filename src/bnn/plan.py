@@ -34,17 +34,20 @@ thread here too.  The per-image steps before the first binary GEMM run
 _CHUNK images a part, split_parts() parts at a time.
 
 Thresholds come from calling the BatchNorm layer, not from a copy of its
-arithmetic.  Each float32 operation of its eval expression is monotone in
-the input, so for each channel the inputs x with BN(x) >= 0 form a
-half-line of the float32 line, and bn_thresholds searches the ordered
-float32 bit patterns for where it starts.  The bit of channel c is stored
-as x >= thr[c], XOR flip[c]: flip is set where BN decreases (x >= thr
-then marks the inputs that fail) and on channels whose sign is the same
-for every input (gamma = 0).  The stored bit is monotone in x, so the max
-of a window passes exactly when the OR of its stored bits, XOR flip, is
-set.  The plan raises NumericError wherever a NaN would reach sign in the
-graph: at a NaN input to the compare, and, for a channel with gamma = 0,
-at inputs so large that gamma * xhat is 0 * inf.
+arithmetic: its eval forward runs bn_normalize, the training normalize,
+and so do the plan's float BatchNorm steps.  A binary step's alpha and
+FB scale come from the layer too (QConv2d.scaling).  Each float32
+operation of the eval expression is monotone in the input, so for each
+channel the inputs x with BN(x) >= 0 form a half-line of the float32
+line, and bn_thresholds searches the ordered float32 bit patterns for
+where it starts.  The bit of channel c is stored as x >= thr[c], XOR
+flip[c]: flip is set where BN decreases (x >= thr then marks the inputs
+that fail) and on channels whose sign is the same for every input
+(gamma = 0).  The stored bit is monotone in x, so the max of a window
+passes exactly when the OR of its stored bits, XOR flip, is set.  The
+plan raises NumericError wherever a NaN would reach sign in the graph:
+at a NaN input to the compare, and, for a channel with gamma = 0, at
+inputs so large that gamma * xhat is 0 * inf.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from . import bittensor, layers
 from .arch import ModelGraph, apply_node
 from .autodiff import Slot, Tape
 from .errors import NumericError, ShapeError
-from .layers import BatchNorm, Flatten, MaxPool2d, QConv2d, QDense, compute_scaling_factor
+from .layers import BatchNorm, Flatten, MaxPool2d, QConv2d, QDense
 
 
 def _keys(x) -> np.ndarray:
@@ -298,12 +301,10 @@ class InferencePlan:
         (kh, kw), s, p = ((1, cfg.in_channels // c), 1, 0) if dense else (
             cfg.kernel, cfg.stride, cfg.padding)
         w_bits = layers.weight_bits(layer.weight.value.reshape(o, c, kh, kw))
-        alpha = compute_scaling_factor(layer.weight.value) if cfg.scaling_mode == "FB" else None
+        _, scale = layer.scaling()
 
         def step(xb):
             xb = xb.reshape(len(xb), 1, kw, xb.shape[-1]) if dense else xb
-            y = layers.binary_conv(xb, w_bits, kh, kw, s, p, c)
-            if alpha is not None:
-                y = y * alpha
+            y = scale(layers.binary_conv(xb, w_bits, kh, kw, s, p, c))
             return y.reshape(len(y), o) if dense else y
         return step

@@ -11,7 +11,7 @@ import pytest
 
 from bnn import arch, bittensor, cli, modelio
 
-from conftest import REPO_ROOT, edit_descriptor, write_mnist_dir
+from conftest import REPO_ROOT, edit_descriptor, write_cifar_dir, write_mnist_dir
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +208,14 @@ class TestSize:
             assert capsys.readouterr().err == (
                 "error: out of memory: Unable to allocate 4.00 TiB for an array\n")
 
+    @pytest.mark.parametrize("spec, option", [("lenet:width=wide", "width"),
+                                              ("densenet:k=4,b=1,bottleneck=yes", "bottleneck"),
+                                              ("densenet:k=4,b=1,k=8", "'k'")])
+    def test_malformed_option_exits_2_naming_it(self, spec, option, capsys):
+        assert cli.main(["size", "--model", spec]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and option in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("model", ["lenet", "densenet:k=16,b=2", "resnet18"])
     @pytest.mark.parametrize("classes", ["0", "1", "-3"])
     def test_too_few_classes(self, model, classes, capsys):
@@ -259,6 +267,31 @@ class TestSweep:
         ).splitlines()
         assert lines[0] == "epoch,N,B,FB"
         assert len(lines) == 2
+
+
+def test_cifar10_train_eval_and_sweep(tmp_path, monkeypatch):
+    """--dataset cifar10 through the CLI: training a DenseNet for an epoch,
+    evaluating its file and a t_clip sweep each exit 0, and every model
+    they build or load is CIFAR-preset."""
+    data_dir = write_cifar_dir(str(tmp_path / "cifar"))
+    built = []
+    build_model = arch.build_model
+    monkeypatch.setattr(arch, "build_model",
+                        lambda *a, **kw: built.append(build_model(*a, **kw)) or built[-1])
+    flags = ["--model", "densenet:k=4,b=1", "--dataset", "cifar10", "--data-dir", data_dir,
+             "--epochs", "1", "--batch-size", "20"]
+    run = str(tmp_path / "run")
+    assert cli.main(["train", *flags, "--out-dir", run]) == cli.EXIT_OK
+    path = os.path.join(run, "model.bnn")
+    assert cli.main(["eval", "--model-file", path, "--dataset", "cifar10",
+                     "--data-dir", data_dir]) == cli.EXIT_OK
+    assert cli.main(["sweep", "--kind", "tclip", "--grid", "0.5", *flags,
+                     "--out-dir", str(tmp_path / "sweep")]) == cli.EXIT_OK
+    models = built + [modelio.load(path)[0]]
+    assert len(models) == 3
+    for g in models:
+        assert g.input_shape == (3, 32, 32) and g.build_args["preset"] == "cifar"
+    assert built[1].build_args["t_clip"] == 0.5
 
 
 def test_usage_error_on_no_command():

@@ -988,6 +988,49 @@ class TestBatchNorm:
         assert stats == [b.tobytes() for layer in g.layers() for b in layer.buffers().values()]
 
 
+def bn_eval_oracle(bn, v):
+    """BatchNorm's eval forward as numpy broadcasting over the running
+    statistics, cast to the input's dtype: the expression it ran before it
+    called bn_normalize."""
+    shape = (1, -1) + (1,) * (v.ndim - 2)
+    inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
+    xhat = (v - bn.running_mean.reshape(shape)) * inv_std.reshape(shape)
+    y = bn.gamma.value.reshape(shape) * xhat + bn.beta.value.reshape(shape)
+    return y.astype(v.dtype)
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (3, 6, 4, 5), (2, 6, 1, 1), (0, 6), (0, 6, 4, 5)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_eval_gives_the_bytes_of_its_old_expression(shape, dtype):
+    """The eval forward, native, numpy and in 1, 2 and 3 parts, gives the
+    old expression's bytes, on no tape: NaN, +-inf and +-3e38 inputs, a
+    batch of no images, and channels with gamma = 0 or running_var = 0."""
+    rng = np.random.default_rng(len(shape))
+    bn = BatchNorm(6)
+    bn.gamma.value[:] = rng.standard_normal(6)
+    bn.gamma.value[0] = 0.0
+    bn.beta.value[:] = rng.standard_normal(6)
+    bn.running_mean[:] = rng.standard_normal(6)
+    bn.running_var[:] = rng.random(6) * 2
+    bn.running_var[1] = 0.0
+    x = (rng.standard_normal(shape) * 3).astype(dtype)
+    if x.size:  # each special value on several channels, gamma = 0 among them
+        rest = (0,) * (x.ndim - 2)
+        specials = [np.nan, np.inf, -np.inf, 3e38, -3e38]
+        x[(0, slice(0, 5)) + rest] = specials
+        x[(-1, slice(1, 6)) + rest] = specials[::-1]
+    with np.errstate(all="ignore"):
+        want = bn_eval_oracle(bn, x).tobytes()
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        for parts in (1, 2, 3):
+            tape = Tape()
+            with kernels(), split_in(parts, size_rules=False), np.errstate(all="ignore"):
+                y = bn.forward(tape, Slot(x), training=False).value
+            assert (y.dtype, y.shape) == (dtype, shape)
+            assert y.tobytes() == want
+            assert tape.nodes == []
+
+
 def bn_train_step(x, g_y, gamma, beta):
     """A fresh BatchNorm's training forward and backward: the bytes of y,
     g_x, g_gamma, g_beta and the running mean and variance."""
