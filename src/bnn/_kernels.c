@@ -36,6 +36,10 @@
  *             input and the output, so no index is kept.
  * adam_step:  one Adam step of a float32 parameter, its moments updated in
  *             place, in one pass.
+ * weight_signs: the +-1 float32 signs of latent weights, sign(0) = +1, and
+ *             whether one is NaN, in one read.
+ * weight_ste: the straight-through estimator of the weights' sign, their
+ *             gradient where |w| <= t_clip, else +0.0, in one pass.
  *
  * Built with -ffp-contract=off: a fused multiply-add rounds once where
  * the numpy twins round twice, so every a * b + c here is two roundings.
@@ -689,4 +693,29 @@ void adam_step(float *value, const float *grad, float *m, float *v, int64_t n,
         v[i] = vi;
         value[i] = p;
     }
+}
+
+/* sign_forward of n float32 values: out = +1 where w >= 0 (-0.0 too),
+ * else -1.  Returns 1 if a value is NaN (out is then -1 there), else 0. */
+KERNEL
+int weight_signs(const float *w, float *out, int64_t n)
+{
+    int32_t bad = 0;
+    for (int64_t i = 0; i < n; i++) {
+        out[i] = w[i] >= 0.0f ? 1.0f : -1.0f;
+        bad |= w[i] != w[i];
+    }
+    return bad;
+}
+
+/* sign_backward of n float32 gradients g at the weights w: g's bits where
+ * |w| <= t, else 0 (+0.0; NaN w fails the compare), as the numpy twin ANDs
+ * the float32 bits with its mask. */
+KERNEL
+void weight_ste(const float *g, const float *w, float *out, int64_t n, float t)
+{
+    const uint32_t *gb = (const uint32_t *)g;
+    uint32_t *ob = (uint32_t *)out;
+    for (int64_t i = 0; i < n; i++)
+        ob[i] = gb[i] & -(uint32_t)(fabsf(w[i]) <= t);
 }

@@ -361,11 +361,23 @@ MODEL_SPEC_HELP = (
 )
 
 
+def _number(opts, key, kind, default=None):
+    """opts[key] (or default), popped, as an int or float; a value that does
+    not parse raises ValueError naming the option."""
+    val = opts.pop(key, default)
+    try:
+        return kind(val)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"model option {key} must be {what}, got {val!r}") from None
+
+
 def build_model(spec_str: str, num_classes=None, binary=True, t_clip=0.5,
                 scaling_mode="N", seed=0, preset=None) -> ModelGraph:
     """Build a model from a spec string like 'densenet:k=128,b=2'.  An
-    option the model does not take, one given twice or a bottleneck other
-    than true or false raises ValueError naming it."""
+    option the model does not take, one given twice, a number that does not
+    parse or a bottleneck other than true or false raises ValueError naming
+    it."""
     name, _, rest = spec_str.partition(":")
     opts = {}
     for item in rest.split(",") if rest else ():
@@ -384,15 +396,12 @@ def build_model(spec_str: str, num_classes=None, binary=True, t_clip=0.5,
         kind, build = name, functools.partial(
             build_lenet, num_classes=10 if num_classes is None else num_classes)
     elif name == "densenet":
-        try:
-            spec = DenseNetSpec(k=int(opts.pop("k")), b=int(opts.pop("b")),
-                                reduction=float(opts.pop("reduction", 0.5)),
-                                num_classes=classes)
-        except KeyError as exc:
-            raise ValueError(
-                f"densenet spec needs k and b, e.g. densenet:k=128,b=2 "
-                f"(got {spec_str!r})"
-            ) from exc
+        if "k" not in opts or "b" not in opts:
+            raise ValueError(f"densenet spec needs k and b, e.g. densenet:k=128,b=2 "
+                             f"(got {spec_str!r})")
+        spec = DenseNetSpec(k=_number(opts, "k", int), b=_number(opts, "b", int),
+                            reduction=_number(opts, "reduction", float, "0.5"),
+                            num_classes=classes)
         bottleneck = opts.pop("bottleneck", "false").lower()
         if bottleneck not in ("true", "false"):
             raise ValueError(f"densenet option bottleneck must be true or false, "

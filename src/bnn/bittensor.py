@@ -32,11 +32,12 @@ across every word; without one, its row-at-a-time loop was faster.
 
 in_parts runs the heavy passes in parts, one per CPU, on persistent
 daemon threads: pack_signs by images and the native GEMM by 6-row blocks
-here, and layers' gather, transpose, BatchNorm, float GEMMs and binary
-conv backward.  Its first call, in the first forward (so in evaluation
-and bnn eval too), sets numpy's bundled OpenBLAS to one thread,
-process-wide, so BLAS does not spin on the core the parts need.  Without
-such a setter, or on one CPU, it runs serially.
+here, layers' gather, transpose, BatchNorm, float GEMMs, binary conv
+backward, MaxPool and weight sign passes, and train's Adam step.  Its
+first call, in the first forward (so in evaluation and bnn eval too),
+sets numpy's bundled OpenBLAS to one thread, process-wide, so BLAS does
+not spin on the core the parts need.  Without such a setter, or on one
+CPU, it runs serially.
 """
 
 from __future__ import annotations
@@ -87,10 +88,13 @@ def native_kernels():
                                ("bn_grad_input", [ptr] * 8 + [i64] * 4),
                                ("pack_signs", [ptr] * 7 + [i64] * 6),
                                ("maxpool_grad", [ptr] * 4 + [i64] * 4),
-                               ("adam_step", [ptr] * 4 + [i64] + [f32] * 9 + [i32] * 2)):
+                               ("adam_step", [ptr] * 4 + [i64] + [f32] * 9 + [i32] * 2),
+                               ("weight_signs", [ptr] * 2 + [i64]),
+                               ("weight_ste", [ptr] * 3 + [i64, f32])):
                 fn = getattr(lib, name)
                 fn.argtypes, fn.restype = args, None
-            lib.pack_signs.restype = ctypes.c_int  # 1: NaN or out of bounds
+            # 1: a NaN (or, for pack_signs, a value out of bounds)
+            lib.pack_signs.restype = lib.weight_signs.restype = ctypes.c_int
             _native, kernel_status = lib, f"native ({path})"
         except (OSError, AttributeError, ValueError) as e:
             _native, kernel_status = False, f"numpy ({e})"

@@ -17,8 +17,9 @@ weight, computed only where a mode reads it):
   N  - no scaling anywhere (default),
   B  - weight gradient multiplied by the factor in backward only,
   FB - forward output and weight gradient both multiplied by the factor.
-The activation gradient is never scaled.  QConv2d.scaling alone computes
-the factor and gives the FB forward scale; QDense and the plan call it.
+The activation gradient is never scaled.  QConv2d.scaling computes the
+factor for the FB forward (QDense and the plan call it), and
+QConv2d._weight_grad for mode B's weight gradient alone.
 
 The binary-linear core is binary_conv: sign activations packed along
 channels by bittensor.pack_signs, the one packer, gathered into
@@ -51,15 +52,18 @@ The heavy passes run in parts, one per CPU (bittensor.in_parts), each
 split where no sum crosses a part, so the bytes do not depend on the CPU
 count: the packer, patch gather and transpose by images, the binary GEMM
 by 6-row blocks, the stem's native patch gather and forward GEMM by
-images, in the same parts (each the GEMM the batched call makes),
-BatchNorm's sums by channels and its normalize and input gradient by
-images (with the whole batch's m), col2im by whole blocks of images,
-unpack_patches by images, and the float GEMMs (gemm: both weight
-gradients, and the dense layer's input gradient) in whole 32-row or
-32-column units of over 100^3 multiply-adds (OpenBLAS sums smaller GEMMs
-in another order).  The first split, in the first forward, sets OpenBLAS
-to one thread, in evaluation too.  A pass too small to pay for a second
-part runs in one, by the size rule its docstring gives.
+images, in the same parts (each the GEMM the batched call makes), the
+copies of its weight gradient's operands by images, BatchNorm's sums by
+channels and its normalize and input gradient by images (with the whole
+batch's m), col2im by whole blocks of images, unpack_patches by images,
+the float GEMMs (gemm: both weight gradients, and the dense layer's
+input gradient) in whole 32-row or 32-column units of over 100^3
+multiply-adds (OpenBLAS sums smaller GEMMs in another order), MaxPool's
+forward and backward by images, and the latent weights' sign and its
+STE (weight_signs, weight_ste) by elements, as train.Adam's step is.
+The first split, in the first forward, sets OpenBLAS to one thread, in
+evaluation too.  A pass too small to pay for a second part runs in one,
+by the size rule its docstring gives.
 
 BatchNorm works on (n, c, hw), native for float32 and otherwise numpy
 twins with the same bytes: in training in three passes, keeping no xhat;
@@ -85,7 +89,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff, bittensor
 from .autodiff import STEConfig, Slot, Tape
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 
 SCALING_MODES = ("N", "B", "FB")
 
@@ -319,6 +323,54 @@ def swap_axes(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def swap_leading_axes(g):
+    """(n, o, p) g as a C-contiguous (o, n, p), the bytes of
+    np.ascontiguousarray(g.transpose(1, 0, 2)), copied in parts of the images
+    once g takes 1 MB, as in swap_axes: the LeNet stem's output gradient at
+    batch 100 (7 MB) took 130 -> 77 us in two parts, at 1.1 MB 22 -> 23 us."""
+    n, o, p = g.shape
+    out = np.empty((o, n, p), g.dtype)
+    bittensor.in_parts(lambda lo, hi: np.copyto(out[:, lo:hi], g[lo:hi].transpose(1, 0, 2)), n,
+                       split=g.nbytes >= 1 << 20)
+    return out
+
+
+def weight_signs(w: np.ndarray) -> np.ndarray:
+    """sign_forward(w) of latent weights, float32 +-1 in w's shape, a NaN
+    raising its NumericError: the native weight_signs for C-contiguous
+    float32 w, in parts of the elements once w takes 2 MB (LeNet's qdense0,
+    4 MB: 74 -> 49 us in two parts; 1 MB: 20 -> 21 us), else sign_forward
+    itself (qdense0: 220 us)."""
+    lib = bittensor.native_float32(w)
+    if not lib:
+        return autodiff.sign_forward(w)
+    out, bad = np.empty(w.shape, np.float32), []
+    src, dst = w.ctypes.data, out.ctypes.data
+    bittensor.in_parts(lambda lo, hi: bad.append(lib.weight_signs(src + 4 * lo, dst + 4 * lo,
+                                                                   hi - lo)),
+                       w.size, split=w.nbytes >= 1 << 21)
+    if any(bad):
+        raise NumericError(autodiff.NAN_INPUT)
+    return out
+
+
+def weight_ste(g: np.ndarray, w: np.ndarray, ste: STEConfig) -> np.ndarray:
+    """sign_backward(g, w, ste), the latent weights' gradient through the
+    STE of their sign: the native weight_ste for C-contiguous float32 g
+    and w of one shape, in parts of the elements once w takes 2 MB, as in
+    weight_signs (qdense0: 89 -> 59 us in two parts), else sign_backward
+    itself (qdense0: 370 us)."""
+    lib = bittensor.native_float32(g, w)
+    if not lib or g.shape != w.shape:
+        return autodiff.sign_backward(g, w, ste)
+    out = np.empty(w.shape, np.float32)
+    gp, wp, op = g.ctypes.data, w.ctypes.data, out.ctypes.data
+    bittensor.in_parts(lambda lo, hi: lib.weight_ste(gp + 4 * lo, wp + 4 * lo, op + 4 * lo,
+                                                     hi - lo, ste.t_clip),
+                       w.size, split=w.nbytes >= 1 << 21)
+    return out
+
+
 def binary_conv(bits, w_bits, kh, kw, stride, padding, c):
     """(N, O, OH, OW) exact float32 sums of the +-1 convolution of sign bits
     packed along c channels, (N, H, W, ceil(c/8)) bytes, with weight_bits,
@@ -366,24 +418,29 @@ class QConv2d(Layer):
         return self._conv(tape, x, x.value)
 
     def scaling(self):
-        """(alpha, scale): alpha = mean|w| where a mode reads it (the FB
-        forward, the B and FB weight gradient), else None, and the forward
-        scale of the output, y -> y * alpha in FB, else y -> y.  The one
-        owner of alpha: the forwards of QConv2d and QDense call it, and the
-        plan once per binary layer, when it is built."""
-        mode = self.cfg.scaling_mode
-        if not (self.binary and mode in ("B", "FB")):
+        """The forward's (alpha, scale): in FB alpha = mean|w| and the output
+        scale y -> y * alpha, else (None, y -> y).  alpha is computed only
+        where a mode reads it: here for the FB forward (the forwards of
+        QConv2d and QDense, and the plan once per FB layer, when it is
+        built), and in _weight_grad for mode B, whose forward it leaves
+        unscaled."""
+        if not (self.binary and self.cfg.scaling_mode == "FB"):
             return None, lambda y: y
         alpha = compute_scaling_factor(self.weight.value)
-        return alpha, (lambda y: y * alpha) if mode == "FB" else (lambda y: y)
+        return alpha, lambda y: y * alpha
 
     def _weight_grad(self, g_wb, alpha):
         """The latent weight's gradient from that of the weight signs:
-        through their STE, scaled by alpha in B and FB."""
+        through their STE (weight_ste), scaled in B and FB by alpha, the
+        forward's in FB and mean|w| of the same weights in B."""
         if not self.binary:
             return g_wb
-        g_w = autodiff.sign_backward(g_wb, self.weight.value, self.ste)
-        return g_w if alpha is None else g_w * alpha
+        g_w = weight_ste(g_wb, self.weight.value, self.ste)
+        if self.cfg.scaling_mode == "B":
+            alpha = compute_scaling_factor(self.weight.value)
+        if alpha is not None:
+            g_w *= alpha
+        return g_w
 
     def _conv(self, tape, x, xv):
         """The convolution of xv, x's value seen as (N, C, H, W), recorded
@@ -396,7 +453,7 @@ class QConv2d(Layer):
         weight = self.weight.value.reshape(o, c, kh, kw)
         # (O, C, kh, kw) -> (O, kh*kw*C), matching the im2col column order
         w_flat = swap_axes(weight.reshape(o, c, kh * kw)).reshape(o, -1)
-        wb = autodiff.sign_forward(w_flat) if self.binary else w_flat
+        wb = weight_signs(w_flat) if self.binary else w_flat
         if cfg.binarize_input:
             # sign bits packed along C (a NaN raises).  The input itself is
             # kept: backward applies sign's STE to it
@@ -440,9 +497,12 @@ class QConv2d(Layer):
             if cfg.binarize_input:  # the packed patches rebuilt as +-1 floats
                 pm = unpack_patches(bits, c, kh, kw, s, p)
                 g_wb = gemm(g_mat.T, pm, 1)
-            else:  # np.tensordot's operands and GEMM, split by rows
-                a = g_y.transpose(1, 0, 2).reshape(o, -1)
-                g_wb = gemm(a, cols.transpose(0, 2, 1).reshape(a.shape[1], cols.shape[1]), 0)
+            else:  # np.tensordot's operands, copied in parts, and GEMM, split by
+                # rows.  One image's patches stay the transposed view its
+                # reshape makes: numpy's GEMM sums that in another order
+                b = cols.transpose(0, 2, 1) if n == 1 else swap_axes(cols)
+                g_wb = gemm(swap_leading_axes(g_y).reshape(o, n * oh * ow),
+                            b.reshape(n * oh * ow, kh * kw * c), 0)
             g_wb = swap_axes(g_wb.reshape(o, kh * kw, c))
             return (g_x, self._weight_grad(g_wb.reshape(self.weight.value.shape), alpha))
 
@@ -489,7 +549,7 @@ class QDense(QConv2d):
             raise ShapeError(f"{self.name}: expected (N, {f}) input, got {x.value.shape}")
         if self.cfg.binarize_input:
             return self._conv(tape, x, x.value[:, :, None, None])
-        wb = autodiff.sign_forward(self.weight.value) if self.binary else self.weight.value
+        wb = weight_signs(self.weight.value) if self.binary else self.weight.value
         alpha, scale = self.scaling()
         out = scale(x.value @ wb.T)
         if self.bias is not None:
@@ -729,6 +789,12 @@ class BatchNorm(Layer):
 
 
 class MaxPool2d(Layer):
+    """Max pooling.  The forward's k^2 strided np.maximum passes and the
+    native maxpool_grad each run in parts of the images once x takes 512 KB:
+    at k = s = 2, a LeNet pool1 input of 400 KB took 57 -> 44 us forward and
+    37 -> 38 us backward in two parts, one of 128 KB 22 -> 37 and 15 -> 25
+    us, pool0's 7 MB at batch 100 548 -> 291 and 306 -> 174 us."""
+
     def __init__(self, kernel=2, stride=None, name="maxpool"):
         self.kernel = kernel
         self.stride = stride or kernel
@@ -744,26 +810,34 @@ class MaxPool2d(Layer):
             np.s_[..., di: di + s * oh: s, dj: dj + s * ow: s]
             for di in range(k) for dj in range(k)
         ]
-        y = xv[slices[0]].copy()
-        for sl in slices[1:]:
+        y = np.empty(xv[slices[0]].shape, xv.dtype)
+        split = xv.nbytes >= 1 << 19
+
+        def images(lo, hi):
             # np.maximum returns its second operand on a -0.0/+0.0 tie, so
             # y keeps the first maximum in window order, as argmax would
-            np.maximum(xv[sl], y, out=y)
+            xs, ys = xv[lo:hi], y[lo:hi]
+            np.copyto(ys, xs[slices[0]])
+            for sl in slices[1:]:
+                np.maximum(xs[sl], ys, out=ys)
+
+        bittensor.in_parts(images, n, split=split)
         out = Slot(y, name=self.name)
 
         def backward_fn(g_y):
             # each output's gradient goes to the first input in row-major
             # window order equal to its maximum, as argmax breaks ties.  The
             # native maxpool_grad recomputes the hits from x and y in one
-            # pass, with the bytes of the numpy code below, which runs for
-            # other dtypes and for overlapping windows (k > s): they share
-            # inputs, so those sum in float64.  g_y * hit is +-0.0 where not
-            # hit, which leaves the sum as is
+            # pass, a plane at a time, with the bytes of the numpy code
+            # below, which runs for other dtypes and for overlapping windows
+            # (k > s): they share inputs, so those sum in float64.  g_y * hit
+            # is +-0.0 where not hit, which leaves the sum as is
             lib = k == s and bittensor.native_float32(xv, y, g_y)
             if lib:
                 g_x = np.empty_like(xv)
-                lib.maxpool_grad(xv.ctypes.data, y.ctypes.data, g_y.ctypes.data,
-                                 g_x.ctypes.data, n * c, h, w, s)
+                bittensor.in_parts(lambda lo, hi: lib.maxpool_grad(
+                    xv[lo:].ctypes.data, y[lo:].ctypes.data, g_y[lo:].ctypes.data,
+                    g_x[lo:].ctypes.data, (hi - lo) * c, h, w, s), n, split=split)
                 return (g_x,)
             g_x = np.zeros((n, c, h, w), np.float64 if k > s else g_y.dtype)
             free = np.ones(y.shape, dtype=bool)

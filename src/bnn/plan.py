@@ -35,8 +35,9 @@ _CHUNK images a part, split_parts() parts at a time.
 
 Thresholds come from calling the BatchNorm layer, not from a copy of its
 arithmetic: its eval forward runs bn_normalize, the training normalize,
-and so do the plan's float BatchNorm steps.  A binary step's alpha and
-FB scale come from the layer too (QConv2d.scaling).  Each float32
+and so do the plan's float BatchNorm steps.  A binary step's FB scale
+comes from the layer too (QConv2d.scaling, which computes alpha only
+for FB).  Each float32
 operation of the eval expression is monotone in the input, so for each
 channel the inputs x with BN(x) >= 0 form a half-line of the float32
 line, and bn_thresholds searches the ordered float32 bit patterns for

@@ -122,10 +122,16 @@ class Adam:
             decay = bool(cfg.weight_decay) and not binary
             m, v = self.m[i], self.v[i]
             lib = exact and bittensor.native_float32(p.value, g, m, v)
-            if lib:  # one pass with the bytes of the numpy code below
-                lib.adam_step(p.value.ctypes.data, g.ctypes.data, m.ctypes.data,
-                              v.ctypes.data, p.value.size, 1 - b1, b1, 1 - b2, b2,
-                              bias1, bias2, lr, 1e-8, cfg.weight_decay, decay, binary)
+            # one pass with the bytes of the numpy code below, in parts of the
+            # elements from 1 MB: qdense0's 4 MB took 220 -> 133 us in two
+            # parts, 1 MB 66 -> 41 us, conv1's 200 KB 16 -> 22 us
+            if lib:
+                ptrs = [a.ctypes.data for a in (p.value, g, m, v)]
+                args = (1 - b1, b1, 1 - b2, b2, bias1, bias2, lr, 1e-8, cfg.weight_decay,
+                        decay, binary)
+                bittensor.in_parts(lambda lo, hi: lib.adam_step(
+                    *(q + 4 * lo for q in ptrs), hi - lo, *args), p.value.size,
+                    split=p.value.nbytes >= 1 << 20)
                 continue
             if decay:
                 g = g + cfg.weight_decay * p.value
@@ -264,7 +270,9 @@ def train(model: ModelGraph, train_ds: Dataset, test_ds: Dataset,
     """Train in place; returns a TrainReport.
 
     Fully deterministic for a given (model, data, config) triple: the
-    batch order is seeded and parameter updates are single-threaded.
+    batch order is seeded, and the passes that run in parts, the Adam
+    step's among them, are cut where no sum crosses a part, so the bytes
+    do not depend on the CPU count.
     """
     _require_images(train_ds, test_ds)
     set_t_clip(model, cfg.t_clip)

@@ -208,9 +208,12 @@ class TestSize:
             assert capsys.readouterr().err == (
                 "error: out of memory: Unable to allocate 4.00 TiB for an array\n")
 
-    @pytest.mark.parametrize("spec, option", [("lenet:width=wide", "width"),
-                                              ("densenet:k=4,b=1,bottleneck=yes", "bottleneck"),
-                                              ("densenet:k=4,b=1,k=8", "'k'")])
+    @pytest.mark.parametrize("spec, option", [
+        ("lenet:width=wide", "width"), ("densenet:k=4,b=1,bottleneck=yes", "bottleneck"),
+        ("densenet:k=4,b=1,k=8", "'k'"),
+        ("densenet:k=x,b=1", "model option k must be an integer, got 'x'"),
+        ("densenet:k=4,b=1,reduction=abc", "model option reduction must be a number, got 'abc'"),
+        ("foo", f"unknown model 'foo'; valid: {arch.MODEL_SPEC_HELP}")])
     def test_malformed_option_exits_2_naming_it(self, spec, option, capsys):
         assert cli.main(["size", "--model", spec]) == cli.EXIT_USAGE
         err = capsys.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bnn import arch, autodiff, bittensor, layers, train
+from bnn import arch, autodiff, bittensor, layers, plan, train
 from bnn.autodiff import STEConfig, Slot, Tape, sign_backward, sign_forward
 from bnn.errors import NumericError, ShapeError
 from bnn.layers import (
@@ -660,6 +660,137 @@ def test_swap_axes_numpy_cases(case):
     assert got.tobytes() == np.ascontiguousarray(x.transpose(0, 2, 1)).tobytes()
 
 
+@pytest.mark.parametrize("n", [0, 1, 37])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_swap_leading_axes_matches_numpy_transpose(n, dtype):
+    """The stem's output gradient as (o, n, p), copied in parts of the
+    images, has the bytes of np.ascontiguousarray(g.transpose(1, 0, 2))."""
+    g = np.random.default_rng(n).standard_normal((n, 5, 7)).astype(dtype)
+    want = np.ascontiguousarray(g.transpose(1, 0, 2))
+    got = layers.swap_leading_axes(g)
+    assert got.flags.c_contiguous and got.dtype == dtype and got.tobytes() == want.tobytes()
+    in_each_split(lambda: [layers.swap_leading_axes(g)])
+
+
+@pytest.mark.parametrize("n", [0, 1, 37])
+@pytest.mark.parametrize("h", [28, 5])
+def test_stem_weight_gradient_bytes_do_not_depend_on_the_split(n, h):
+    """The LeNet stem's weight gradient copies both GEMM operands in parts
+    (swap_leading_axes of the output gradient, swap_axes of the patches) and
+    gives, in 1, 2 and 3 parts, natively and in numpy, the bytes of
+    np.tensordot's operands and one GEMM, also where those are transposed
+    views: one image's patches, and at h = 5 a one-pixel output."""
+    rng = np.random.default_rng(n)
+    layer = QConv2d(QLayerConfig(1, 32, (5, 5), binarize_input=False), binary=False, rng=rng)
+    x = rng.standard_normal((n, 1, h, h)).astype(np.float32)
+    p = (h - 4) ** 2
+    g_y = rng.standard_normal((n, 32, h - 4, h - 4)).astype(np.float32)
+    cols = im2col(x.transpose(0, 2, 3, 1), 5, 5, 1, pixels_inner=True)
+    a = g_y.reshape(n, 32, p).transpose(1, 0, 2).reshape(32, n * p)
+    b = cols.transpose(0, 2, 1).reshape(n * p, 25)
+    want = swap_axes(np.matmul(a, b).reshape(32, 25, 1)).reshape(32, 1, 5, 5)
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels():
+            in_each_split(lambda: [_step(layer.forward, layer.weight, x, g_y, False)[2]])
+            assert _step(layer.forward, layer.weight, x, g_y, False)[2].tobytes() == want.tobytes()
+
+
+def pool_input(rng, n, c, h, w):
+    """MaxPool input with ties everywhere (+-0.0 among them), a window of
+    NaN and a NaN in another window."""
+    x = rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0, 2.0]), size=(n, c, h, w))
+    if x.size:
+        x[-1, -1, :2, :2] = np.nan
+        x[0, 0, -1, -1] = np.nan
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0, 1, 2, 3, 5]), st.integers(1, 3), st.integers(4, 11),
+       st.integers(4, 11), st.sampled_from([(2, 2), (3, 3), (3, 2)]),
+       st.integers(0, 2 ** 32 - 1))
+@example(3, 2, 9, 7, (2, 2), 0)  # a cropped odd row and column
+def test_maxpool_bytes_do_not_depend_on_the_split(n, c, h, w, ks, seed):
+    """MaxPool2d's forward passes and its native backward run in parts of
+    the images, one maxpool_grad call a part, and give the same bytes in 1,
+    2 and 3 parts, natively and in numpy: with ties, NaN windows, cropped
+    rows and columns and no images."""
+    k, s = ks
+    rng = np.random.default_rng(seed)
+    x = pool_input(rng, n, c, h, w)
+    g_y = rng.standard_normal((n, c, (h - k) // s + 1, (w - k) // s + 1)).astype(np.float32)
+
+    def run():
+        tape = Tape()
+        y = MaxPool2d(k, s).forward(tape, Slot(x))
+        return [y.value, tape.nodes[-1].backward_fn(g_y)[0]]
+
+    routes = []
+    with np.errstate(invalid="ignore"):
+        for kernels in (contextlib.nullcontext, numpy_kernels):
+            with kernels():
+                in_each_split(run)
+                routes.append([a.tobytes() for a in run()])
+        with kernel_calls() as calls, split_in(2, size_rules=False):
+            run()
+    assert routes[0] == routes[1]
+    assert calls.count("maxpool_grad") == (min(n, 2) if k == s else 0)
+
+
+def weight_edges(rng, shape, t):
+    """Latent weights in [-1, 1] with values at exactly +-t, next to it,
+    +-0.0 and +-1."""
+    w = rng.uniform(-1, 1, shape).astype(np.float32)
+    t32 = np.float32(t)
+    edges = np.float32([t32, -t32, np.nextafter(t32, 1), -np.nextafter(t32, 1),
+                        np.nextafter(t32, 0), 0.0, -0.0, 1.0, -1.0])
+    flat = w.reshape(w.size)
+    flat[rng.integers(0, w.size, 40)] = rng.choice(edges, 40)
+    return w
+
+
+@pytest.mark.parametrize("t", [0.5, 0.3])
+@pytest.mark.parametrize("shape", [(7, 143), (3, 5, 1, 1), (32, 25)])
+def test_weight_sign_passes_match_sign_forward_and_backward(shape, t):
+    """The weights' sign and its STE, native in parts of the elements, give
+    sign_forward's and sign_backward's bytes in 1, 2 and 3 parts, and in
+    numpy: weights at exactly +-t_clip and +-0.0, gradients with NaN,
+    +-inf and -0.0.  An odd element count leaves parts of unequal length."""
+    rng = np.random.default_rng(len(shape))
+    w = weight_edges(rng, shape, t)
+    g = rng.standard_normal(shape).astype(np.float32)
+    g.reshape(g.size)[rng.integers(0, g.size, 12)] = np.float32([np.nan, np.inf, -np.inf, -0.0] * 3)
+    ste = STEConfig(t)
+    want = [sign_forward(w).tobytes(), sign_backward(g, w, ste).tobytes()]
+
+    def run():
+        return [layers.weight_signs(w), layers.weight_ste(g, w, ste)]
+
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels():
+            in_each_split(run)
+            got = run()
+        assert [a.tobytes() for a in got] == want
+        assert all(a.dtype == np.float32 and a.shape == shape for a in got)
+    with kernel_calls() as calls, split_in(2, size_rules=False):
+        run()
+    assert calls == ["weight_signs"] * 2 + ["weight_ste"] * 2
+
+
+@pytest.mark.parametrize("at", ["first", "last"])
+def test_weight_signs_raise_on_a_nan_weight(at):
+    """A NaN weight raises sign_forward's NumericError in every split and
+    natively or not, in the first part's elements or only the last's."""
+    w = np.random.default_rng(0).uniform(-1, 1, 1001).astype(np.float32)
+    w[0 if at == "first" else -1] = np.nan
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels():
+            for parts in (1, 2, 3):
+                with split_in(parts, size_rules=False), \
+                        pytest.raises(NumericError, match=autodiff.NAN_INPUT):
+                    layers.weight_signs(w)
+
+
 @pytest.mark.parametrize("c", [5, 44])
 @pytest.mark.parametrize("padding,stride", [(0, 1), (1, 1), (2, 1), (1, 2)])
 @pytest.mark.parametrize("t,mode", [(0.5, "N"), (1 / 3, "FB")])
@@ -902,6 +1033,53 @@ class TestScalingModes:
         for mode in ("B", "FB"):
             _, _, g = self._forward(mode)
             np.testing.assert_allclose(g, g_n * alpha, rtol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["conv", "dense", "float-input-conv", "float-dense"])
+    def test_b_and_fb_weight_grads_are_the_n_grads_times_alpha(self, kind):
+        """In B and FB the weight gradient is mode N's times alpha = mean|w|,
+        as float32 bytes, whether the forward or the backward computes it."""
+        grads = {}
+        for mode in ("N", "B", "FB"):
+            rng = np.random.default_rng(3)
+            if kind in ("dense", "float-dense"):
+                layer = QDense(20, 6, scaling_mode=mode, binarize_input=kind == "dense",
+                               rng=rng)
+                x = rng.standard_normal((4, 20)).astype(np.float32)
+            else:
+                cfg = QLayerConfig(3, 8, (3, 3), 1, 1, scaling_mode=mode,
+                                   binarize_input=kind == "conv")
+                layer = QConv2d(cfg, rng=rng)
+                x = rng.standard_normal((4, 3, 6, 5)).astype(np.float32)
+            y = layer.forward(Tape(), Slot(x)).value
+            g_y = rng.standard_normal(y.shape).astype(np.float32)
+            grads[mode] = _step(layer.forward, layer.weight, x, g_y)[2]
+        alpha = compute_scaling_factor(layer.weight.value)
+        want = (grads["N"] * alpha).tobytes()
+        assert grads["B"].tobytes() == grads["FB"].tobytes() == want
+
+    def test_scaling_factor_is_computed_only_where_read(self, monkeypatch):
+        """alpha is computed only where a mode reads it: a B-mode eval
+        forward and a B plan build compute none (B scales only the weight
+        gradient), and a training step in B or FB computes it once per
+        binary layer (FB's backward reuses its forward's)."""
+        calls = []
+        count = layers.compute_scaling_factor
+        monkeypatch.setattr(layers, "compute_scaling_factor", lambda w: calls.append(1) or count(w))
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((3, 1, 28, 28)).astype(np.float32)
+        for mode in ("B", "FB"):
+            model = arch.build_model("lenet", num_classes=10, seed=0, scaling_mode=mode)
+            binary = sum(getattr(layer, "binary", False) for layer in model.layers())
+            assert binary == 2  # qconv0 and qdense0
+            done = {}
+            for name, run in (("eval", lambda: model.forward(x, training=False)),
+                              ("plan", lambda: plan.InferencePlan(model)),
+                              ("step", lambda: _train_step(model, x, rng.integers(0, 10, 3)))):
+                calls.clear()
+                run()
+                done[name] = len(calls)
+            assert done == ({"eval": 0, "plan": 0, "step": binary} if mode == "B"
+                            else {"eval": binary, "plan": binary, "step": binary})
 
     def test_activation_grad_never_scaled(self):
         grads = {}

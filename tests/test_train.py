@@ -420,13 +420,40 @@ def test_adam_native_step_equals_numpy(weight_decay, lr_type):
     assert native == twin
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_adam_bytes_do_not_depend_on_the_split(weight_decay):
+    """Adam.step runs the native adam_step in parts of each parameter's
+    elements, one call a part, and gives the same m, v and parameters in 1,
+    2 and 3 parts as the numpy code: a binary weight of an odd element count
+    (1001, parts of unequal length), clipped to [-1, 1], and a bias."""
+    runs = []
+    for kernels in (kernel_calls, numpy_kernels):
+        for parts in (1, 2, 3):
+            rng = np.random.default_rng(11)
+            params = [Param(rng.uniform(-1, 1, (7, 11, 13)), "w", binary=True),
+                      Param(rng.normal(0, 1, 6), "b")]
+            opt = Adam(params, TrainConfig(weight_decay=weight_decay))
+            with kernels() as calls, split_in(parts, size_rules=False):
+                for t in range(3):
+                    for p in params:
+                        g = rng.normal(0, 30, p.value.shape)
+                        g[rng.random(g.shape) < 0.2] = -0.0
+                        p.grad = g.astype(np.float32)
+                    opt.step(0.5 / (t + 1))
+            if calls is not None:
+                assert calls == ["adam_step"] * 3 * (parts + min(parts, 6))
+                assert np.any(np.abs(params[0].value) == 1.0)
+            runs.append([a.tobytes() for a in [p.value for p in params] + opt.m + opt.v])
+    assert all(run == runs[0] for run in runs)
+
+
 def test_split_parts_keep_the_tracer_span_stack_in_order():
     """perfbench's Tracer keeps one span stack for all threads, so no part
     that bittensor.in_parts runs may call a module-level bnn function.  With
-    every split stage in 2 parts (size rules off), a LeNet training step,
-    an evaluate and a densenet:k=12,b=1 training step open every span in
-    the calling thread and close it in order, inside the span that was open
-    when it began."""
+    every split stage in 2 parts (size rules off), a LeNet training step
+    and Adam step, an evaluate and a densenet:k=12,b=1 training step open
+    every span in the calling thread and close it in order, inside the span
+    that was open when it began."""
     from bnn import train as bnn_train  # evaluate as the tracer wraps it
 
     spec = importlib.util.spec_from_file_location(
@@ -447,12 +474,14 @@ def test_split_parts_keep_the_tracer_span_stack_in_order():
                 logits = model.forward(x, tape=tape, training=True)
                 tape.backward(softmax_cross_entropy(tape, logits, rng.integers(0, 10, 4)))
                 if name == "lenet":
+                    bnn_train.Adam(model.params(), TrainConfig()).step(1e-3)
                     bnn_train.evaluate(model, make_synth_dataset(8, seed=2, split="test"))
     finally:
         tracer.uninstall()
     assert tracer.spans and not tracer._stack and threads == {threading.get_ident()}
     names = {span[0] for span in tracer.spans}
-    assert {"bittensor.binary_gemm", "autodiff.Tape.backward", "train.evaluate"} <= names
+    assert {"bittensor.binary_gemm", "autodiff.Tape.backward", "train.Adam.step",
+            "train.evaluate"} <= names
     for i, (_, _, parent, t0, t1, _) in enumerate(tracer.spans):
         assert t0 <= t1 and parent < i
         assert parent < 0 or tracer.spans[parent][3] <= t0 <= t1 <= tracer.spans[parent][4]
