@@ -18,8 +18,8 @@
  * col2im_add: the adjoint of im2col, adding float32 patch gradients into
  *             a float64 channels-last buffer in kernel-offset (i, j) order.
  * col2im_store: that buffer, padding dropped, as the float32 NCHW input
- *             gradient; given the binary layer's input x, 0 wherever
- *             |x| > t_clip, the straight-through estimator of sign.
+ *             gradient; given the binary layer's input x, kept only where
+ *             |x| <= t_clip (not at a NaN), the straight-through estimator.
  * bn_sums:    BatchNorm's per-channel float64 sums in training, of x and
  *             (x - mean)^2, or of the output gradient g and g * xhat, over
  *             a range of the channels.
@@ -28,7 +28,7 @@
  *             with xhat recomputed from x, so no copy of it is kept.
  * pack_signs: float32 NCHW activations as sign bits packed along channels,
  *             in one read of the floats: thresholded, OR-pooled over MaxPool
- *             windows, flipped, and checked for NaN or values out of bounds.
+ *             windows, flipped, and checked for NaN.
  *             Only bittensor.pack_signs, the one packer, calls it, on planes
  *             of 32 pixels or more; its numpy twin packs the smaller ones.
  * maxpool_grad: MaxPool2d's input gradient for windows of k = s, each
@@ -391,7 +391,7 @@ void col2im_store(const double *acc, const float *x, float *out, int64_t nb,
                     const int64_t at = (b * c + c0 + j) * hw + q0;
                     if (x)
                         for (int64_t k = 0; k < nq; k++)
-                            out[at + k] = fabsf(x[at + k]) > t ? 0.0f : tile[j][k];
+                            out[at + k] = fabsf(x[at + k]) <= t ? tile[j][k] : 0.0f;
                     else
                         for (int64_t k = 0; k < nq; k++)
                             out[at + k] = tile[j][k];
@@ -560,12 +560,11 @@ void bn_grad_input(const float *x, const float *g, const float *mean,
  * Only the rows and columns some window covers are read.  plane is scratch
  * for their hc * wc bytes: each byte of 8 channels is set channel after
  * channel along the pixels, so the reads run along x and vectorise, and
- * then ORed over the windows.  Returns 1 if a value read is NaN or outside
- * [lo[ch], hi[ch]] (if lo and hi), else 0. */
+ * then ORed over the windows.  Returns 1 if a value read is NaN, else 0. */
 KERNEL
-int pack_signs(const float *x, const float *thr, const float *lo, const float *hi,
-               const uint8_t *flip, uint8_t *out, uint8_t *restrict plane, int64_t n,
-               int64_t c, int64_t h, int64_t w, int64_t k, int64_t s)
+int pack_signs(const float *x, const float *thr, const uint8_t *flip, uint8_t *out,
+               uint8_t *restrict plane, int64_t n, int64_t c, int64_t h, int64_t w,
+               int64_t k, int64_t s)
 {
     const int64_t oh = (h - k) / s + 1, ow = (w - k) / s + 1, cb = (c + 7) / 8;
     const int64_t hc = (oh - 1) * s + k, wc = (ow - 1) * s + k;
@@ -581,14 +580,13 @@ int pack_signs(const float *x, const float *thr, const float *lo, const float *h
             for (int64_t b = 0; b < nch; b++) {
                 const int64_t ch = 8 * j + b;
                 const float t = thr ? thr[ch] : 0.0f;
-                const float l = lo ? lo[ch] : -INFINITY, u = hi ? hi[ch] : INFINITY;
                 const float *xc = x + (i * c + ch) * h * w;
                 for (int64_t y = 0; y < rows; y++) {
                     const float *restrict xr = xc + y * w;
                     uint8_t *restrict pr = plane + y * wc;
                     for (int64_t q = 0; q < run; q++) {
                         pr[q] |= (uint8_t)((xr[q] >= t) << b);
-                        bad |= !(xr[q] >= l) | !(xr[q] <= u);
+                        bad |= xr[q] != xr[q];
                     }
                 }
             }

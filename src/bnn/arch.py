@@ -98,11 +98,9 @@ class ModelGraph:
             out.extend(layer.params())
         return out
 
-    def forward(self, x, tape=None, training=False, collect=None):
-        """Run the graph on a batch; returns the logits Slot.
-
-        collect, if given, is filled with (name, output array) per node.
-        """
+    def forward(self, x, tape=None, training=False):
+        """Run the graph on a batch; returns the logits Slot.  In training
+        each node after the input records one node on tape, in order."""
         if x.shape[1:] != self.input_shape:
             raise ShapeError(
                 f"input shape {x.shape[1:]} does not match model input "
@@ -116,10 +114,6 @@ class ModelGraph:
             else:
                 slots[node.id] = apply_node(node, tape, [slots[i] for i in node.inputs],
                                             training)
-            if collect is not None:
-                op = node.op
-                nm = op if isinstance(op, str) else op.name
-                collect.append((nm, slots[node.id].value))
         return slots[self.output_id]
 
 

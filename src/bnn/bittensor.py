@@ -86,14 +86,14 @@ def native_kernels():
                                ("bn_sums", [ptr] * 6 + [i64] * 5),
                                ("bn_normalize", [ptr] * 6 + [i64] * 3),
                                ("bn_grad_input", [ptr] * 8 + [i64] * 4),
-                               ("pack_signs", [ptr] * 7 + [i64] * 6),
+                               ("pack_signs", [ptr] * 5 + [i64] * 6),
                                ("maxpool_grad", [ptr] * 4 + [i64] * 4),
                                ("adam_step", [ptr] * 4 + [i64] + [f32] * 9 + [i32] * 2),
                                ("weight_signs", [ptr] * 2 + [i64]),
                                ("weight_ste", [ptr] * 3 + [i64, f32])):
                 fn = getattr(lib, name)
                 fn.argtypes, fn.restype = args, None
-            # 1: a NaN (or, for pack_signs, a value out of bounds)
+            # 1: a NaN
             lib.pack_signs.restype = lib.weight_signs.restype = ctypes.c_int
             _native, kernel_status = lib, f"native ({path})"
         except (OSError, AttributeError, ValueError) as e:
@@ -259,15 +259,14 @@ class BitTensor:
         return self.words.reshape(self.outer_size, self.words_per_row)
 
 
-def pack_signs(x, thr=None, lo=None, hi=None, flip=None, pool=(1, 1)) -> np.ndarray:
+def pack_signs(x, thr=None, flip=None, pool=(1, 1)) -> np.ndarray:
     """Sign bits of (N, C, H, W) x packed along C, (N, OH, OW, ceil(C/8))
     uint8: bit c % 8 of byte c // 8 is x[:, c] >= thr[c] (>= 0 if thr is
     None), LSB-first, pad bits 1; ORed over the windows of a MaxPool
     (kernel, stride) = pool, then XORed with the (ceil(C/8),) uint8 bytes
     flip.  An (O, C, kh, kw) weight, or (rows, n, 1, 1) values, pack the
     same way.  Raises sign_forward's NumericError when a value some window
-    covers is NaN or outside [lo[c], hi[c]] (float32 (C,)).  Each of thr,
-    lo, hi and flip may be None.
+    covers is NaN.  thr and flip may be None.
 
     float32 x and thr on a plane of 32 pixels or more run the native
     pack_signs, which reads x once.  Otherwise numpy compares: under 32
@@ -279,8 +278,7 @@ def pack_signs(x, thr=None, lo=None, hi=None, flip=None, pool=(1, 1)) -> np.ndar
     n, c, h, w = x.shape
     cb, (k, s) = -(-c // 8), pool
     oh, ow = (h - k) // s + 1, (w - k) // s + 1
-    for a, shape, dtype in ((thr, (c,), None), (lo, (c,), np.float32),
-                            (hi, (c,), np.float32), (flip, (cb,), np.uint8)):
+    for a, shape, dtype in ((thr, (c,), None), (flip, (cb,), np.uint8)):
         if a is not None and (a.shape != shape or dtype and a.dtype != dtype):
             raise ShapeError(f"pack_signs: {a.dtype} {a.shape}, expected "
                              f"{np.dtype(dtype or a.dtype)} {shape}")
@@ -288,7 +286,7 @@ def pack_signs(x, thr=None, lo=None, hi=None, flip=None, pool=(1, 1)) -> np.ndar
     if lib and h * w >= 32 and x.dtype == np.float32 and (
             thr is None or thr.dtype == np.float32):
         out, bad = np.empty((n, oh, ow, cb), np.uint8), np.zeros(n, bool)
-        arrays = [None if a is None else np.ascontiguousarray(a) for a in (x, thr, lo, hi, flip)]
+        arrays = [None if a is None else np.ascontiguousarray(a) for a in (x, thr, flip)]
         x, args = arrays[0], [None if a is None else a.ctypes.data for a in arrays[1:]]
 
         def images(i, j, plane):  # a part's flag goes to its first image
@@ -301,8 +299,7 @@ def pack_signs(x, thr=None, lo=None, hi=None, flip=None, pool=(1, 1)) -> np.ndar
             raise NumericError(NAN_INPUT)
         return out
     x = x[:, :, : (oh - 1) * s + k, : (ow - 1) * s + k]  # what some window covers
-    if np.isnan(np.max(x, initial=0)) or (lo is not None and (x < lo[:, None, None]).any()) or (
-            hi is not None and (x > hi[:, None, None]).any()):
+    if np.isnan(np.max(x, initial=0)):
         raise NumericError(NAN_INPUT)
     t = 0 if thr is None else thr
     if h * w < 32:

@@ -25,13 +25,8 @@ EXIT_RUNTIME = 4
 
 
 def _load_dataset(name, data_dir):
-    if name == "mnist":
-        return data.load_mnist(data_dir)
-    if name == "cifar10":
-        return data.load_cifar10(data_dir)
-    raise argparse.ArgumentTypeError(
-        f"unknown dataset {name!r}; valid options: {', '.join(DATASETS)}"
-    )
+    """name is one of DATASETS: argparse's choices reject any other."""
+    return data.load_mnist(data_dir) if name == "mnist" else data.load_cifar10(data_dir)
 
 
 def _build_for_dataset(spec, dataset, num_classes, cfg):
@@ -213,7 +208,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except ValueError as exc:
         if isinstance(exc, (DataFormatError, ModelFormatError)):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA

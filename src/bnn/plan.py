@@ -18,9 +18,9 @@ float.  InferencePlan gives the same logits bit for bit with less work:
   its sign (threshold 0).
 * A MaxPool2d between a layer and such a BatchNorm becomes an OR over
   the packed bytes of each window.  The compare, the OR, the flip below
-  and the NaN and bounds checks are one call of pack_signs: one native
-  pass over the floats on a float32 plane of 32 pixels or more when the
-  kernels load, numpy steps with the same bytes otherwise.
+  and the NaN check are one call of pack_signs: one native pass over the
+  floats on a float32 plane of 32 pixels or more when the kernels load,
+  numpy steps with the same bytes otherwise.
 * Every other node runs through its layer's own forward, on a throwaway
   Tape.
 
@@ -41,14 +41,16 @@ for FB).  Each float32
 operation of the eval expression is monotone in the input, so for each
 channel the inputs x with BN(x) >= 0 form a half-line of the float32
 line, and bn_thresholds searches the ordered float32 bit patterns for
-where it starts.  The bit of channel c is stored as x >= thr[c], XOR
+where it starts.  Only a BatchNorm that is a number at -inf, at its mean
+and at +inf is folded: then BN(-inf) and BN(+inf) are opposite
+infinities, so BN is a number for every input but NaN and every channel
+changes sign once.  A BatchNorm that is not (gamma = 0, a non-finite
+parameter or buffer, var + eps <= 0) runs as a float step, and its bits
+and NumericError are the graph's.  The bit of channel c is stored as x >= thr[c], XOR
 flip[c]: flip is set where BN decreases (x >= thr then marks the inputs
-that fail) and on channels whose sign is the same for every input
-(gamma = 0).  The stored bit is monotone in x, so the max of a window
-passes exactly when the OR of its stored bits, XOR flip, is set.  The
-plan raises NumericError wherever a NaN would reach sign in the graph:
-at a NaN input to the compare, and, for a channel with gamma = 0, at
-inputs so large that gamma * xhat is 0 * inf.
+that fail).  The stored bit is monotone in x, so the max of a window
+passes exactly when the OR of its stored bits, XOR flip, is set.  A NaN
+input to the compare raises NumericError, as sign does in the graph.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import numpy as np
 from . import bittensor, layers
 from .arch import ModelGraph, apply_node
 from .autodiff import Slot, Tape
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 from .layers import BatchNorm, Flatten, MaxPool2d, QConv2d, QDense
 
 
@@ -107,40 +109,32 @@ def _first_key(pred, lo, hi) -> np.ndarray:
 @dataclass
 class Thresholds:
     """sign(BN(x)) of channel c is +1 exactly where (x >= thr[c]) XOR bit
-    c % 8 of flip[c // 8]; BN(x) is NaN where x is NaN or outside
-    [lo[c], hi[c]].  The fields are pack_signs' arguments of those names."""
+    c % 8 of flip[c // 8], and NaN where x is.  The fields are pack_signs'
+    arguments of those names."""
 
     thr: np.ndarray  # float32 (C,)
     flip: np.ndarray  # uint8 (ceil(C/8),), LSB-first
-    lo: np.ndarray | None  # float32 (C,); None where every channel is unbounded
-    hi: np.ndarray | None
 
 
 def bn_thresholds(bn: BatchNorm):
     """Thresholds equal to sign of the eval-mode bn, found by calling it;
-    None when bn is NaN at its own running mean (a non-finite buffer or
-    parameter, or var + eps <= 0), where the half-line argument fails."""
+    None when bn is NaN at -inf, at its own running mean or at +inf (gamma
+    = 0, a non-finite buffer or parameter, or var + eps <= 0): such a
+    layer is NaN at inputs that are not, which no threshold can say."""
     def out(keys):
         with np.errstate(all="ignore"):  # overflow to inf is the expression's own
             return bn.forward(Tape(), Slot(_floats(keys)), training=False).value
 
-    mean = _keys(bn.running_mean)
-    if np.isnan(out(mean[None])).any():
-        return None
     lo = np.full(bn.num_features, _KEY_MIN)
     hi = np.full(bn.num_features, _KEY_MAX)
-    bounded = np.isnan(out(np.stack([lo, hi]))).any()
-    if bounded:
-        # gamma = 0: NaN where |xhat| is inf, on both tails of the mean
-        lo = _first_key(lambda k: ~np.isnan(out(k)), lo, mean)
-        hi = _first_key(lambda k: np.isnan(out(k)), mean, hi + 1) - 1
-    low_passes = out(lo[None])[0] >= 0
-    edge = _first_key(lambda k: (out(k) >= 0) != low_passes, lo, hi + 1)
-    const = edge > hi
-    return Thresholds(thr=np.where(const, np.float32(-np.inf), _floats(edge)),
-                      flip=np.packbits(const != low_passes, bitorder="little"),
-                      lo=_floats(lo) if bounded else None,
-                      hi=_floats(hi) if bounded else None)
+    ends = out(np.stack([lo, _keys(bn.running_mean), hi]))
+    if np.isnan(ends).any():
+        return None
+    # BN(-inf) and BN(+inf) are opposite infinities: the sign changes once,
+    # at the least key where it differs from the sign at -inf
+    low_passes = ends[0] >= 0
+    edge = _first_key(lambda k: (out(k) >= 0) != low_passes, lo, hi)
+    return Thresholds(thr=_floats(edge), flip=np.packbits(low_passes, bitorder="little"))
 
 
 def _binary_input(op) -> bool:
@@ -225,9 +219,8 @@ class InferencePlan:
                     src = n.inputs[0]
                 else:
                     src = n.id
-                name = n.op if isinstance(n.op, str) else n.op.name
                 steps.append(((n.id, True), [(src, False)], self._bits_step(
-                    thresholds.get(n.id), pool and pool.op, name)))
+                    thresholds.get(n.id), pool and pool.op)))
         last = {k: i for i, (_, reads, _) in enumerate(steps) for k in reads}
         self._output = (out, False)
         self._steps = [(key, reads, step, [k for k in reads if last[k] == i and k != self._output])
@@ -235,9 +228,8 @@ class InferencePlan:
         if self._head is None:
             self._head = len(steps)
 
-    def run(self, x, collect=None) -> np.ndarray:
-        """Logits of the batch x.  collect, if given, is filled with
-        {node id: packed sign bits} for each node a binary layer reads."""
+    def run(self, x) -> np.ndarray:
+        """Logits of the batch x."""
         x = np.asarray(x, np.float32)
         if x.shape[1:] != self.graph.input_shape:
             raise ShapeError(
@@ -256,16 +248,12 @@ class InferencePlan:
                     if lo == 0:
                         values[k] = np.empty((len(x),) + v.shape[1:], v.dtype)
                     values[k][lo: lo + len(v)] = v
-        if collect is not None:
-            collect.update((k[0], v) for k, v in values.items() if k[1])
-        return self._execute(tail, values, collect)[self._output]
+        return self._execute(tail, values)[self._output]
 
     @staticmethod
-    def _execute(steps, values, collect=None):
+    def _execute(steps, values):
         for key, reads, step, done in steps:
             values[key] = step(*(values[k] for k in reads))
-            if collect is not None and key[1]:
-                collect[key[0]] = values[key]
             for k in done:  # freed at once, for the next steps to reuse
                 del values[k]
         return values
@@ -278,18 +266,12 @@ class InferencePlan:
         return step
 
     @staticmethod
-    def _bits_step(th, pool, name):
+    def _bits_step(th, pool):
         """Sign bits of BN(pool(x)) (th from bn_thresholds) or of x itself
         (th None): pack_signs compares, ORs each pool window, flips and
-        checks the bounds."""
+        raises sign's NumericError, the graph's, at a NaN."""
         args = dict(vars(th) if th else {}, pool=(pool.kernel, pool.stride) if pool else (1, 1))
-
-        def step(x):
-            try:
-                return bittensor.pack_signs(x[:, :, None, None] if x.ndim == 2 else x, **args)
-            except NumericError:
-                raise NumericError(f"{name}: NaN reaches sign") from None
-        return step
+        return lambda x: bittensor.pack_signs(x[:, :, None, None] if x.ndim == 2 else x, **args)
 
     @staticmethod
     def _binary_step(layer: QConv2d, c):

@@ -210,23 +210,16 @@ def set_scaling_mode(model: ModelGraph, mode: str):
     model.build_args["scaling_mode"] = mode
 
 
-def _find_nan_layer(model, images):
-    """Name of the first node whose training-mode output holds a NaN; the
-    BatchNorm running statistics this forward updates are restored."""
-    saved = [(buf, buf.copy()) for layer in model.layers()
-             for buf in layer.buffers().values()]
-    collected = []
-    try:
-        model.forward(images, training=True, collect=collected)
-    except NumericError:
-        pass
-    finally:
-        for buf, copy in saved:
-            buf[...] = copy
-    for name, value in collected:
-        if np.isnan(value).any():
-            return name
-    return "<loss>"
+def _find_nan_layer(model, images, tape):
+    """Name of the first NaN of a failed training step, read from what the
+    step recorded: "input" if the images hold one, else the first node whose
+    output holds one, else the node whose forward raised.  Each graph node
+    after the input records one tape node, and the loss the last."""
+    if np.isnan(images).any():
+        return "input"
+    names = [n.op if isinstance(n.op, str) else n.op.name for n in model.nodes[1:]]
+    nan = (i for i, node in enumerate(tape.nodes) if np.isnan(node.output.value).any())
+    return (names + ["<loss>"])[next(nan, len(tape.nodes))]
 
 
 def _require_images(*sets):
@@ -272,7 +265,9 @@ def train(model: ModelGraph, train_ds: Dataset, test_ds: Dataset,
     Fully deterministic for a given (model, data, config) triple: the
     batch order is seeded, and the passes that run in parts, the Adam
     step's among them, are cut where no sum crosses a part, so the bytes
-    do not depend on the CPU count.
+    do not depend on the CPU count.  A step whose forward raises
+    NumericError or whose loss is NaN raises NumericError naming the first
+    NaN, read from that step's tape: no forward runs after it.
     """
     _require_images(train_ds, test_ds)
     set_t_clip(model, cfg.t_clip)
@@ -303,7 +298,7 @@ def train(model: ModelGraph, train_ds: Dataset, test_ds: Dataset,
             if loss is None or np.isnan(loss.value):
                 raise NumericError(
                     f"training diverged: NaN at epoch {epoch}; first "
-                    f"NaN-producing layer: {_find_nan_layer(model, images)}"
+                    f"NaN-producing layer: {_find_nan_layer(model, images, tape)}"
                 ) from None
             tape.backward(loss)
             if cfg.lr > 0:

@@ -74,18 +74,16 @@ def split_in(parts, size_rules=True):
         bittensor._parts, bittensor.in_parts = saved, in_parts
 
 
-def packed_signs(x, thr=None, lo=None, hi=None, flip=None, pool=(1, 1)):
+def packed_signs(x, thr=None, flip=None, pool=(1, 1)):
     """bittensor.pack_signs step by step, its oracle: over the rows and
-    columns some window covers, NAN_INPUT (returned) for a NaN or a value
-    outside [lo, hi]; else the compare, np.packbits along channels with
-    1-pad bits, a strided OR over each window and the XOR with flip."""
+    columns some window covers, NAN_INPUT (returned) for a NaN; else the
+    compare, np.packbits along channels with 1-pad bits, a strided OR over
+    each window and the XOR with flip."""
     n, c, h, w = x.shape
     k, s = pool
     oh, ow = (h - k) // s + 1, (w - k) // s + 1
     x = x[:, :, : (oh - 1) * s + k, : (ow - 1) * s + k]
-    lo = -np.inf if lo is None else lo[:, None, None]
-    hi = np.inf if hi is None else hi[:, None, None]
-    if not ((x >= lo) & (x <= hi)).all():  # NaN fails both
+    if np.isnan(x).any():
         return NAN_INPUT
     bits = np.ones((n, -(-c // 8) * 8) + x.shape[2:], dtype=bool)
     bits[:, :c] = x >= (0 if thr is None else thr[:, None, None])

@@ -323,16 +323,14 @@ _EDGE = np.array([0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 1e-39, -1e-39],
     st.sampled_from([(1, 1), (2, 2), (3, 2), (3, 1)]),
     st.booleans(),
     st.booleans(),
-    st.booleans(),
     st.sampled_from([None, np.nan, np.float32(3.5), -np.inf]),
     st.integers(0, 2 ** 32 - 1),
 )
-def test_pack_channels_native_equals_numpy(c, nhw, pool, with_thr, with_bounds, with_flip,
-                                           bad, seed):
+def test_pack_channels_native_equals_numpy(c, nhw, pool, with_thr, with_flip, bad, seed):
     """pack_signs with the native kernel and with its numpy twin give the
     bytes of the step-by-step oracle, or the same NumericError, with thr
-    (x on its thresholds: ties), lo and hi, flip and a pool window, on
-    +-0.0, NaN and out-of-bounds values, on planes of 1 to 81 pixels: the
+    (x on its thresholds: ties), flip and a pool window, on +-0.0, NaN and
+    infinite values, on planes of 1 to 81 pixels: the
     native kernel packs those of 32 or more, numpy's np.packbits the
     smaller ones and its 8-plane OR the larger ones.  (n, c, h, w) also
     stands for an (O, C, kh, kw) weight."""
@@ -350,10 +348,6 @@ def test_pack_channels_native_equals_numpy(c, nhw, pool, with_thr, with_bounds, 
         tie = (rng.random(x.shape) < 0.2) & np.isfinite(thr)[:, None, None]
         x[tie] = np.broadcast_to(thr[:, None, None], x.shape)[tie]
         kwargs["thr"] = thr
-    if with_bounds:  # [-3, 3] on some channels, unbounded on the others
-        bounded = rng.random(c) < 0.5
-        kwargs["lo"] = np.where(bounded, -3, -np.inf).astype(np.float32)
-        kwargs["hi"] = np.where(bounded, 3, np.inf).astype(np.float32)
     if with_flip:
         kwargs["flip"] = rng.integers(0, 256, -(-c // 8), dtype=np.uint8)
     x[rng.random(x.shape) < 0.1] = 0.0
@@ -379,18 +373,18 @@ def test_pack_channels_non_float32_runs_numpy():
     assert pack_signs(zeros, -tiny)[0, 0, 0].tolist() == [0xFE]
 
 
-@pytest.mark.parametrize("arg", ["x", "thr", "lo", "flip"])
-def test_pack_signs_checks_buffers_before_the_kernel_reads_them(arg):
-    """A buffer that does not fit x's channels, or that the kernel would
+@pytest.mark.parametrize("arg,value", [
+    ("x", np.zeros((2, 10, 6, 6), np.float32)), ("thr", np.zeros(8, np.float32)),
+    ("flip", np.zeros(1, np.uint8)), ("flip", np.zeros(2, np.int8))],
+    ids=["x", "thr", "flip", "flip-int8"])
+def test_pack_signs_checks_buffers_before_the_kernel_reads_them(arg, value):
+    """A buffer that does not fit x's 9 channels, or that the kernel would
     read as the wrong dtype, raises ShapeError on both routes (the 36-pixel
     plane is the kernel's): x with more channels than thr, thr one
-    channel short, float64 lo, flip one byte short."""
-    c = 9
-    good = dict(x=np.zeros((2, c, 6, 6), np.float32), thr=np.zeros(c, np.float32),
-                lo=np.zeros(c, np.float32), flip=np.zeros(2, np.uint8))
-    bad = dict(x=np.zeros((2, c + 1, 6, 6), np.float32), thr=np.zeros(c - 1, np.float32),
-               lo=np.zeros(c, np.float64), flip=np.zeros(1, np.uint8))
-    args = dict(good, **{arg: bad[arg]})
+    channel short, flip one byte short, int8 flip."""
+    good = dict(x=np.zeros((2, 9, 6, 6), np.float32), thr=np.zeros(9, np.float32),
+                flip=np.zeros(2, np.uint8))
+    args = dict(good, **{arg: value})
     for kernels in (contextlib.nullcontext, numpy_kernels):
         with kernels(), pytest.raises(ShapeError):
             pack_signs(**args)
@@ -513,13 +507,12 @@ def test_in_parts_under_thread_switches_from_two_callers():
        st.integers(0, 2 ** 32 - 1))
 def test_pack_signs_bytes_do_not_depend_on_the_split(n, c, pool, bad, seed):
     """The native packer runs one call a part of the images, each with its
-    own plane, and gives the oracle's bytes in 1, 2 and 3 parts.  A NaN or
-    an out-of-bounds value in the last image alone, which only the last
-    part reads, raises NumericError in every split."""
+    own plane, and gives the oracle's bytes in 1, 2 and 3 parts.  A NaN in
+    the last image alone, which only the last part reads, raises
+    NumericError in every split."""
     rng = np.random.default_rng(seed)
     x = np.clip(rng.standard_normal((n, c, 7, 6)), -3, 3).astype(np.float32)
     kwargs = dict(thr=rng.standard_normal(c).astype(np.float32), pool=pool,
-                  lo=np.full(c, -4, np.float32), hi=np.full(c, 4, np.float32),
                   flip=rng.integers(0, 256, -(-c // 8), dtype=np.uint8))
     if bad is not None and n:
         x[-1, -1, 0, 0] = bad  # every pool window at the corner reads it

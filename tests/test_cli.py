@@ -32,6 +32,22 @@ def trained(tmp_path_factory, mnist_data):
     return out
 
 
+def train_with_nan(monkeypatch, capsys, where, flags):
+    """The error lines of one epoch of bnn train with flags on a model with
+    a NaN in the first weight of its layer named where; exit 4 asserted."""
+    build = cli._build_for_dataset
+
+    def poisoned(*args):
+        model = build(*args)
+        w = {l.name: l for l in model.layers()}[where].weight.value
+        w[(0,) * w.ndim] = np.nan
+        return model
+
+    monkeypatch.setattr(cli, "_build_for_dataset", poisoned)
+    assert cli.main(["train", "--epochs", "1", *flags]) == cli.EXIT_RUNTIME
+    return capsys.readouterr().err.splitlines()
+
+
 class TestTrain:
     def test_artifacts_written(self, trained):
         assert os.path.exists(os.path.join(trained, "model.bnn"))
@@ -98,27 +114,23 @@ class TestTrain:
         assert rc == cli.EXIT_DATA
         assert "t10k-images-idx3-ubyte: the file holds no images" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where", ["conv0", "head"])
+    @pytest.mark.parametrize("where", ["conv0", "head", "qconv0", "qdense0"])
     def test_training_nan_exits_4(self, mnist_data, tmp_path, capsys, monkeypatch, where):
         """A NaN that stops the forward at a binary layer's sign (conv0's
-        weight) or reaches the loss (the head's) is one error line, exit 4."""
-        build = cli._build_for_dataset
-
-        def poisoned(*args):
-            model = build(*args)
-            w = {l.name: l for l in model.layers()}[where].weight.value
-            w[(0,) * w.ndim] = np.nan
-            return model
-
-        monkeypatch.setattr(cli, "_build_for_dataset", poisoned)
-        rc = cli.main([
-            "train", "--model", "lenet", "--dataset", "mnist", "--data-dir", mnist_data,
-            "--out-dir", str(tmp_path / "run"), "--epochs", "1", "--batch-size", "30",
-        ])
-        assert rc == cli.EXIT_RUNTIME
-        err = capsys.readouterr().err
-        assert err.splitlines() == [
+        weight), at a binary layer's weight signs (qconv0's, qdense0's) or
+        reaches the loss (the head's) is one error line, exit 4."""
+        assert train_with_nan(monkeypatch, capsys, where, [
+            "--model", "lenet", "--dataset", "mnist", "--data-dir", mnist_data,
+            "--out-dir", str(tmp_path / "run"), "--batch-size", "30"]) == [
             f"error: training diverged: NaN at epoch 0; first NaN-producing layer: {where}"]
+
+    def test_training_nan_in_a_transition_exits_4(self, tmp_path, capsys, monkeypatch):
+        """A NaN in a DenseNet transition's latent weights names it, exit 4."""
+        assert train_with_nan(monkeypatch, capsys, "qtrans0", [
+            "--model", "densenet:k=4,b=1", "--dataset", "cifar10",
+            "--data-dir", write_cifar_dir(str(tmp_path / "cifar")),
+            "--out-dir", str(tmp_path / "run"), "--batch-size", "10"]) == [
+            "error: training diverged: NaN at epoch 0; first NaN-producing layer: qtrans0"]
 
     def test_corrupt_data_file(self, tmp_path):
         d = write_mnist_dir(str(tmp_path / "m"), n_train=10, n_test=5)
@@ -301,6 +313,18 @@ def test_usage_error_on_no_command():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_unknown_dataset_is_a_usage_error(command, tmp_path, capsys):
+    """argparse's choices reject a dataset other than mnist and cifar10
+    before any command runs: exit 2, naming the choices."""
+    flags = {"train": ["--model", "lenet"], "eval": ["--model-file", "m.bnn"],
+             "sweep": ["--kind", "tclip", "--model", "lenet"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *flags, "--dataset", "svhn", "--data-dir", str(tmp_path)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "invalid choice: 'svhn' (choose from" in capsys.readouterr().err
 
 
 def _run_module(*args, env_changes=()):

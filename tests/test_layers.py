@@ -404,6 +404,23 @@ def test_col2im_ste_matches_sign_backward(c, padding, stride, k, h, w, t):
             assert got.flat[1] == 0 != whole.flat[1]
 
 
+@pytest.mark.parametrize("k,padding", [(3, 1), (1, 0)])
+def test_col2im_ste_zeros_the_gradient_at_a_nan_input(k, padding):
+    """Where the binary layer's input is NaN, |x| <= t_clip fails, so the
+    native store gives sign_backward's 0 there, as its numpy twin does."""
+    rng = np.random.default_rng(5)
+    shape = (1, 3, 5, 5)
+    g = rng.standard_normal((25, 4)).astype(np.float32)
+    wb = rng.standard_normal((4, k * k * 3)).astype(np.float32)
+    x = rng.uniform(-0.4, 0.4, shape).astype(np.float32)
+    x[0, 1, 2, 3] = np.nan
+    ste = STEConfig(0.5)
+    native = col2im(g, wb, shape, k, k, 1, padding, x, ste)
+    with numpy_kernels():
+        twin = col2im(g, wb, shape, k, k, 1, padding, x, ste)
+    assert native[0, 1, 2, 3] == 0.0 and native.tobytes() == twin.tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 20), st.integers(1, 4), st.integers(1, 4), st.integers(1, 2),
        st.integers(0, 2), st.integers(0, 6), st.integers(0, 6), st.integers(1, 3),

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bnn import arch, bittensor, layers, plan, train
-from bnn.autodiff import Slot, Tape
+from bnn.autodiff import NAN_INPUT, Slot, Tape
 from bnn.data import Dataset
 from bnn.errors import NumericError
-from bnn.layers import BatchNorm, MaxPool2d
+from bnn.layers import BatchNorm, Flatten, MaxPool2d
 from bnn.plan import InferencePlan, Thresholds, bn_thresholds
 
 from conftest import numpy_kernels, packed_signs, split_in
@@ -30,49 +30,76 @@ MODELS = [
 
 def _trained_like(spec, kw, seed=0):
     """A model whose BatchNorms look trained: running statistics away from
-    (0, 1), a third of the gammas negative and one of them zero."""
+    (0, 1), a third of the gammas negative and, in every other BatchNorm
+    (bn1, bn3, ...), one of them zero, so that the plan folds the others
+    into thresholds and runs these as float steps."""
     g = arch.build_model(spec, seed=seed, **kw)
     rng = np.random.default_rng(seed)
-    for layer in g.layers():
-        if isinstance(layer, BatchNorm):
-            c = layer.num_features
-            layer.running_mean[:] = rng.normal(0, 2, c)
-            layer.running_var[:] = rng.uniform(0.05, 4, c)
-            layer.gamma.value[:] = rng.uniform(0.2, 2, c)
-            layer.gamma.value[: c // 3] *= -1
+    bns = [layer for layer in g.layers() if isinstance(layer, BatchNorm)]
+    for i, layer in enumerate(bns):
+        c = layer.num_features
+        layer.running_mean[:] = rng.normal(0, 2, c)
+        layer.running_var[:] = rng.uniform(0.05, 4, c)
+        layer.gamma.value[:] = rng.uniform(0.2, 2, c)
+        layer.gamma.value[: c // 3] *= -1
+        if i % 2:
             layer.gamma.value[c // 2] = 0
-            layer.beta.value[:] = rng.normal(0, 1, c)
+        layer.beta.value[:] = rng.normal(0, 1, c)
     return g
 
 
 def _binary_inputs(g):
-    """Ids of the nodes whose sign bits a binary layer reads; a Flatten
-    stands for its input, whose bits it passes on."""
+    """Per binary layer, in graph order, the id of the node whose sign bits
+    it reads; a Flatten of a BatchNorm the plan folds stands for that
+    BatchNorm, whose channels-last bits it passes on."""
     nodes = {n.id: n for n in g.nodes}
-    ids = set()
+    ids = []
     for n in g.nodes:
         if isinstance(n.op, (layers.QConv2d, layers.QDense)) and n.op.binary:
             src = nodes[n.inputs[0]]
-            ids.add(src.inputs[0] if isinstance(src.op, layers.Flatten) else src.id)
+            bn = nodes[src.inputs[0]].op if isinstance(src.op, Flatten) else None
+            folded = isinstance(bn, BatchNorm) and bn_thresholds(bn) is not None
+            ids.append(src.inputs[0] if folded else src.id)
     return ids
 
 
+def _eval_values(g, x):
+    """The eval output of every node of g on x, by node id, stepping
+    through arch.apply_node as ModelGraph.forward does."""
+    slots = {}
+    for n in g.nodes:
+        slots[n.id] = (Slot(x, "input", requires_grad=False) if n.op == "input" else
+                       arch.apply_node(n, Tape(), [slots[i] for i in n.inputs]))
+    return {k: v.value for k, v in slots.items()}
+
+
 @pytest.mark.parametrize("spec,kw", MODELS)
-def test_plan_matches_graph_bit_for_bit(spec, kw):
+def test_plan_matches_graph_bit_for_bit(spec, kw, monkeypatch):
+    """The plan's logits are the graph's, and each binary layer's GEMM
+    reads the sign bits of its input in the graph, folded or not."""
     g = _trained_like(spec, kw)
     # more images than the plan runs per chunk, with a short last chunk
     x = np.random.default_rng(1).normal(0, 1, (37,) + g.input_shape).astype(np.float32)
-    collected = []
-    ref = g.forward(x, collect=collected).value
-    values = {n.id: v for n, (_, v) in zip(g.nodes, collected)}
-    bits = {}
-    got = InferencePlan(g).run(x, collect=bits)
+    values = _eval_values(g, x)
+    ref = g.forward(x).value
+    assert values[g.output_id].tobytes() == ref.tobytes()
+    binary_conv, bits = layers.binary_conv, []
+
+    def recording(xb, *args):
+        bits.append(xb)
+        return binary_conv(xb, *args)
+
+    monkeypatch.setattr(layers, "binary_conv", recording)
+    got = InferencePlan(g).run(x)
     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    assert set(bits) == _binary_inputs(g)
-    for nid, b in bits.items():
+    bns = [layer for layer in g.layers() if isinstance(layer, BatchNorm)]
+    assert {bn_thresholds(bn) is None for bn in bns} == {False, True}
+    want = _binary_inputs(g)
+    assert len(bits) == len(want)
+    for b, nid in zip(bits, want):
         v = values[nid]
         v = v.reshape(v.shape + (1, 1)) if v.ndim == 2 else v
-        np.testing.assert_array_equal(b, bittensor.pack_signs(v))
+        assert b.tobytes() == bittensor.pack_signs(v).tobytes()
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3])
@@ -181,7 +208,7 @@ HUGE = float(np.float32(3e38))
 F32 = st.floats(width=32, allow_nan=False, allow_infinity=False, allow_subnormal=True)
 SPECIAL = st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 1e-38, -HUGE, HUGE])
 CHANNEL = st.tuples(
-    st.one_of(SPECIAL, F32),  # gamma: negative, zero, subnormal
+    st.one_of(SPECIAL, F32).filter(bool),  # gamma: negative, subnormal, not zero
     st.one_of(SPECIAL, F32),  # beta
     st.one_of(SPECIAL, F32),  # running mean
     st.one_of(st.sampled_from([0.0, 1e-45, 1e-30, HUGE]),  # var: tiny and huge
@@ -198,51 +225,86 @@ def _oracle(bn, x):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(st.lists(CHANNEL, min_size=1, max_size=4), st.lists(F32, max_size=8))
-@example([(0.0, 1.0, 0.0, 1.0), (-0.0, -1.0, 2.0, 0.0)], [])  # constant channels
+@example([(1.0, 0.5, 0.0, 1.0), (-1.0, -0.5, 2.0, 0.0)], [])
 @example([(1e-45, 0.0, 0.0, 1e-45), (-3e38, 3e38, -3e38, 3e38)], [1e36])
 def test_thresholds_agree_with_batchnorm(channels, xs):
+    """With finite parameters, var >= 0 and gamma != 0 the BatchNorm is
+    folded, and its thresholds give its sign at every input but NaN, each
+    channel's sign changing between thr's neighbour below and thr."""
     gamma, beta, mean, var = (np.array(v, np.float32) for v in zip(*channels))
     bn = BatchNorm(len(channels))
     bn.gamma.value[:], bn.beta.value[:] = gamma, beta
     bn.running_mean[:], bn.running_var[:] = mean, var
     th = bn_thresholds(bn)  # any RuntimeWarning fails the test
-    assert th is not None  # finite parameters, var >= 0
+    assert th is not None
     flip = np.unpackbits(th.flip, bitorder="little").astype(bool)
-    lo, hi = (np.full(len(channels), v, np.float32) if b is None else b
-              for b, v in ((th.lo, -np.inf), (th.hi, np.inf)))
     for c in range(len(channels)):
         t = th.thr[c]
+        assert t > -np.inf  # the sign at -inf is never the sign everywhere
         probes = [0.0, -0.0, np.inf, -np.inf, mean[c], *xs]
         if np.isfinite(t):  # the predicate flips between t's neighbour and t
             with np.errstate(over="ignore"):  # below the least finite float
                 below = np.nextafter(t, np.float32(-np.inf))
             probes += [t, below]
-            if lo[c] <= below and t <= hi[c]:
-                col = np.zeros((2, len(channels)), np.float32)
-                col[:, c] = [below, t]
-                y = _oracle(bn, col)[:, c]
-                assert (y[0] >= 0) == flip[c] and (y[1] >= 0) != flip[c]
+            col = np.zeros((2, len(channels)), np.float32)
+            col[:, c] = [below, t]
+            y = _oracle(bn, col)[:, c]
+            assert (y[0] >= 0) == flip[c] and (y[1] >= 0) != flip[c]
         col = np.zeros((len(probes), len(channels)), np.float32)
         col[:, c] = probes
         y = _oracle(bn, col)[:, c]
         x = col[:, c]
-        inside = (x >= lo[c]) & (x <= hi[c])
-        np.testing.assert_array_equal(np.isnan(y), ~inside)
-        np.testing.assert_array_equal((y >= 0)[inside],
-                                      ((x >= t) != flip[c])[inside])
+        assert not np.isnan(y).any()
+        np.testing.assert_array_equal(y >= 0, (x >= t) != flip[c])
 
 
-def test_zero_gamma_is_a_constant_channel_with_nan_tails():
-    bn = BatchNorm(2)
-    bn.gamma.value[:] = [0.0, 0.0]
-    bn.beta.value[:] = [0.5, -0.5]
-    th = bn_thresholds(bn)
-    assert np.all(th.thr == -np.inf) and th.flip.tolist() == [0b10]
-    # 0 * inf: the graph would hand sign a NaN, so the plan raises there
-    assert np.all(np.isfinite(th.lo)) and np.all(np.isfinite(th.hi))
-    bn.gamma.value[:] = [1.0, -1.0]  # no NaN anywhere: no bounds to check
-    th = bn_thresholds(bn)
-    assert th.lo is None and th.hi is None and th.flip.tolist() == [0b10]
+def _bn_graph(pool):
+    """input (3, 8, 8), a MaxPool2d(2) if pool, bn0, a binary 3x3 conv of
+    its signs, a Flatten and the float head."""
+    b = arch._Builder("bn-graph", (3, 8, 8), 10, True, 0.5, "N", 0)
+    x = b.add(MaxPool2d(2, name="pool0"), 0) if pool else 0
+    x = b.add(Flatten(name="flatten"), b.conv(b.bn(x, 3), 3, 4, 3, padding=1))
+    return b.done(b.head(x, 4 * (4 if pool else 8) ** 2), {})
+
+
+def _logits_or_error(run, x):
+    try:
+        return run(x).tobytes()
+    except NumericError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("pool", [False, True], ids=["no-pool", "pool"])
+def test_batchnorm_nan_at_an_infinity_is_not_folded(pool):
+    """gamma = 0, beta = +-inf or running_var = inf in one channel makes
+    BN NaN at -inf or +inf, which no threshold can say: bn_thresholds
+    gives None, and the plan runs the BatchNorm as a float step, with the
+    graph's logits or NumericError text on NaN and +-inf inputs."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(0, 1, (4, 3, 8, 8)).astype(np.float32)
+    inputs = [x]
+    for v in (np.nan, np.inf, -np.inf):
+        for c in range(3):
+            bad = x.copy()
+            bad[1, c, 2, 5] = v
+            inputs.append(bad)
+    for field, value in (("gamma", 0.0), ("beta", np.inf), ("beta", -np.inf),
+                         ("running_var", np.inf)):
+        g = _bn_graph(pool)
+        bn = g.nodes[2 if pool else 1].op
+        bn.running_mean[:], bn.running_var[:] = [0.5, -1.0, 0.0], [2.0, 0.5, 1.0]
+        bn.gamma.value[:], bn.beta.value[:] = [1.5, -0.5, 2.0], [0.1, 0.0, -0.3]
+        assert bn_thresholds(bn) is not None
+        (bn.running_var if field == "running_var" else getattr(bn, field).value)[1] = value
+        assert bn_thresholds(bn) is None
+        plan = InferencePlan(g)
+        with np.errstate(invalid="ignore"):
+            outcomes = [(_logits_or_error(lambda v: g.forward(v).value, v),
+                         _logits_or_error(plan.run, v)) for v in inputs]
+        assert all(ref == got for ref, got in outcomes)
+        # some inputs give logits, the others sign's NumericError
+        assert {ref for ref, _ in outcomes if isinstance(ref, str)} == {NAN_INPUT}
+        assert any(isinstance(ref, bytes) for ref, _ in outcomes)
 
 
 def test_batchnorm_nan_at_its_mean_is_not_folded():
@@ -258,16 +320,10 @@ def test_batchnorm_nan_at_its_mean_is_not_folded():
 
 
 def _random_thresholds(rng, c):
-    """Thresholds with -inf (constant) channels, flips and bounds [-3, 3]
-    on channel 0 and some others, [-inf, inf] on the rest."""
+    """Thresholds with flips, +inf on some channels (only +inf passes)."""
     thr = rng.normal(0, 1, c).astype(np.float32)
-    thr[rng.random(c) < 0.2] = -np.inf
-    bounded = rng.random(c) < 0.5
-    bounded[0] = True
-    lo = np.where(bounded, np.float32(-3), np.float32(-np.inf)).astype(np.float32)
-    hi = np.where(bounded, np.float32(3), np.float32(np.inf)).astype(np.float32)
-    return Thresholds(thr=thr, flip=np.packbits(rng.random(c) < 0.4, bitorder="little"),
-                      lo=lo, hi=hi)
+    thr[rng.random(c) < 0.2] = np.inf
+    return Thresholds(thr=thr, flip=np.packbits(rng.random(c) < 0.4, bitorder="little"))
 
 
 def _bits_both_ways(step, x):
@@ -288,30 +344,30 @@ def _bits_both_ways(step, x):
 @pytest.mark.parametrize("k,s", [(2, 2), (3, 2), (3, 1)])
 def test_fused_bits_step_equals_pack_pool_flip(k, s, hw, c):
     """The native bits step gives the bytes of its numpy fallback and of
-    the unfused steps, and both raise for a NaN or out-of-bounds value
-    just where some pool window reads it (channel 0 has bounds [-3, 3])."""
+    the unfused steps, on +-inf too, and both raise sign's NumericError for
+    a NaN just where some pool window reads it."""
     rng = np.random.default_rng(k * 100 + s * 10 + c + hw[0])
     th = _random_thresholds(rng, c)
-    step = InferencePlan._bits_step(th, MaxPool2d(k, s), "bn")
+    step = InferencePlan._bits_step(th, MaxPool2d(k, s))
     h, w = hw
-    x = np.clip(rng.normal(0, 1, (3, c, h, w)), -2.9, 2.9).astype(np.float32)
+    x = rng.normal(0, 1, (3, c, h, w)).astype(np.float32)
     x[rng.random(x.shape) < 0.1] = -0.0
+    x[rng.random(x.shape) < 0.05] = np.inf
+    x[rng.random(x.shape) < 0.05] = -np.inf
     hc, wc = (h - k) // s * s + k, (w - k) // s * s + k
-    x[0, 0, 0, 0] = 3.0  # on the bound: inside
     if hc < h:  # the rows and columns no window covers are not read
         x[1, :, hc:] = np.nan
     if wc < w:
-        x[2, 0, :, wc:] = 100.0
+        x[2, 0, :, wc:] = np.nan
     ref = packed_signs(x, **vars(th), pool=(k, s))
     native, twin = _bits_both_ways(step, x)
     assert native.tobytes() == twin.tobytes() == ref.tobytes()
     assert native.shape == ((3, (h - k) // s + 1, (w - k) // s + 1, -(-c // 8)))
 
-    for i, j, v in ((hc - 1, wc - 1, np.nan), (hc - 1, 0, np.float32(3.0001)),
-                    (0, wc - 1, -np.inf)):
+    for i, j in ((hc - 1, wc - 1), (hc - 1, 0), (0, wc - 1)):
         bad = x.copy()
-        bad[2, 0, i, j] = v
-        assert _bits_both_ways(step, bad) == ["bn: NaN reaches sign"] * 2
+        bad[2, 0, i, j] = np.nan
+        assert _bits_both_ways(step, bad) == [NAN_INPUT] * 2
 
 
 @pytest.mark.parametrize("c", [1, 9, 64, 1024])
@@ -319,11 +375,10 @@ def test_bits_step_without_pool_or_thresholds(c):
     """A flattened (N, F) input, and the sign of a BatchNorm-free input."""
     rng = np.random.default_rng(c)
     th = _random_thresholds(rng, c)
-    x = np.clip(rng.normal(0, 1, (4, c)), -2.9, 2.9).astype(np.float32)
+    x = rng.normal(0, 1, (4, c)).astype(np.float32)
     for t, ref in ((th, packed_signs(x[:, :, None, None], **vars(th))),
                    (None, packed_signs(x[:, :, None, None]))):
-        native, twin = _bits_both_ways(InferencePlan._bits_step(t, None, "bn"), x)
+        native, twin = _bits_both_ways(InferencePlan._bits_step(t, None), x)
         assert native.tobytes() == twin.tobytes() == ref.tobytes()
     x[3, c - 1] = np.nan
-    assert _bits_both_ways(InferencePlan._bits_step(None, None, "x"), x) == [
-        "x: NaN reaches sign"] * 2
+    assert _bits_both_ways(InferencePlan._bits_step(None, None), x) == [NAN_INPUT] * 2

@@ -9,6 +9,7 @@ import pytest
 
 from bnn import arch
 from bnn.autodiff import Slot, Tape
+from bnn.data import batches
 from bnn.errors import NumericError
 from bnn.layers import Param
 from bnn.train import (
@@ -24,7 +25,6 @@ from bnn.train import (
     softmax_cross_entropy,
     sweep_tclip,
     train,
-    _find_nan_layer,
     write_scaling_csv,
     write_tclip_csv,
 )
@@ -302,33 +302,49 @@ def test_set_helpers():
 
 @pytest.mark.parametrize("where", ["input", "conv0", "bn0", "bn1"])
 def test_find_nan_layer_keeps_model_state(where):
-    """The first NaN node is named, also when the NaN stops the forward at
-    the next binary layer's input (qconv0 after bn0, qdense0 after bn1)."""
-    tr, _ = tiny_pair()
-    model = arch.build_lenet(seed=0)
-    model.forward(tr.images[:20], training=True)  # non-default running stats
-    images = tr.images[:20].copy()
-    layer = {l.name: l for l in model.layers()}.get(where)
+    """The first NaN node is named from the failed step's tape, also when
+    the NaN stops the forward at the next binary layer's input (qconv0
+    after bn0, qdense0 after bn1); no forward runs after the failed one,
+    so the BatchNorm buffers are those one failing forward leaves."""
+    tr, te = make_synth_dataset(40, seed=1), make_synth_dataset(10, seed=2, split="test")
+    models = []
+    for _ in range(2):
+        model = arch.build_lenet(seed=0)
+        model.forward(tr.images[:20], training=True)  # non-default running stats
+        layer = {l.name: l for l in model.layers()}.get(where)
+        if where == "conv0":
+            layer.weight.value[0, 0, 0, 0] = np.nan
+        elif where != "input":
+            layer.gamma.value[1] = np.nan
+        models.append(model)
     if where == "input":
-        images[3, 0, 5, 5] = np.nan
-    elif where == "conv0":
-        layer.weight.value[0, 0, 0, 0] = np.nan
-    else:
-        layer.gamma.value[1] = np.nan
+        tr.images[3, 0, 5, 5] = np.nan
+    model, once = models
+    (images, _), = batches(tr, len(tr), shuffle_seed=0)  # the step train runs
+    with pytest.raises(NumericError):
+        once.forward(images, training=True)
+    forwards = []
 
-    def snapshot():
-        return [{k: v.tobytes() for k, v in layer.buffers().items()}
-                for layer in model.layers()]
+    def forward(*args, **kwargs):
+        forwards.append(args)
+        return arch.ModelGraph.forward(model, *args, **kwargs)
 
-    before = snapshot()
-    assert _find_nan_layer(model, images) == where
-    assert snapshot() == before
+    model.forward = forward
+    with pytest.raises(NumericError, match=rf"first NaN-producing layer: {where}$"):
+        train(model, tr, te, quick_cfg(batch_size=len(tr)))
+    assert len(forwards) == 1
+
+    def snapshot(g):
+        return [{k: v.tobytes() for k, v in layer.buffers().items()} for layer in g.layers()]
+
+    assert snapshot(model) == snapshot(once)
 
 
-@pytest.mark.parametrize("where", ["conv0", "head"])
+@pytest.mark.parametrize("where", ["conv0", "head", "qconv0", "qdense0"])
 def test_training_nan_names_its_layer(where):
-    """A NaN in the stem's weight stops the forward at qconv0's sign, and
-    one in the head's reaches the loss: training names the layer either way."""
+    """A NaN in the stem's weight stops the forward at qconv0's sign, one
+    in a binary layer's latent weights at that layer's weight signs, and
+    one in the head's reaches the loss: training names the layer each way."""
     tr, te = tiny_pair()
     model = arch.build_lenet(seed=0)
     layer = {l.name: l for l in model.layers()}[where]
@@ -336,6 +352,21 @@ def test_training_nan_names_its_layer(where):
     with pytest.raises(NumericError, match=rf"^training diverged: NaN at epoch 0; "
                                            rf"first NaN-producing layer: {where}$"):
         train(model, tr, te, quick_cfg())
+
+
+@pytest.mark.parametrize("spec,where", [("densenet:k=4,b=1", "qconv1"),
+                                        ("densenet:k=4,b=1", "qtrans0"),
+                                        ("resnet18", "qconv2"), ("resnet18", "qproj0")])
+def test_training_nan_in_latent_weights_names_its_layer(spec, where):
+    """A NaN in the latent weights of an inner binary conv, a DenseNet
+    transition or a ResNet shortcut stops the forward at that layer."""
+    tr = make_synth_dataset(4, shape=(3, 32, 32), seed=1)
+    te = make_synth_dataset(2, shape=(3, 32, 32), seed=2, split="test")
+    model = arch.build_model(spec, num_classes=10, preset="cifar")
+    w = {l.name: l for l in model.layers()}[where].weight.value
+    w[(0,) * w.ndim] = np.nan
+    with pytest.raises(NumericError, match=rf"first NaN-producing layer: {where}$"):
+        train(model, tr, te, quick_cfg(batch_size=4))
 
 
 def _train_digest_module():
