@@ -11,10 +11,13 @@ batches.  A second line per model, "<label> plan: <digest>", covers the
 logits its plan.InferencePlan gives for PLAN_IMAGES seeded images.  After
 those twelve lines, one "<label> file: <digest>" line per model covers
 the bytes modelio.save writes for it after the steps, its packed sign
-bits among them.  The last line, "builders: <digest>", covers the graphs
-the builders make for BUILDS, untrained: each node's id, inputs and op
-(a layer's spec, STE t_clip and scaling mode), the initial parameters
-and buffers and the build_args.  The native kernels and their numpy
+bits among them.  The line "builders: <digest>" covers the graphs the
+builders make for BUILDS, untrained: each node's id, inputs and op (a
+layer's spec, STE t_clip and scaling mode), the initial parameters and
+buffers and the build_args.  The last line covers the training steps of
+a CIFAR-preset densenet:k=64,b=1 at batch 8 (PER_OFFSET), whose 32x32
+binary convs are large enough to take the per-offset weight gradient of
+layers.bits_weight_grad.  The native kernels and their numpy
 twins give the same bytes, so the five commands
 
     python scripts/train_digest.py
@@ -61,6 +64,10 @@ RUNS = [
     # binary convs over 24, 33, 36, 45 and 57 channels: C % 8 != 0
     ("densenet:k=12,b=1", "densenet:k=12,b=1", "N", "cifar", (3, 32, 32), 4, 0.0),
 ]
+
+# a model whose 32x32 binary convs take the per-offset weight gradient
+# (layers.bits_weight_grad): its training line only, printed last
+PER_OFFSET = ("densenet:k=64,b=1", "densenet:k=64,b=1", "N", "cifar", (3, 32, 32), 8, 0.0)
 
 # (model spec, arch.build_model keywords): the three CIFAR models in FB at t_clip 0.3
 CIFAR_FB = dict(num_classes=10, scaling_mode="FB", t_clip=0.3, preset="cifar")
@@ -148,6 +155,8 @@ def main():
     print("\n".join(files))
     built = (arch.build_model(spec, **kw) for spec, kw in BUILDS)
     print(f"builders: {digest(a for model in built for a in graph_arrays(model))}")
+    label, *run = PER_OFFSET
+    print(f"{label}: {digest(train_trace(*run)[1])}")
 
 
 if __name__ == "__main__":

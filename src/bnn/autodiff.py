@@ -2,7 +2,9 @@
 
 The tape records layer-level nodes in execution order; backward() walks
 them in reverse, accumulating gradients by summation in recording order,
-so results are deterministic.  The sign nonlinearity gets the
+so results are deterministic.  A tape is single-use: backward frees each
+node's closure and output gradient once used, and the parameters' (the
+leaves') gradients survive.  The sign nonlinearity gets the
 straight-through surrogate: the upstream gradient passes through where
 the *input* magnitude is within t_clip and is cancelled elsewhere (the
 threshold clips on input magnitude, not on gradient magnitude).
@@ -71,6 +73,7 @@ class Tape:
     """Ordered record of operations for one forward pass."""
 
     nodes: list = field(default_factory=list)
+    used: bool = False
 
     def record(self, output: Slot, inputs, backward_fn) -> Slot:
         """Append a node; backward_fn maps the output gradient to one
@@ -78,25 +81,32 @@ class Tape:
         self.nodes.append(_Node(output, tuple(inputs), backward_fn))
         return output
 
-    def backward(self, loss: Slot) -> dict:
-        """Accumulate gradients of loss into every reachable slot.
-
-        Returns a dict mapping slot id to (slot, gradient).
-        """
+    def backward(self, loss: Slot, keep=()) -> dict:
+        """Accumulate gradients of loss into every reachable slot, freeing
+        what each node's backward has used once it has run: its closure, and
+        its output's gradient unless that slot is in keep.  Returns a dict
+        mapping slot id to (slot, gradient) of the survivors: the leaves
+        (parameters, and slots no node outputs) and the slots in keep.  The
+        tape is single-use: a second backward raises RuntimeError."""
+        if self.used:
+            raise RuntimeError("this tape's backward has already run; record a new tape")
         if loss.value.size != 1:
             raise ValueError(
                 f"loss must be scalar, got shape {loss.value.shape}"
             )
-        for node in self.nodes:
-            node.output.grad = None
+        self.used = True
+        keep = {id(s) for s in keep}
+        for node in self.nodes:  # drop old gradients; an output gets one only here
             for s in node.inputs:
                 s.grad = None
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes):
-            g_out = node.output.grad
+            g_out, backward_fn, node.backward_fn = node.output.grad, node.backward_fn, None
             if g_out is None:
                 continue  # not reachable from the loss
-            grads = node.backward_fn(g_out)
+            if id(node.output) not in keep:
+                node.output.grad = None
+            grads = backward_fn(g_out)
             if len(grads) != len(node.inputs):
                 raise RuntimeError(
                     f"backward_fn returned {len(grads)} gradients for "

@@ -29,10 +29,10 @@ the weight with pack_signs too, by bittensor.binary_gemm; when
 C % 8 != 0 the 1-pad bits of each kernel position add +1 each, in both
 operands, and are subtracted; swap_axes, every channels-first <->
 channels-last copy of the binary path, gives NCHW.  The +-1 float
-patches exist only in backward, for the weight gradient
-(unpack_patches).  QDense is a QConv2d whose binarized input runs this
-1x1 path over (N, F, 1, 1), where col2im needs no float64 accumulator;
-its weight stays (O, F).
+patches exist only in backward, for the weight gradient (unpack_patches),
+of a large layer one kernel offset at a time (bits_weight_grad).  QDense
+is a QConv2d whose binarized input runs this 1x1 path over (N, F, 1, 1),
+where col2im needs no float64 accumulator; its weight stays (O, F).
 
 A convolution with a float input (the stem) gathers pixel-innermost
 patches, (N, kh*kw*C, OH*OW) in the same (ki, kj, c) order (the native
@@ -55,7 +55,7 @@ by 6-row blocks, the stem's native patch gather and forward GEMM by
 images, in the same parts (each the GEMM the batched call makes), the
 copies of its weight gradient's operands by images, BatchNorm's sums by
 channels and its normalize and input gradient by images (with the whole
-batch's m), col2im by whole blocks of images, unpack_patches by images,
+batch's m), col2im by whole, equal blocks of images, unpack_patches by images,
 the float GEMMs (gemm: both weight gradients, and the dense layer's
 input gradient) in whole 32-row or 32-column units of over 100^3
 multiply-adds (OpenBLAS sums smaller GEMMs in another order), MaxPool's
@@ -187,12 +187,13 @@ def col2im(g_mat: np.ndarray, w: np.ndarray, x_shape: tuple, kh: int, kw: int,
            ste: STEConfig = None) -> np.ndarray:
     """Adjoint of im2col applied to the patch gradients g_mat @ w: the
     gradient of the (N,C,H,W) input that im2col saw padded by padding.
-    Each block of images is added back onto a padded channels-last
-    float64 buffer, one strided slice per kernel offset, and stored NCHW
-    without the padding; g_mat @ w is formed one block at a time, so the
-    whole patch-gradient matrix never exists at once.  Given the binary
-    layer's input x and its STE config, the result is the gradient of x
-    through sign, sign_backward(gradient, x, ste)."""
+    The images go in the fewest blocks that fit _COL2IM_BLOCK_BYTES, of
+    near-equal size (100: 25 a block, not 28, 28, 28, 16); each is added
+    back onto a padded channels-last float64 buffer, a strided slice per
+    kernel offset, and stored NCHW without the padding; g_mat @ w is formed
+    a block at a time, so the whole patch-gradient matrix never exists at
+    once.  Given the binary layer's input x and its STE config, the result
+    is the gradient of x through sign, sign_backward(gradient, x, ste)."""
     n, c, h, wd = x_shape
     p = padding
     if h == wd == kh == kw == 1 and not p:
@@ -210,6 +211,7 @@ def col2im(g_mat: np.ndarray, w: np.ndarray, x_shape: tuple, kh: int, kw: int,
     if native and x is not None:
         x = np.ascontiguousarray(x)
     step = max(1, _COL2IM_BLOCK_BYTES // (hp * wp * c * 8))
+    step = -(-n // -(-n // step)) if n else step  # the fewest blocks, of near-equal size
 
     def blocks(lo, hi, g_buf, acc_buf):  # a part: whole blocks, the same GEMMs in any split
         for b in range(lo * step, min(n, hi * step), step):
@@ -306,6 +308,35 @@ def unpack_patches(bits, c, kh, kw, stride, padding) -> np.ndarray:
 
     bittensor.in_parts(images, n, lambda: (np.empty(hp * wp * c, np.float32),))  # a plane a part
     return out
+
+
+_OFFSET_GRAD_BYTES = 32 << 20  # bits_weight_grad's size rule
+
+
+def bits_weight_grad(g_mat, bits, c, kh, kw, stride, padding) -> np.ndarray:
+    """gemm(g_mat.T, unpack_patches(bits, c, kh, kw, stride, padding), 1), the
+    (O, kh*kw*C) weight gradient of a binarized input.  Once the whole +-1
+    matrix would take _OFFSET_GRAD_BYTES, where glibc maps fresh zeroed pages
+    on every call, it runs per kernel offset (ki, kj): a crop of the padded
+    bits decoded by the 1x1 route, (n*OH*OW, C), and a gemm into its C
+    columns, each column the same BLAS sum where that GEMM has C > 1 (one
+    column is a GEMV) and over 100^3 multiply-adds (as in gemm).  Medians
+    of 15 on a 2-vCPU AMD EPYC, whole matrix -> per offset:
+      (8, 320, 32, 32), 94 MB: 10.34 -> 7.63 ms, per offset
+      (8, 128, 32, 32), 38 MB:  4.12 -> 3.45 ms, per offset
+      (8, 368, 16, 16), 27 MB:  2.47 -> 2.61 ms, whole
+      LeNet's qconv0,   20 MB:  1.68 -> 4.31 ms, whole"""
+    m = len(g_mat) * c
+    if kh * kw == 1 or c == 1 or m * kh * kw * 4 < _OFFSET_GRAD_BYTES or \
+            m * g_mat.shape[1] <= 100 ** 3:
+        return gemm(g_mat.T, unpack_patches(bits, c, kh, kw, stride, padding), 1)
+    bits = _pad_bits(bits, padding)
+    oh, ow = (bits.shape[1] - kh) // stride + 1, (bits.shape[2] - kw) // stride + 1
+    g_wb = np.empty((g_mat.shape[1], kh * kw * c), np.result_type(g_mat, np.float32))
+    for at, (ki, kj) in enumerate(np.ndindex(kh, kw)):
+        crop = bits[:, ki: ki + stride * oh: stride, kj: kj + stride * ow: stride]
+        g_wb[:, at * c: (at + 1) * c] = gemm(g_mat.T, unpack_patches(crop, c, 1, 1, 1, 0), 1)
+    return g_wb
 
 
 def swap_axes(x: np.ndarray) -> np.ndarray:
@@ -495,8 +526,7 @@ class QConv2d(Layer):
                              xv if cfg.binarize_input else None, self.ste).reshape(x.value.shape)
             # weight gradient through the weight-sign STE, summed in n*P order
             if cfg.binarize_input:  # the packed patches rebuilt as +-1 floats
-                pm = unpack_patches(bits, c, kh, kw, s, p)
-                g_wb = gemm(g_mat.T, pm, 1)
+                g_wb = bits_weight_grad(g_mat, bits, c, kh, kw, s, p)
             else:  # np.tensordot's operands, copied in parts, and GEMM, split by
                 # rows.  One image's patches stay the transposed view its
                 # reshape makes: numpy's GEMM sums that in another order

@@ -536,6 +536,69 @@ def test_unpack_patches_bytes_do_not_depend_on_the_split(n, c, k, stride, paddin
         in_each_split(lambda: [unpack_patches(bits, c, k, k, stride, padding)])
 
 
+@contextlib.contextmanager
+def per_offset_weight_grad(nbytes):
+    """bits_weight_grad with its byte rule at nbytes, recording the (kh, kw)
+    of every unpack_patches call and the (H, W) of the bits it decodes."""
+    saved = layers._OFFSET_GRAD_BYTES, layers.unpack_patches
+    calls = []
+
+    def recorded(bits, c, kh, kw, stride, padding):
+        calls.append((bits.shape[1:3], (kh, kw)))
+        return saved[1](bits, c, kh, kw, stride, padding)
+
+    layers._OFFSET_GRAD_BYTES, layers.unpack_patches = nbytes, recorded
+    try:
+        yield calls
+    finally:
+        layers._OFFSET_GRAD_BYTES, layers.unpack_patches = saved
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), c=st.sampled_from([1, 7, 8, 9, 33, 64, 176, 368]),
+       k=st.integers(1, 5), stride=st.integers(1, 2), padding=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(4, 33, 3, 1, 1, 0)  # per offset: 64 x 33 x 528, just over 100^3 multiply-adds
+@example(1, 368, 5, 2, 2, 0)
+@example(9, 1, 3, 1, 1, 0)  # one column a GEMM: the whole matrix
+def test_per_offset_weight_grad_matches_the_whole_patch_matrix(n, c, k, stride, padding, seed):
+    """Forced past its byte rule, bits_weight_grad gives the bytes of the
+    GEMM over the whole +-1 patch matrix, natively and in numpy, in 1, 2
+    and 3 parts; it runs per offset wherever each offset's GEMM has more
+    than one column and over 100^3 multiply-adds."""
+    rng = np.random.default_rng(seed)
+    h, w, o = 12, 11, 64
+    bits = bittensor.pack_signs(rng.standard_normal((n, c, h, w)).astype(np.float32))
+    m = n * ((h + 2 * padding - k) // stride + 1) * ((w + 2 * padding - k) // stride + 1)
+    g = rng.standard_normal((m, o)).astype(np.float32)
+    for kernels, parts in itertools.product((contextlib.nullcontext, numpy_kernels), (1, 2, 3)):
+        with kernels(), split_in(parts, size_rules=False):
+            want = layers.gemm(g.T, unpack_patches(bits, c, k, k, stride, padding), 1)
+            with per_offset_weight_grad(0) as calls:
+                got = layers.bits_weight_grad(g, bits, c, k, k, stride, padding)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        per_offset = k > 1 and c > 1 and o * c * m > 100 ** 3
+        assert [kk for _, kk in calls] == [(1, 1)] * k * k if per_offset else [(k, k)]
+
+
+def test_wide_densenet_step_never_builds_a_whole_patch_matrix():
+    """A CIFAR densenet:k=64,b=1 step at batch 8 decodes its 32x32 layers'
+    +-1 patches one kernel offset at a time, with the bytes of the step
+    that builds every whole matrix."""
+    grads, large = [], []
+    for nbytes in (layers._OFFSET_GRAD_BYTES, float("inf")):
+        model = arch.build_model("densenet:k=64,b=1", num_classes=10, seed=0, preset="cifar")
+        rng = np.random.default_rng(0)
+        with per_offset_weight_grad(nbytes) as calls:
+            _train_step(model, rng.standard_normal((8, 3, 32, 32)).astype(np.float32),
+                        rng.integers(0, 10, 8))
+        grads.append([p.grad.tobytes() for p in model.params()])
+        large.append([kk for hw, kk in calls if hw == (32, 32)])
+    # the 1x1 transition, then two 3x3 layers: per offset, or whole at an infinite rule
+    assert large == [[(1, 1)] * (1 + 2 * 9), [(1, 1), (3, 3), (3, 3)]]
+    assert grads[0] == grads[1]
+
+
 @settings(max_examples=25, deadline=None)
 @given(**split_shapes)
 def test_binary_conv_backward_bytes_do_not_depend_on_the_split(n, c, k, stride, padding, seed):
@@ -970,9 +1033,12 @@ def test_inner_float_conv_keeps_its_input_gradient(monkeypatch):
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 1, 28, 28)).astype(np.float32)
     calls = _counting_col2im(monkeypatch)
-    tape = _train_step(model, x, rng.integers(0, 10, 4))
-    monkeypatch.undo()
+    tape = Tape()
+    loss = train.softmax_cross_entropy(tape, model.forward(x, tape=tape, training=True),
+                                       rng.integers(0, 10, 4))
     node = next(n for n in tape.nodes if n.output.name == "conv1")
+    tape.backward(loss, keep=(node.output, node.inputs[0]))  # the tape frees the rest
+    monkeypatch.undo()
     conv = next(l for l in model.layers() if l.name == "conv1")
     assert calls == [node.inputs[0].value.shape]
     g_y = node.output.grad.astype(np.float64)
