@@ -4,7 +4,10 @@
  * returns.
  *
  * xnor_gemm:  out[m, n] = k - 2 * popcount(a[m, :] XOR bw[:, n]) over
- *             64-bit words, a row-major (M, wpr), bw word-major (wpr, N).
+ *             64-bit words, a row-major (M, wpr), bw word-major (wpr, N);
+ *             given per-column thresholds thr, the sign bits of
+ *             out[m, n] >= thr[n] instead, packed as pack_signs packs them,
+ *             so a conv whose reader is a folded BatchNorm writes no floats.
  * gather_patches: sign bits packed along channels as one word-padded row
  *             of packed patch bytes per output pixel, im2col of the
  *             0xFF-padded bytes copied into whole words.
@@ -29,8 +32,10 @@
  * pack_signs: float32 NCHW activations as sign bits packed along channels,
  *             in one read of the floats: thresholded, OR-pooled over MaxPool
  *             windows, flipped, and checked for NaN.
- *             Only bittensor.pack_signs, the one packer, calls it, on planes
- *             of 32 pixels or more; its numpy twin packs the smaller ones.
+ *             bittensor.pack_signs, the one packer, calls it on planes of
+ *             32 pixels or more (its numpy twin packs the smaller ones), and
+ *             the plan's fused stem on the float output of each sub-block of
+ *             images, while it is in cache.
  * maxpool_grad: MaxPool2d's input gradient for windows of k = s, each
  *             window's gradient at its first maximum, recomputed from the
  *             input and the output, so no index is kept.
@@ -67,10 +72,12 @@
 /* rows rows of a by vecs vectors of 8 output columns, of which the last
  * holds cols (1 to 8); rows and vecs are constants where this is inlined,
  * so the counts stay in registers across every word.  Masked lanes are
- * neither read from bw nor stored. */
+ * neither read from bw nor stored.  With thr, each vector of counts is one
+ * byte of bits, one compare of its 8 sums with their thresholds. */
 static inline __attribute__((always_inline)) void
-xnor_tile(const uint64_t *a, const uint64_t *bw, float *out, int rows, int vecs,
-          int64_t cols, int64_t n, int64_t wpr, int64_t k)
+xnor_tile(const uint64_t *a, const uint64_t *bw, float *out, const int64_t *thr,
+          uint8_t *bits, int rows, int vecs, int64_t cols, int64_t n, int64_t wpr,
+          int64_t k)
 {
     const __mmask8 last = (__mmask8)((1u << cols) - 1);
     __m512i acc[R_BLOCK][C_BLOCK / 8];
@@ -88,13 +95,22 @@ xnor_tile(const uint64_t *a, const uint64_t *bw, float *out, int rows, int vecs,
                     acc[r][v], _mm512_popcnt_epi64(_mm512_xor_si512(x, b[v])));
         }
     }
-    /* k - 2 * count as float32, through int32 (exact while k < 2^31) */
+    /* k - 2 * count as float32, through int32 (exact while k < 2^31), or
+     * its compare, pad bits 1 */
     const __m512i kk = _mm512_set1_epi64(k);
     const __m256i keep = _mm256_cmpgt_epi32(_mm256_set1_epi32((int)cols),
                                             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const int64_t cb = (n + 7) / 8;
     for (int r = 0; r < rows; r++)
         for (int v = 0; v < vecs; v++) {
             const __m512i d = _mm512_sub_epi64(kk, _mm512_slli_epi64(acc[r][v], 1));
+            const __mmask8 lanes = v == vecs - 1 ? last : 0xFF;
+            if (thr) {
+                const __mmask8 pass = _mm512_cmpge_epi64_mask(
+                    d, _mm512_maskz_loadu_epi64(lanes, thr + 8 * v));
+                bits[r * cb + v] = (uint8_t)(pass | (__mmask8)~lanes);
+                continue;
+            }
             const __m256 f = _mm256_cvtepi32_ps(_mm512_cvtepi64_epi32(d));
             float *o = out + r * n + 8 * v;
             if (v == vecs - 1 && cols < 8)
@@ -104,38 +120,54 @@ xnor_tile(const uint64_t *a, const uint64_t *bw, float *out, int rows, int vecs,
         }
 }
 
-/* rows rows of a against every column of bw */
+/* rows rows of a against every column of bw; column blocks start at
+ * multiples of 8, so each vector of 8 columns is one byte of bits */
 static inline __attribute__((always_inline)) void
-xnor_rows(const uint64_t *a, const uint64_t *bw, float *out, int rows,
-          int64_t n, int64_t wpr, int64_t k)
+xnor_rows(const uint64_t *a, const uint64_t *bw, float *out, const int64_t *thr,
+          uint8_t *bits, int rows, int64_t n, int64_t wpr, int64_t k)
 {
     int64_t j = 0;
     for (; j + C_BLOCK <= n; j += C_BLOCK)
-        xnor_tile(a, bw + j, out + j, rows, C_BLOCK / 8, 8, n, wpr, k);
+        xnor_tile(a, bw + j, out + j, thr ? thr + j : 0, bits + j / 8, rows, C_BLOCK / 8, 8,
+                  n, wpr, k);
     for (; j + 8 <= n; j += 8)
-        xnor_tile(a, bw + j, out + j, rows, 1, 8, n, wpr, k);
+        xnor_tile(a, bw + j, out + j, thr ? thr + j : 0, bits + j / 8, rows, 1, 8, n, wpr, k);
     if (j < n)
-        xnor_tile(a, bw + j, out + j, rows, 1, n - j, n, wpr, k);
+        xnor_tile(a, bw + j, out + j, thr ? thr + j : 0, bits + j / 8, rows, 1, n - j, n,
+                  wpr, k);
 }
 
 /* R_BLOCK rows of a at a time, each word of bw loaded once per row block
  * and column block, then the last m % R_BLOCK rows as one smaller block */
+static inline __attribute__((always_inline)) void
+xnor_blocks(const uint64_t *a, const uint64_t *bw, uint8_t *o, const int64_t *thr,
+            int64_t m, int64_t n, int64_t wpr, int64_t k)
+{
+    const int64_t row = thr ? (n + 7) / 8 : n * (int64_t)sizeof(float);
+    int64_t i = 0;
+    for (; i + R_BLOCK <= m; i += R_BLOCK, o += R_BLOCK * row)
+        xnor_rows(a + i * wpr, bw, (float *)o, thr, o, R_BLOCK, n, wpr, k);
+    a += i * wpr;
+    switch (m - i) {
+    case 5: xnor_rows(a, bw, (float *)o, thr, o, 5, n, wpr, k); break;
+    case 4: xnor_rows(a, bw, (float *)o, thr, o, 4, n, wpr, k); break;
+    case 3: xnor_rows(a, bw, (float *)o, thr, o, 3, n, wpr, k); break;
+    case 2: xnor_rows(a, bw, (float *)o, thr, o, 2, n, wpr, k); break;
+    case 1: xnor_rows(a, bw, (float *)o, thr, o, 1, n, wpr, k); break;
+    }
+}
+
+/* out is float32 (m, n), or with thr uint8 (m, ceil(n / 8)).  Each route
+ * is compiled on its own, thr a constant NULL in the float one: passing
+ * thr through made the float GEMM 5-10% slower. */
 KERNEL
-void xnor_gemm(const uint64_t *a, const uint64_t *bw, float *out,
+void xnor_gemm(const uint64_t *a, const uint64_t *bw, void *out, const int64_t *thr,
                int64_t m, int64_t n, int64_t wpr, int64_t k)
 {
-    int64_t i = 0;
-    for (; i + R_BLOCK <= m; i += R_BLOCK)
-        xnor_rows(a + i * wpr, bw, out + i * n, R_BLOCK, n, wpr, k);
-    a += i * wpr;
-    out += i * n;
-    switch (m - i) {
-    case 5: xnor_rows(a, bw, out, 5, n, wpr, k); break;
-    case 4: xnor_rows(a, bw, out, 4, n, wpr, k); break;
-    case 3: xnor_rows(a, bw, out, 3, n, wpr, k); break;
-    case 2: xnor_rows(a, bw, out, 2, n, wpr, k); break;
-    case 1: xnor_rows(a, bw, out, 1, n, wpr, k); break;
-    }
+    if (thr)
+        xnor_blocks(a, bw, out, thr, m, n, wpr, k);
+    else
+        xnor_blocks(a, bw, out, 0, m, n, wpr, k);
 }
 #else
 /* Output columns per tile of xnor_gemm */
@@ -145,13 +177,15 @@ void xnor_gemm(const uint64_t *a, const uint64_t *bw, float *out,
  * Each row of a is multiplied N_TILE output columns at a time, so its
  * 32-bit counts stay in L1 while every word of the tile's bw columns is
  * read, and N has no upper limit.  The inner loop runs along N, so the
- * compiler vectorises the popcount. */
+ * compiler vectorises the popcount.  out is float32 (m, n), or with thr
+ * uint8 (m, ceil(n / 8)): a bit per column compared, pad bits 1. */
 KERNEL
-void xnor_gemm(const uint64_t *a, const uint64_t *bw, float *out,
+void xnor_gemm(const uint64_t *a, const uint64_t *bw, void *out, const int64_t *thr,
                int64_t m, int64_t n, int64_t wpr, int64_t k)
 {
     uint32_t cnt[N_TILE];
-    for (int64_t i = 0; i < m; i++, a += wpr, out += n)
+    const int64_t cb = (n + 7) / 8;
+    for (int64_t i = 0; i < m; i++, a += wpr)
         for (int64_t n0 = 0; n0 < n; n0 += N_TILE) {
             const int64_t nt = n - n0 < N_TILE ? n - n0 : N_TILE;
             for (int64_t j = 0; j < nt; j++)
@@ -161,8 +195,19 @@ void xnor_gemm(const uint64_t *a, const uint64_t *bw, float *out,
                 for (int64_t j = 0; j < nt; j++)
                     cnt[j] += (uint32_t)__builtin_popcountll(x ^ b[j]);
             }
-            for (int64_t j = 0; j < nt; j++)
-                out[n0 + j] = (float)(k - 2 * (int64_t)cnt[j]);
+            if (!thr) {
+                for (int64_t j = 0; j < nt; j++)
+                    ((float *)out)[i * n + n0 + j] = (float)(k - 2 * (int64_t)cnt[j]);
+                continue;
+            }
+            uint8_t *o = (uint8_t *)out + i * cb + n0 / 8;
+            for (int64_t j = 0; j < nt; j += 8) {
+                unsigned v = 0;
+                for (int b = 0; b < 8; b++)
+                    v |= (unsigned)(j + b >= nt ||
+                                    k - 2 * (int64_t)cnt[j + b] >= thr[n0 + j + b]) << b;
+                o[j / 8] = (uint8_t)v;
+            }
         }
 }
 #endif

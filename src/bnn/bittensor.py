@@ -14,9 +14,13 @@ Both operands pad with 1-bits, so the padding XORs to 0 and adds nothing
 to the popcount: no correction term is needed.  This is exact integer
 arithmetic, so results match a float reference bit for bit.
 
-pack_signs is the only code that turns floats into sign bits.  It packs
-along channels, so the packed patches of the bytes (layers.patch_rows)
-are rows ready for binary_gemm, and a row of n values is a one-pixel
+pack_signs is the only code that turns floats into sign bits; the
+plan's fused stem calls its kernel directly.  binary_gemm with
+thresholds writes sign bits of integer counts in pack_signs' layout, and
+pool_bits, the last steps of pack_signs' numpy twin, ORs and flips
+them.  pack_signs packs along channels, so the packed patches of the
+bytes (layers.patch_rows) are rows ready for binary_gemm, and a row of
+n values is a one-pixel
 (1, n, 1, 1) image: pack and the model file's rows are its bytes too.
 It runs the native kernel on a float32 plane of 32 pixels or more, and
 numpy below that or for other dtypes, with the same bytes.  When
@@ -76,7 +80,7 @@ def native_kernels():
             path = _build_kernels()
             lib = ctypes.CDLL(path)
             ptr, i64, f32, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_float, ctypes.c_int32
-            for name, args in (("xnor_gemm", [ptr] * 3 + [i64] * 4),
+            for name, args in (("xnor_gemm", [ptr] * 4 + [i64] * 4),
                                ("gather_patches", [ptr] * 2 + [i64] * 9),
                                ("unpack_patches", [ptr] * 3 + [i64] * 9),
                                ("float_patches", [ptr] * 2 + [i64] * 8),
@@ -314,6 +318,16 @@ def pack_signs(x, thr=None, flip=None, pool=(1, 1)) -> np.ndarray:
         for i in range(1, 8):
             b |= planes[:, :, i] << i
         b = b.transpose(0, 2, 3, 1)
+    return pool_bits(b, pool, flip)
+
+
+def pool_bits(b, pool=(1, 1), flip=None) -> np.ndarray:
+    """(N, H, W, cb) packed sign bits ORed over the windows of a MaxPool
+    (kernel, stride) = pool, then XORed with the (cb,) uint8 bytes flip
+    (if not None): the last steps of pack_signs' numpy twin, and of a conv
+    whose thresholded GEMM wrote its bits (binary_gemm with thr)."""
+    k, s = pool
+    oh, ow = (b.shape[1] - k) // s + 1, (b.shape[2] - k) // s + 1
     if k > 1 or s > 1:  # OR over each window
         b = np.bitwise_or.reduce([b[:, i: i + s * oh: s, j: j + s * ow: s]
                                   for i in range(k) for j in range(k)])
@@ -378,13 +392,16 @@ def binary_dot(x: BitTensor, w: BitTensor) -> int:
 _ROW_BLOCK = 1024
 
 
-def binary_gemm(a: BitTensor, b: BitTensor) -> np.ndarray:
+def binary_gemm(a: BitTensor, b: BitTensor, thr=None) -> np.ndarray:
     """Multiply packed (M, K) a by the transpose of packed (N, K) b.
 
     Returns float32 (M, N) of exact integers K - 2 * popcount(a XOR b);
-    numpy accumulates them one 64-bit word column at a time.  The native
-    GEMM runs in parts of whole 6-row blocks from M = 1024 rows on: every
-    part reads all of b, and a dense layer's GEMM over its batch (LeNet's
+    numpy accumulates them one 64-bit word column at a time.  Given
+    integer (N,) thresholds thr, returns instead their sign bits as
+    pack_signs lays them out, (M, ceil(N/8)) uint8: bit j % 8 of byte j // 8
+    is set where sum j >= thr[j], LSB-first, pad bits 1.  The native GEMM
+    runs in parts of whole 6-row blocks from M = 1024 rows on: every part
+    reads all of b, and a dense layer's GEMM over its batch (LeNet's
     100 x 1024 x 1024, ~50 us) ran 1.6x slower in two parts.
     """
     if len(a.shape) != 2 or len(b.shape) != 2:
@@ -393,17 +410,23 @@ def binary_gemm(a: BitTensor, b: BitTensor) -> np.ndarray:
     n_out, k_b = b.shape
     if k_b != k:
         raise ShapeError(f"inner dimension mismatch: {k} vs {k_b}")
+    if thr is not None:
+        thr = np.ascontiguousarray(thr, np.int64)
+        if thr.shape != (n_out,):
+            raise ShapeError(f"binary_gemm: thresholds {thr.shape}, expected ({n_out},)")
 
     # word-major copies: row j holds word j of every operand row
     bw = np.ascontiguousarray(b.row_words().T, dtype=np.uint64)
-    out = np.empty((m, n_out), dtype=np.float32)
+    out = (np.empty((m, n_out), np.float32) if thr is None else
+           np.empty((m, -(-n_out // 8)), np.uint8))
     lib = native_kernels()
     if lib:
         aw = np.ascontiguousarray(a.row_words(), dtype=np.uint64)
+        t = None if thr is None else thr.ctypes.data
 
         def rows(lo, hi):  # in parts of whole blocks of 6 rows, the kernel's
             lo, hi = 6 * lo, min(m, 6 * hi)
-            lib.xnor_gemm(aw[lo:].ctypes.data, bw.ctypes.data, out[lo:].ctypes.data,
+            lib.xnor_gemm(aw[lo:].ctypes.data, bw.ctypes.data, out[lo:].ctypes.data, t,
                           hi - lo, n_out, a.words_per_row, k)
 
         in_parts(rows, -(-m // 6), split=m >= 1024)
@@ -412,6 +435,7 @@ def binary_gemm(a: BitTensor, b: BitTensor) -> np.ndarray:
     block = max(1, min(m, _ROW_BLOCK))  # m = 0 for a batch of no images
     diff = np.empty((block, n_out), dtype=np.uint64)
     count = np.empty((block, n_out), dtype=np.int32)
+    bits = None if thr is None else np.ones((block, 8 * out.shape[1]), bool)
     for start in range(0, m, block):
         stop = min(m, start + block)
         d, c = diff[: stop - start], count[: stop - start]
@@ -419,5 +443,9 @@ def binary_gemm(a: BitTensor, b: BitTensor) -> np.ndarray:
         for j in range(a.words_per_row):
             np.bitwise_xor(aw[j, start:stop, None], bw[j], out=d)
             c += popcount_words(d)
-        out[start:stop] = k - 2 * c
+        if thr is None:
+            out[start:stop] = k - 2 * c
+        else:
+            np.greater_equal(k - 2 * c, thr, out=bits[: stop - start, :n_out])
+            out[start:stop] = np.packbits(bits[: stop - start], axis=-1, bitorder="little")
     return out

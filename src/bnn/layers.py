@@ -28,9 +28,12 @@ of the 0xFF-padded bytes) and multiplied with weight_bits, which packs
 the weight with pack_signs too, by bittensor.binary_gemm; when
 C % 8 != 0 the 1-pad bits of each kernel position add +1 each, in both
 operands, and are subtracted; swap_axes, every channels-first <->
-channels-last copy of the binary path, gives NCHW.  The +-1 float
-patches exist only in backward, for the weight gradient (unpack_patches),
-of a large layer one kernel offset at a time (bits_weight_grad).  QDense
+channels-last copy of the binary path, gives NCHW.  Given integer
+thresholds (the plan's, for a conv a folded BatchNorm reads), the GEMM
+writes the packed bits of sum >= thr instead, the pads added to thr.
+The +-1 float patches exist only in backward, for the weight gradient
+(unpack_patches), of a large layer one kernel offset at a time
+(bits_weight_grad).  QDense
 is a QConv2d whose binarized input runs this 1x1 path over (N, F, 1, 1),
 where col2im needs no float64 accumulator; its weight stays (O, F).
 
@@ -402,15 +405,21 @@ def weight_ste(g: np.ndarray, w: np.ndarray, ste: STEConfig) -> np.ndarray:
     return out
 
 
-def binary_conv(bits, w_bits, kh, kw, stride, padding, c):
+def binary_conv(bits, w_bits, kh, kw, stride, padding, c, thr=None):
     """(N, O, OH, OW) exact float32 sums of the +-1 convolution of sign bits
     packed along c channels, (N, H, W, ceil(c/8)) bytes, with weight_bits,
-    less the 1-pad bits of each kernel position, which add +1 each."""
+    less the 1-pad bits of each kernel position, which add +1 each.  Given
+    integer (O,) thresholds thr, the sign bits of sum >= thr[o] instead,
+    packed along O, (N, OH, OW, ceil(O/8)) bytes: the GEMM compares
+    sum + pad >= thr + pad and writes no float."""
     (n, h, w, _), (o, k) = bits.shape, w_bits.shape
     oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
-    y = bittensor.binary_gemm(patch_rows(bits, kh, kw, stride, padding), w_bits)
-    if k > kh * kw * c:
-        y -= k - kh * kw * c
+    rows, pad = patch_rows(bits, kh, kw, stride, padding), k - kh * kw * c
+    if thr is not None:
+        return bittensor.binary_gemm(rows, w_bits, thr=thr + pad).reshape(n, oh, ow, -1)
+    y = bittensor.binary_gemm(rows, w_bits)
+    if pad:
+        y -= pad
     return swap_axes(y.reshape(n, oh * ow, o)).reshape(n, o, oh, ow)
 
 

@@ -207,6 +207,35 @@ def test_binary_gemm_property(m, k, n, seed):
         assert np.array_equal(got, expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.integers(0, 40), st.sampled_from([_R_BLOCK + 1, 5 * _R_BLOCK - 1, 1031])),
+    st.one_of(st.integers(1, 200), st.sampled_from([800, 4160])),
+    st.one_of(st.integers(1, 80),
+              st.sampled_from([7, 9, _C_BLOCK - 1, _C_BLOCK + 9, _N_TILE - 1, _N_TILE + 9])),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_binary_gemm_with_thresholds_packs_the_compare(m, k, n, seed):
+    """binary_gemm(thr=) gives the bytes of pack_signs on binary_gemm's sums
+    with those thresholds, natively in 1 and 3 parts and in numpy, at
+    N % 8 != 0 (pad bits 1), M % 6 != 0 (the kernel's last row block) and
+    thresholds at a sum, one either side of it and beyond [-K, K]."""
+    rng = np.random.default_rng(seed)
+    a, b = sign_operand(rng, (m, k)), sign_operand(rng, (n, k))
+    ap = pack(a) if m else BitTensor((0, k), np.empty(0, np.uint64))
+    sums = binary_gemm(ap, pack(b))
+    thr = rng.integers(-k - 2, k + 3, n)
+    if m:
+        near = rng.random(n) < 0.5
+        thr[near] = sums[rng.integers(0, m), near] + rng.integers(-1, 2, near.sum())
+    want = packed_signs(sums[:, :, None, None], thr=thr.astype(np.float32)).reshape(m, -(-n // 8))
+    for kernels, parts in ((contextlib.nullcontext, 1), (contextlib.nullcontext, 3),
+                           (numpy_kernels, 1)):
+        with kernels(), split_in(parts, size_rules=False):
+            got = binary_gemm(ap, pack(b), thr=thr)
+        assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 63, 64, 65, 800, 3312])
 def test_kernels_with_portable_popcount(monkeypatch, k):
     """binary_gemm's numpy word loop and binary_dot, which popcount each
@@ -246,6 +275,10 @@ class TestErrors:
     def test_gemm_inner_mismatch(self):
         with pytest.raises(ShapeError):
             binary_gemm(pack(np.ones((2, 4))), pack(np.ones((2, 5))))
+
+    def test_gemm_threshold_per_column(self):
+        with pytest.raises(ShapeError):
+            binary_gemm(pack(np.ones((2, 4))), pack(np.ones((3, 4))), thr=np.zeros(2))
 
     def test_pack_empty(self):
         with pytest.raises(ValueError):

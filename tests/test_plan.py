@@ -11,8 +11,8 @@ from bnn import arch, bittensor, layers, plan, train
 from bnn.autodiff import NAN_INPUT, Slot, Tape
 from bnn.data import Dataset
 from bnn.errors import NumericError
-from bnn.layers import BatchNorm, Flatten, MaxPool2d
-from bnn.plan import InferencePlan, Thresholds, bn_thresholds
+from bnn.layers import BatchNorm, Flatten, MaxPool2d, QConv2d, QLayerConfig
+from bnn.plan import InferencePlan, Thresholds, bn_thresholds, count_thresholds
 
 from conftest import numpy_kernels, packed_signs, split_in
 
@@ -28,11 +28,11 @@ MODELS = [
 ]
 
 
-def _trained_like(spec, kw, seed=0):
+def _trained_like(spec, kw, seed=0, fold_all=False):
     """A model whose BatchNorms look trained: running statistics away from
-    (0, 1), a third of the gammas negative and, in every other BatchNorm
-    (bn1, bn3, ...), one of them zero, so that the plan folds the others
-    into thresholds and runs these as float steps."""
+    (0, 1), a third of the gammas negative and, unless fold_all, in every
+    other BatchNorm (bn1, bn3, ...) one of them zero, so that the plan
+    folds the others into thresholds and runs these as float steps."""
     g = arch.build_model(spec, seed=seed, **kw)
     rng = np.random.default_rng(seed)
     bns = [layer for layer in g.layers() if isinstance(layer, BatchNorm)]
@@ -42,7 +42,7 @@ def _trained_like(spec, kw, seed=0):
         layer.running_var[:] = rng.uniform(0.05, 4, c)
         layer.gamma.value[:] = rng.uniform(0.2, 2, c)
         layer.gamma.value[: c // 3] *= -1
-        if i % 2:
+        if i % 2 and not fold_all:
             layer.gamma.value[c // 2] = 0
         layer.beta.value[:] = rng.normal(0, 1, c)
     return g
@@ -85,9 +85,9 @@ def test_plan_matches_graph_bit_for_bit(spec, kw, monkeypatch):
     assert values[g.output_id].tobytes() == ref.tobytes()
     binary_conv, bits = layers.binary_conv, []
 
-    def recording(xb, *args):
+    def recording(xb, *args, **kwargs):
         bits.append(xb)
-        return binary_conv(xb, *args)
+        return binary_conv(xb, *args, **kwargs)
 
     monkeypatch.setattr(layers, "binary_conv", recording)
     got = InferencePlan(g).run(x)
@@ -102,12 +102,99 @@ def test_plan_matches_graph_bit_for_bit(spec, kw, monkeypatch):
         assert b.tobytes() == bittensor.pack_signs(v).tobytes()
 
 
+def _node(g, name):
+    return next(n for n in g.nodes if getattr(n.op, "name", None) == name)
+
+
+@pytest.mark.parametrize("kernels", [contextlib.nullcontext, numpy_kernels])
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["N", "B", "FB"])
+def test_fused_routes_match_graph_bit_for_bit(mode, parts, kernels, monkeypatch):
+    """With every BatchNorm folded, LeNet's two convs write the bits of the
+    BatchNorm after their MaxPool2d themselves: the stem packs its own
+    images (conv0 -> pool0 -> bn0, one step from the images, whose
+    layer forward runs only on the numpy route) and qconv0's GEMM compares
+    its counts with integer thresholds (qconv0 -> pool1 -> bn1, one
+    binary_conv call with thr).  Neither conv has a float output, and the
+    logits are the graph's, at batches with a short last sub-block."""
+    g = _trained_like("lenet", dict(scaling_mode=mode), fold_all=True)
+    assert all(bn_thresholds(bn) is not None for bn in g.layers() if isinstance(bn, BatchNorm))
+    conv0, qconv0 = _node(g, "conv0"), _node(g, "qconv0")
+    bn0, bn1 = _node(g, "bn0"), _node(g, "bn1")
+    binary_conv, forward, calls, forwards = layers.binary_conv, layers.QConv2d.forward, [], []
+
+    def recording(xb, *args, **kwargs):
+        calls.append(kwargs.get("thr") is not None)
+        return binary_conv(xb, *args, **kwargs)
+
+    def recording_forward(layer, *args, **kwargs):
+        forwards.append(layer.name)
+        return forward(layer, *args, **kwargs)
+
+    monkeypatch.setattr(layers, "binary_conv", recording)
+    monkeypatch.setattr(layers.QConv2d, "forward", recording_forward)
+    rng = np.random.default_rng(parts)
+    for n in (1, 37, 70):
+        x = rng.normal(0, 1, (n,) + g.input_shape).astype(np.float32)
+        ref = g.forward(x, training=False).value
+        calls.clear()
+        forwards.clear()
+        with kernels(), split_in(parts):
+            p = InferencePlan(g)
+            got = p.run(x)
+        assert got.tobytes() == ref.tobytes()
+        steps = {key: reads for key, reads, _, _ in p._steps}
+        assert steps[(bn0.id, True)] == [(0, False)]
+        assert steps[(bn1.id, True)] == [(bn0.id, True)]
+        assert (conv0.id, False) not in steps and (qconv0.id, False) not in steps
+        assert calls == [True, False]  # qconv0 writes bits, qdense0 floats
+        native = kernels is contextlib.nullcontext and bittensor.native_kernels()
+        assert ("conv0" in forwards) != bool(native)
+
+
+@pytest.mark.parametrize("weight", [0.0, 3e38])
+def test_fb_scale_not_finite_and_positive_keeps_the_float_output(weight):
+    """An FB alpha of 0 (all-zero weights) or inf (mean|w| overflows)
+    keeps qconv0's float output, packed by the bits step: the plan gives
+    the graph's logits, or its NumericError text."""
+    g = _trained_like("lenet", dict(scaling_mode="FB"), fold_all=True)
+    qconv0 = _node(g, "qconv0").op
+    qconv0.weight.value[:] = weight
+    x = np.random.default_rng(6).normal(0, 1, (20, 1, 28, 28)).astype(np.float32)
+    with np.errstate(all="ignore"):
+        assert qconv0.scaling()[0] in (0.0, np.inf)
+        assert (_logits_or_error(InferencePlan(g).run, x) ==
+                _logits_or_error(lambda v: g.forward(v).value, x))
+
+
+@pytest.mark.parametrize("kernels", [contextlib.nullcontext, numpy_kernels])
+@pytest.mark.parametrize("fold_bn0", [True, False])
+def test_nan_image_raises_on_the_fused_routes(fold_bn0, kernels):
+    """A NaN image raises the graph's NumericError from the plan, whether
+    the stem packs its own images (bn0 folded) or bn0 runs as a float step
+    and is packed before qconv0's thresholded GEMM, which reads only
+    bytes."""
+    g = _trained_like("lenet", {}, fold_all=True)
+    bn0 = _node(g, "bn0").op
+    if not fold_bn0:
+        bn0.gamma.value[3] = 0
+    assert (bn_thresholds(bn0) is not None) == fold_bn0
+    x = np.random.default_rng(5).normal(0, 1, (40, 1, 28, 28)).astype(np.float32)
+    x[33, 0, 20, 3] = np.nan
+    with pytest.raises(NumericError) as ref:
+        g.forward(x)
+    with kernels(), pytest.raises(NumericError) as got:
+        InferencePlan(g).run(x)
+    assert str(got.value) == str(ref.value) == NAN_INPUT
+
+
 @pytest.mark.parametrize("parts", [1, 2, 3])
 @pytest.mark.parametrize("spec,kw", [MODELS[0], MODELS[5]])  # ResNet: a padded stem
 def test_plan_chunks_hold_32_images_a_part(spec, kw, parts):
-    """The plan runs its per-image head split_parts() * 32 images at a
-    time; batches one below, at and one above a chunk, and two chunks and
-    a short one, give the graph's logits in 1, 2 and 3 parts."""
+    """The plan runs its per-image head (ResNet's stem) split_parts() * 32
+    images at a time, and LeNet's fused stem runs batch-wide in sub-blocks
+    of 8 images; batches one below, at and one above a chunk, and two
+    chunks and a short one, give the graph's logits in 1, 2 and 3 parts."""
     g = _trained_like(spec, kw)
     rng = np.random.default_rng(parts)
     chunk = plan._CHUNK * parts
@@ -141,7 +228,7 @@ def test_evaluate_matches_graph_with_short_last_batch(mode):
     rng = np.random.default_rng(2)
     ds = Dataset(rng.normal(0, 1, (90, 1, 28, 28)).astype(np.float32),
                  rng.integers(0, 10, 90), "test", 10, 0.0, 1.0)
-    # batches of 40, 40, 10; the first two run their stem in chunks
+    # batches of 40, 40, 10, the stem packing 8 images a sub-block
     assert train.evaluate(g, ds, batch_size=40) == _graph_evaluate(g, ds, 40)
 
 
@@ -172,16 +259,16 @@ def test_batch_of_no_images_gives_no_logits(spec, kw, kernels):
 def test_plan_sees_every_gemm_at_the_graphs_shapes(monkeypatch):
     """perfbench's exactness gate records the shapes by wrapping
     bittensor.binary_gemm; the plan must call it, as the graph does."""
-    g = _trained_like("lenet", {})
+    g = _trained_like("lenet", {}, fold_all=True)  # qconv0's GEMM writes bn1's bits
     rng = np.random.default_rng(3)
     ds = Dataset(rng.normal(0, 1, (80, 1, 28, 28)).astype(np.float32),
                  rng.integers(0, 10, 80), "test", 10, 0.0, 1.0)
     gemm, im2col = bittensor.binary_gemm, layers.im2col
     shapes, gathered = [], []
 
-    def recording_gemm(a, b):
+    def recording_gemm(a, b, **kwargs):
         shapes.append((a.shape[0], a.shape[1], b.shape[0]))
-        return gemm(a, b)
+        return gemm(a, b, **kwargs)
 
     def recording_im2col(x, *args, **kwargs):
         gathered.append(x.dtype)
@@ -256,6 +343,62 @@ def test_thresholds_agree_with_batchnorm(channels, xs):
         x = col[:, c]
         assert not np.isnan(y).any()
         np.testing.assert_array_equal(y >= 0, (x >= t) != flip[c])
+
+
+TINY = float(np.float32(1e-45))
+ALPHA = st.one_of(st.none(), st.sampled_from([TINY, 1e-30, 1.0, 3e37, HUGE]),
+                  st.floats(TINY, HUGE, width=32))  # an FB scale: > 0 and finite
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(CHANNEL, min_size=1, max_size=4), st.integers(1, 400), ALPHA)
+@example([(1.0, -0.5, 3.0, 1.0), (-2.0, 0.0, -3.0, 1.0)], 9, None)  # thresholds at counts
+@example([(1.0, 0.0, 2.5, 1.0), (-1.0, 0.0, 7.5, 1.0)], 9, 0.5)
+def test_count_thresholds_give_the_float_routes_bit(channels, k, alpha):
+    """At every count in [-k, k], so at each integer threshold and its
+    neighbours, (count >= count_thresholds) XOR flip is the float route's
+    bit, sign(BN(scale(float32(count)))), with no scale and FB scales
+    from the least positive float32 to the greatest, and negative gammas."""
+    gamma, beta, mean, var = (np.array(v, np.float32) for v in zip(*channels))
+    bn = BatchNorm(len(channels))
+    bn.gamma.value[:], bn.beta.value[:] = gamma, beta
+    bn.running_mean[:], bn.running_var[:] = mean, var
+    th = bn_thresholds(bn)
+    scale = (lambda y: y) if alpha is None else (lambda y: y * alpha)
+    thr = count_thresholds(th, scale, k)
+    counts = np.arange(-k, k + 1)
+    with np.errstate(over="ignore"):
+        y = np.repeat(scale(counts.astype(np.float32))[:, None], len(channels), axis=1)
+    flip = np.unpackbits(th.flip, bitorder="little")[: len(channels)].astype(bool)
+    np.testing.assert_array_equal((counts[:, None] >= thr) != flip, _oracle(bn, y) >= 0)
+    assert ((-k <= thr) & (thr <= k + 1)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 5, 13, 16]), st.sampled_from([(3, 1), (3, 0), (1, 0), (2, 1)]),
+       st.sampled_from([None, (2, 2), (3, 2)]), st.sampled_from(["N", "FB"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_thresholded_conv_equals_the_float_route(c, kp, pool, mode, seed):
+    """A binary conv step given a folded BatchNorm's thresholds (and its
+    MaxPool2d) gives the bytes of the float conv step, then the bits step,
+    natively and in numpy: at C % 8 != 0 each patch row's 1-pad bits add to
+    every count, and the GEMM's threshold adds them back; 11 output
+    channels leave pad bits in the last byte."""
+    rng = np.random.default_rng(seed)
+    k, p = kp
+    layer = QConv2d(QLayerConfig(c, 11, (k, k), 1, p, mode), rng=rng)
+    xb = bittensor.pack_signs(rng.normal(0, 1, (5, c, 9, 8)).astype(np.float32))
+    floats = InferencePlan._binary_step(layer, c)(xb)
+    bn = BatchNorm(11)  # thresholds among the sums
+    bn.running_mean[:] = np.quantile(floats, rng.uniform(0.1, 0.9, 11), axis=(0, 2, 3)).diagonal()
+    bn.gamma.value[:] = rng.uniform(0.2, 2, 11) * rng.choice([-1, 1], 11)
+    bn.beta.value[:] = rng.normal(0, 0.1, 11)
+    th, pool_op = bn_thresholds(bn), pool and MaxPool2d(*pool)
+    want = InferencePlan._bits_step(th, pool_op)(floats)
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels():
+            got = InferencePlan._binary_step(layer, c, th, pool_op)(xb)
+        assert got.tobytes() == want.tobytes()
 
 
 def _bn_graph(pool):
