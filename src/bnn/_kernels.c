@@ -13,7 +13,9 @@
  *             0xFF-padded bytes copied into whole words.
  * unpack_patches: the same sign bits as the +-1 float32 patch matrix of
  *             the weight gradient, im2col of the unpacked +1-padded signs:
- *             each image decoded once, a byte through a table of 8 floats.
+ *             each image decoded once, a byte through a table of 8 floats;
+ *             by its 1x1 route also a binary weight's +-1 floats, from the
+ *             bits pack_signs made of it, the only floats of its signs.
  * float_patches: float32 NCHW input as the float stem's pixel-innermost
  *             patches, im2col of the zero-padded input, in parts of images.
  * transpose:  float32 (n, a, b) as (n, b, a) in 16 x 16 tiles, every
@@ -41,8 +43,6 @@
  *             input and the output, so no index is kept.
  * adam_step:  one Adam step of a float32 parameter, its moments updated in
  *             place, in one pass.
- * weight_signs: the +-1 float32 signs of latent weights, sign(0) = +1, and
- *             whether one is NaN, in one read.
  * weight_ste: the straight-through estimator of the weights' sign, their
  *             gradient where |w| <= t_clip, else +0.0, in one pass.
  *
@@ -736,19 +736,6 @@ void adam_step(float *value, const float *grad, float *m, float *v, int64_t n,
         v[i] = vi;
         value[i] = p;
     }
-}
-
-/* sign_forward of n float32 values: out = +1 where w >= 0 (-0.0 too),
- * else -1.  Returns 1 if a value is NaN (out is then -1 there), else 0. */
-KERNEL
-int weight_signs(const float *w, float *out, int64_t n)
-{
-    int32_t bad = 0;
-    for (int64_t i = 0; i < n; i++) {
-        out[i] = w[i] >= 0.0f ? 1.0f : -1.0f;
-        bad |= w[i] != w[i];
-    }
-    return bad;
 }
 
 /* sign_backward of n float32 gradients g at the weights w: g's bits where

@@ -14,13 +14,15 @@ Both operands pad with 1-bits, so the padding XORs to 0 and adds nothing
 to the popcount: no correction term is needed.  This is exact integer
 arithmetic, so results match a float reference bit for bit.
 
-pack_signs is the only code that turns floats into sign bits; the
-plan's fused stem calls its kernel directly.  binary_gemm with
-thresholds writes sign bits of integer counts in pack_signs' layout, and
-pool_bits, the last steps of pack_signs' numpy twin, ORs and flips
-them.  pack_signs packs along channels, so the packed patches of the
-bytes (layers.patch_rows) are rows ready for binary_gemm, and a row of
-n values is a one-pixel
+pack_signs is the only code that turns floats into sign bits, a binary
+layer's weight once a forward; the plan's fused stem calls its kernel
+directly.  Every +-1 float a binary layer reads, of an activation or a
+weight, is decoded from those bits (layers.unpack_patches, or
+unpack_signs).  binary_gemm with thresholds writes sign bits of integer
+counts in pack_signs' layout, and pool_bits, the last steps of
+pack_signs' numpy twin, ORs and flips them.  pack_signs packs along
+channels, so the packed patches of the bytes (layers.patch_rows) are
+rows ready for binary_gemm, and a row of n values is a one-pixel
 (1, n, 1, 1) image: pack and the model file's rows are its bytes too.
 It runs the native kernel on a float32 plane of 32 pixels or more, and
 numpy below that or for other dtypes, with the same bytes.  When
@@ -37,7 +39,7 @@ across every word; without one, its row-at-a-time loop was faster.
 in_parts runs the heavy passes in parts, one per CPU, on persistent
 daemon threads: pack_signs by images and the native GEMM by 6-row blocks
 here, layers' gather, transpose, BatchNorm, float GEMMs, binary conv
-backward, MaxPool and weight sign passes, and train's Adam step.  Its
+backward, MaxPool and weight STE passes, and train's Adam step.  Its
 first call, in the first forward (so in evaluation and bnn eval too),
 sets numpy's bundled OpenBLAS to one thread, process-wide, so BLAS does
 not spin on the core the parts need.  Without such a setter, or on one
@@ -93,12 +95,11 @@ def native_kernels():
                                ("pack_signs", [ptr] * 5 + [i64] * 6),
                                ("maxpool_grad", [ptr] * 4 + [i64] * 4),
                                ("adam_step", [ptr] * 4 + [i64] + [f32] * 9 + [i32] * 2),
-                               ("weight_signs", [ptr] * 2 + [i64]),
                                ("weight_ste", [ptr] * 3 + [i64, f32])):
                 fn = getattr(lib, name)
                 fn.argtypes, fn.restype = args, None
             # 1: a NaN
-            lib.pack_signs.restype = lib.weight_signs.restype = ctypes.c_int
+            lib.pack_signs.restype = ctypes.c_int
             _native, kernel_status = lib, f"native ({path})"
         except (OSError, AttributeError, ValueError) as e:
             _native, kernel_status = False, f"numpy ({e})"

@@ -24,18 +24,19 @@ QConv2d._weight_grad for mode B's weight gradient alone.
 The binary-linear core is binary_conv: sign activations packed along
 channels by bittensor.pack_signs, the one packer, gathered into
 word-padded patch rows (patch_rows: the native gather_patches, or im2col
-of the 0xFF-padded bytes) and multiplied with weight_bits, which packs
-the weight with pack_signs too, by bittensor.binary_gemm; when
-C % 8 != 0 the 1-pad bits of each kernel position add +1 each, in both
-operands, and are subtracted; swap_axes, every channels-first <->
-channels-last copy of the binary path, gives NCHW.  Given integer
-thresholds (the plan's, for a conv a folded BatchNorm reads), the GEMM
-writes the packed bits of sum >= thr instead, the pads added to thr.
-The +-1 float patches exist only in backward, for the weight gradient
-(unpack_patches), of a large layer one kernel offset at a time
-(bits_weight_grad).  QDense
-is a QConv2d whose binarized input runs this 1x1 path over (N, F, 1, 1),
-where col2im needs no float64 accumulator; its weight stays (O, F).
+of the 0xFF-padded bytes) and multiplied with the weight's bits (one
+pack_signs pass a forward) by bittensor.binary_gemm; when C % 8 != 0 the
+1-pad bits of each kernel position add +1 each, in both operands, and
+are subtracted; swap_axes, every channels-first <-> channels-last copy
+of the binary path, gives NCHW.  Given integer thresholds (the plan's,
+for a conv a folded BatchNorm reads), the GEMM writes the packed bits of
+sum >= thr instead, the pads added to thr.  Every +-1 float is decoded
+from bits by unpack_patches: the weight where a float GEMM reads it
+(col2im, a float input's forward), and the weight gradient's patches in
+backward, of a large layer one kernel offset at a time
+(bits_weight_grad).  QDense is a QConv2d whose binarized input runs
+this 1x1 path over (N, F, 1, 1), where col2im needs no float64
+accumulator; its weight stays (O, F).
 
 A convolution with a float input (the stem) gathers pixel-innermost
 patches, (N, kh*kw*C, OH*OW) in the same (ki, kj, c) order (the native
@@ -58,12 +59,12 @@ by 6-row blocks, the stem's native patch gather and forward GEMM by
 images, in the same parts (each the GEMM the batched call makes), the
 copies of its weight gradient's operands by images, BatchNorm's sums by
 channels and its normalize and input gradient by images (with the whole
-batch's m), col2im by whole, equal blocks of images, unpack_patches by images,
-the float GEMMs (gemm: both weight gradients, and the dense layer's
-input gradient) in whole 32-row or 32-column units of over 100^3
-multiply-adds (OpenBLAS sums smaller GEMMs in another order), MaxPool's
-forward and backward by images, and the latent weights' sign and its
-STE (weight_signs, weight_ste) by elements, as train.Adam's step is.
+batch's m), col2im by whole, equal blocks of images, unpack_patches by images
+(a weight's outputs), the float GEMMs (gemm: both weight gradients, and
+the dense layer's input gradient) in whole 32-row or 32-column units of
+over 100^3 multiply-adds (OpenBLAS sums smaller GEMMs in another order),
+MaxPool's forward and backward by images, and the STE of the latent
+weights' sign (weight_ste) by elements, as train.Adam's step is.
 The first split, in the first forward, sets OpenBLAS to one thread, in
 evaluation too.  A pass too small to pay for a second part runs in one,
 by the size rule its docstring gives.
@@ -92,7 +93,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff, bittensor
 from .autodiff import STEConfig, Slot, Tape
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 
 SCALING_MODES = ("N", "B", "FB")
 
@@ -262,10 +263,10 @@ class Layer:
         raise NotImplementedError
 
 
-def weight_bits(w: np.ndarray) -> bittensor.BitTensor:
-    """Sign bits of an (O, C, kh, kw) weight, one packed row per output in
-    im2col's (ki, kj, c) order (a NaN raises, as in sign_forward)."""
-    return bittensor.from_row_bytes(bittensor.pack_signs(w).reshape(len(w), -1))
+def weight_bits(packed: np.ndarray) -> bittensor.BitTensor:
+    """An (O, C, kh, kw) weight's pack_signs bytes as binary_gemm's operand,
+    a word-padded row per output in im2col's (ki, kj, c) order."""
+    return bittensor.from_row_bytes(packed.reshape(len(packed), -1))
 
 
 def _pad_bits(bits, p):
@@ -295,7 +296,9 @@ def patch_rows(bits, kh, kw, stride, padding) -> bittensor.BitTensor:
 
 def unpack_patches(bits, c, kh, kw, stride, padding) -> np.ndarray:
     """im2col's rows of c channels' (N, H, W, bytes) sign bits padded with +1
-    pixels, as +-1 float32: the native unpack_patches, else its oracle."""
+    pixels, as +-1 float32: the native unpack_patches, else its oracle.
+    It runs in parts of the images once out takes 2 MB: LeNet's decoded
+    qconv0 weight (200 KB) took 61 us in two parts and 31 us in one."""
     lib = bittensor.native_kernels()
     if not lib:
         return im2col(bittensor.unpack_signs(_pad_bits(bits, padding), c), kh, kw, stride)
@@ -306,10 +309,11 @@ def unpack_patches(bits, c, kh, kw, stride, padding) -> np.ndarray:
     out = np.empty((n * r, kh * kw * c), np.float32)
 
     def images(lo, hi, plane):
-        lib.unpack_patches(bits[lo].ctypes.data, out[lo * r].ctypes.data, plane.ctypes.data,
+        lib.unpack_patches(bits[lo:].ctypes.data, out[lo * r:].ctypes.data, plane.ctypes.data,
                            hi - lo, h, w, cb, c, kh, kw, stride, padding)
 
-    bittensor.in_parts(images, n, lambda: (np.empty(hp * wp * c, np.float32),))  # a plane a part
+    bittensor.in_parts(images, n, lambda: (np.empty(hp * wp * c, np.float32),),  # a plane a part
+                       split=out.nbytes >= 1 << 21)
     return out
 
 
@@ -346,7 +350,7 @@ def swap_axes(x: np.ndarray) -> np.ndarray:
     """(n, a, b) x as a C-contiguous (n, b, a): the native 16 x 16 tile
     transpose for float32 x, else its twin, which copies nothing at a or b = 1.
     The transpose runs in parts of n once x takes 1 MB: LeNet's weight
-    transposes (200 KB, ~11 us) ran 1.5x slower in two parts."""
+    gradient transposes (200 KB, ~11 us) ran 1.5x slower in two parts."""
     n, a, b = x.shape
     lib = a > 1 and b > 1 and bittensor.native_float32(x)
     if not lib:
@@ -369,31 +373,12 @@ def swap_leading_axes(g):
     return out
 
 
-def weight_signs(w: np.ndarray) -> np.ndarray:
-    """sign_forward(w) of latent weights, float32 +-1 in w's shape, a NaN
-    raising its NumericError: the native weight_signs for C-contiguous
-    float32 w, in parts of the elements once w takes 2 MB (LeNet's qdense0,
-    4 MB: 74 -> 49 us in two parts; 1 MB: 20 -> 21 us), else sign_forward
-    itself (qdense0: 220 us)."""
-    lib = bittensor.native_float32(w)
-    if not lib:
-        return autodiff.sign_forward(w)
-    out, bad = np.empty(w.shape, np.float32), []
-    src, dst = w.ctypes.data, out.ctypes.data
-    bittensor.in_parts(lambda lo, hi: bad.append(lib.weight_signs(src + 4 * lo, dst + 4 * lo,
-                                                                   hi - lo)),
-                       w.size, split=w.nbytes >= 1 << 21)
-    if any(bad):
-        raise NumericError(autodiff.NAN_INPUT)
-    return out
-
-
 def weight_ste(g: np.ndarray, w: np.ndarray, ste: STEConfig) -> np.ndarray:
     """sign_backward(g, w, ste), the latent weights' gradient through the
     STE of their sign: the native weight_ste for C-contiguous float32 g
-    and w of one shape, in parts of the elements once w takes 2 MB, as in
-    weight_signs (qdense0: 89 -> 59 us in two parts), else sign_backward
-    itself (qdense0: 370 us)."""
+    and w of one shape, in parts of the elements once w takes 2 MB
+    (qdense0: 89 -> 59 us in two parts), else sign_backward itself
+    (qdense0: 370 us)."""
     lib = bittensor.native_float32(g, w)
     if not lib or g.shape != w.shape:
         return autodiff.sign_backward(g, w, ste)
@@ -482,6 +467,20 @@ class QConv2d(Layer):
             g_w *= alpha
         return g_w
 
+    def _weight_matrix(self):
+        """(packed, w_mat): a binary weight's one sign pass, pack_signs'
+        (O, kh, kw, ceil(C/8)) bytes (a NaN raises), and w_mat() the
+        (O, kh*kw*C) weight in im2col's column order: the +-1 floats decoded
+        from those bytes, so backward keeps bits; a float weight's (None)."""
+        cfg = self.cfg
+        (kh, kw), c, o = cfg.kernel, cfg.in_channels, cfg.out_channels
+        weight = self.weight.value.reshape(o, c, kh, kw)
+        if not self.binary:
+            w_flat = swap_axes(weight.reshape(o, c, kh * kw)).reshape(o, -1)
+            return None, lambda: w_flat
+        packed = bittensor.pack_signs(weight)
+        return packed, lambda: unpack_patches(packed, c, 1, 1, 1, 0).reshape(o, -1)
+
     def _conv(self, tape, x, xv):
         """The convolution of xv, x's value seen as (N, C, H, W), recorded
         on tape as a function of x; the output has x's rank."""
@@ -490,15 +489,12 @@ class QConv2d(Layer):
         c, o, s, p = cfg.in_channels, cfg.out_channels, cfg.stride, cfg.padding
         n, _, h, w = xv.shape
         oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
-        weight = self.weight.value.reshape(o, c, kh, kw)
-        # (O, C, kh, kw) -> (O, kh*kw*C), matching the im2col column order
-        w_flat = swap_axes(weight.reshape(o, c, kh * kw)).reshape(o, -1)
-        wb = weight_signs(w_flat) if self.binary else w_flat
+        packed, w_mat = self._weight_matrix()
         if cfg.binarize_input:
             # sign bits packed along C (a NaN raises).  The input itself is
             # kept: backward applies sign's STE to it
             bits = bittensor.pack_signs(xv)
-            y = binary_conv(bits, weight_bits(weight), kh, kw, s, p, c)
+            y = binary_conv(bits, weight_bits(packed), kh, kw, s, p, c)
         else:
             # pixel-innermost patches: one batched GEMM writes NCHW directly;
             # natively each part gathers its own images' patches first
@@ -508,6 +504,7 @@ class QConv2d(Layer):
             else:
                 xp = np.pad(xv, ((0, 0), (0, 0), (p, p), (p, p))) if p else xv
                 cols = im2col(xp.transpose(0, 2, 3, 1), kh, kw, s, pixels_inner=True)
+            wb = w_mat()
             y = np.empty((n, o, oh * ow), np.result_type(wb, cols))
 
             def images(lo, hi):  # an image a GEMM, as the batched call runs
@@ -531,7 +528,7 @@ class QConv2d(Layer):
             if x.requires_grad:  # False for the image batch
                 # activation gradient, through sign's STE for a binary
                 # input: never scaled by alpha
-                g_x = col2im(g_mat, wb, (n, c, h, w), kh, kw, s, p,
+                g_x = col2im(g_mat, w_mat(), (n, c, h, w), kh, kw, s, p,
                              xv if cfg.binarize_input else None, self.ste).reshape(x.value.shape)
             # weight gradient through the weight-sign STE, summed in n*P order
             if cfg.binarize_input:  # the packed patches rebuilt as +-1 floats
@@ -588,9 +585,9 @@ class QDense(QConv2d):
             raise ShapeError(f"{self.name}: expected (N, {f}) input, got {x.value.shape}")
         if self.cfg.binarize_input:
             return self._conv(tape, x, x.value[:, :, None, None])
-        wb = weight_signs(self.weight.value) if self.binary else self.weight.value
+        w_mat = self._weight_matrix()[1]
         alpha, scale = self.scaling()
-        out = scale(x.value @ wb.T)
+        out = scale(x.value @ w_mat().T)
         if self.bias is not None:
             out = out + self.bias.value
         slot = Slot(out, name=self.name)
@@ -598,7 +595,7 @@ class QDense(QConv2d):
         def backward_fn(g_y):
             g_w = self._weight_grad(g_y.T @ x.value, alpha)
             g_b = () if self.bias is None else (g_y.sum(axis=0),)
-            return (g_y @ wb, g_w) + g_b
+            return (g_y @ w_mat(), g_w) + g_b
 
         return tape.record(slot, (x, *self.params()), backward_fn)
 

@@ -295,7 +295,7 @@ class InferencePlan:
             )
         head, tail = self._steps[: self._head], self._steps[self._head:]
         chunk = _CHUNK * bittensor.split_parts()
-        if len(x) <= chunk:
+        if len(x) <= chunk or not head:
             values = self._execute(head, {self._input: x})
         else:  # the head's values for the later steps, assembled chunk by chunk
             values = {}
@@ -392,7 +392,7 @@ class InferencePlan:
         dense = isinstance(layer, QDense)
         (kh, kw), s, p = ((1, cfg.in_channels // c), 1, 0) if dense else (
             cfg.kernel, cfg.stride, cfg.padding)
-        w_bits = layers.weight_bits(layer.weight.value.reshape(o, c, kh, kw))
+        w_bits = layers.weight_bits(bittensor.pack_signs(layer.weight.value.reshape(o, c, kh, kw)))
         alpha, scale = layer.scaling()
         monotone = alpha is None or bool(np.isfinite(alpha) and alpha > 0)
         thr = count_thresholds(th, scale, kh * kw * c) if th is not None and monotone else None

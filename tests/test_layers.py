@@ -620,9 +620,10 @@ def test_binary_conv_backward_bytes_do_not_depend_on_the_split(n, c, k, stride, 
 @given(**split_shapes)
 def test_binary_conv_forward_splits_by_images_and_rows(n, c, k, stride, padding, seed):
     """The forward's packer and patch gather (by images), its GEMM (by blocks
-    of 6 rows, M = n * OH * OW mostly not a multiple of 6) and its transpose
-    (by images) each run as one kernel call a part, and give the same bytes
-    in 1, 2 and 3 parts, for n = 0 and 1 and C % 8 != 0 too."""
+    of 6 rows, M = n * OH * OW mostly not a multiple of 6) and its output's
+    transpose (by images) each run as one kernel call a part, and give the
+    same bytes in 1, 2 and 3 parts, for n = 0 and 1 and C % 8 != 0 too; the
+    weight is packed in numpy and never transposed."""
     rng = np.random.default_rng(seed)
     layer = QConv2d(QLayerConfig(c, 13, (k, k), stride, padding), rng=rng)
     x = rng.standard_normal((n, c, 9, 8)).astype(np.float32)
@@ -631,10 +632,9 @@ def test_binary_conv_forward_splits_by_images_and_rows(n, c, k, stride, padding,
         calls.clear()
         with split_in(2, size_rules=False):
             y = layer.forward(Tape(), Slot(x)).value
-    rows = n * y.shape[2] * y.shape[3]  # the weight's transpose splits by its 13 outputs
+    rows = n * y.shape[2] * y.shape[3]
     want = {"pack_signs": min(n, 2), "gather_patches": min(n, 2),
-            "xnor_gemm": min(-(-rows // 6), 2),
-            "transpose": 2 * (c > 1 and k > 1) + (min(n, 2) if rows > n else 0)}
+            "xnor_gemm": min(-(-rows // 6), 2), "transpose": min(n, 2) if rows > n else 0}
     assert {name: calls.count(name) for name in want} == want
 
 
@@ -832,43 +832,125 @@ def weight_edges(rng, shape, t):
 @pytest.mark.parametrize("t", [0.5, 0.3])
 @pytest.mark.parametrize("shape", [(7, 143), (3, 5, 1, 1), (32, 25)])
 def test_weight_sign_passes_match_sign_forward_and_backward(shape, t):
-    """The weights' sign and its STE, native in parts of the elements, give
-    sign_forward's and sign_backward's bytes in 1, 2 and 3 parts, and in
-    numpy: weights at exactly +-t_clip and +-0.0, gradients with NaN,
-    +-inf and -0.0.  An odd element count leaves parts of unequal length."""
+    """The STE of the weights' sign, native in parts of the elements, gives
+    sign_backward's bytes in 1, 2 and 3 parts, and in numpy: weights at
+    exactly +-t_clip and +-0.0, gradients with NaN, +-inf and -0.0.  An odd
+    element count leaves parts of unequal length.  The sign itself is
+    pack_signs', decoded (test_decoded_weight_is_sign_forward)."""
     rng = np.random.default_rng(len(shape))
     w = weight_edges(rng, shape, t)
     g = rng.standard_normal(shape).astype(np.float32)
     g.reshape(g.size)[rng.integers(0, g.size, 12)] = np.float32([np.nan, np.inf, -np.inf, -0.0] * 3)
     ste = STEConfig(t)
-    want = [sign_forward(w).tobytes(), sign_backward(g, w, ste).tobytes()]
+    want = sign_backward(g, w, ste).tobytes()
 
     def run():
-        return [layers.weight_signs(w), layers.weight_ste(g, w, ste)]
+        return [layers.weight_ste(g, w, ste)]
 
     for kernels in (contextlib.nullcontext, numpy_kernels):
         with kernels():
             in_each_split(run)
-            got = run()
-        assert [a.tobytes() for a in got] == want
-        assert all(a.dtype == np.float32 and a.shape == shape for a in got)
+            got = run()[0]
+        assert got.tobytes() == want and got.dtype == np.float32 and got.shape == shape
     with kernel_calls() as calls, split_in(2, size_rules=False):
         run()
-    assert calls == ["weight_signs"] * 2 + ["weight_ste"] * 2
+    assert calls == ["weight_ste"] * 2
+
+
+def binary_layers(c, o):
+    """A binary layer of each kind, c inputs and o outputs, and an input
+    batch for it: convs with a binarized and a float input (3 x 3 kernels,
+    whose weight pack_signs packs in numpy, and a 7 x 7 one, natively), and
+    dense layers with a binarized and a float input."""
+    rng = np.random.default_rng(c + o)
+    image = rng.standard_normal((2, c, 8, 8)).astype(np.float32)
+    flat = rng.standard_normal((2, c)).astype(np.float32)
+    return [(QConv2d(QLayerConfig(c, o, (3, 3), padding=1), rng=rng), image),
+            (QConv2d(QLayerConfig(c, o, (7, 7), padding=3), rng=rng), image),
+            (QConv2d(QLayerConfig(c, o, (3, 3), binarize_input=False), rng=rng), image),
+            (QDense(c, o, rng=rng), flat),
+            (QDense(c, o, binarize_input=False, rng=rng), flat)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 5, 8, 9, 13, 20]), st.integers(1, 9), st.sampled_from([1, 3, 5, 7]),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_decoded_weight_is_sign_forward(c, o, k, parts, seed):
+    """A binary layer's +-1 weight, decoded from the bytes pack_signs makes
+    of it, is sign_forward of the (O, kh*kw*C) weight in im2col's column
+    order, bytewise, natively and in numpy, in 1-3 parts: C % 8 != 0, and
+    entries at +-0.0 and +-inf (7 x 7 weights are packed natively)."""
+    rng = np.random.default_rng(seed)
+    layer = QConv2d(QLayerConfig(c, o, (k, k)), rng=rng)
+    w = layer.weight.value
+    w.reshape(w.size)[rng.integers(0, w.size, 8)] = np.float32([0.0, -0.0, np.inf, -np.inf] * 2)
+    want = sign_forward(w.transpose(0, 2, 3, 1).reshape(o, -1)).tobytes()
+    for kernels in (contextlib.nullcontext, numpy_kernels):
+        with kernels(), split_in(parts, size_rules=False):
+            got = layer._weight_matrix()[1]()
+        assert got.dtype == np.float32 and got.tobytes() == want
 
 
 @pytest.mark.parametrize("at", ["first", "last"])
 def test_weight_signs_raise_on_a_nan_weight(at):
-    """A NaN weight raises sign_forward's NumericError in every split and
-    natively or not, in the first part's elements or only the last's."""
-    w = np.random.default_rng(0).uniform(-1, 1, 1001).astype(np.float32)
-    w[0 if at == "first" else -1] = np.nan
-    for kernels in (contextlib.nullcontext, numpy_kernels):
-        with kernels():
-            for parts in (1, 2, 3):
-                with split_in(parts, size_rules=False), \
-                        pytest.raises(NumericError, match=autodiff.NAN_INPUT):
-                    layers.weight_signs(w)
+    """A NaN latent weight raises sign_forward's NumericError from the
+    forward of every kind of binary layer, in every split and natively or
+    not, in the first output's weights or only the last's."""
+    for layer, x in binary_layers(5, 7):
+        w = layer.weight.value
+        w.reshape(w.size)[0 if at == "first" else -1] = np.nan
+        for kernels in (contextlib.nullcontext, numpy_kernels):
+            with kernels():
+                for parts in (1, 2, 3):
+                    with split_in(parts, size_rules=False), \
+                            pytest.raises(NumericError, match=autodiff.NAN_INPUT):
+                        layer.forward(Tape(), Slot(x))
+
+
+def closure_values(fn):
+    """The values in fn's closure cells, leaving out those never assigned."""
+    out = []
+    for cell in getattr(fn, "__closure__", None) or ():
+        try:
+            out.append(cell.cell_contents)
+        except ValueError:  # empty
+            pass
+    return out
+
+
+def test_binary_forward_packs_its_weight_once_and_keeps_no_float_weight(monkeypatch):
+    """Each binary layer's forward calls pack_signs once on its weight, and
+    its backward closure reaches its sign bits but no float32 (O, kh*kw*C)
+    matrix: the +-1 weight is decoded where backward reads it."""
+    packs, pack_signs = [], bittensor.pack_signs
+
+    def spy(x, *args, **kwargs):
+        packs.append(x)
+        return pack_signs(x, *args, **kwargs)
+
+    monkeypatch.setattr(bittensor, "pack_signs", spy)
+    for layer, x in binary_layers(5, 7):
+        packs.clear()
+        tape = Tape()
+        y = layer.forward(tape, Slot(x))
+        w = layer.weight.value
+        assert sum(np.shares_memory(a, w) for a in packs) == 1
+        seen, todo, arrays = set(), [tape.nodes[-1].backward_fn], []
+        while todo:  # what the closure reaches: functions, containers, arrays
+            v = todo.pop()
+            if id(v) in seen:
+                continue
+            seen.add(id(v))
+            if isinstance(v, np.ndarray):
+                arrays.append(v)
+            elif isinstance(v, (list, tuple)):
+                todo += v
+            elif callable(v):
+                todo += closure_values(v)
+        assert any(a.dtype == np.uint8 for a in arrays)
+        assert not [a for a in arrays if a.dtype == np.float32 and a.shape == (7, w[0].size)]
+        g_x, g_w = tape.nodes[-1].backward_fn(np.ones_like(y.value))  # it still runs
+        assert g_x.shape == x.shape and g_w.shape == w.shape
 
 
 @pytest.mark.parametrize("c", [5, 44])

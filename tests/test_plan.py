@@ -205,6 +205,24 @@ def test_plan_chunks_hold_32_images_a_part(spec, kw, parts):
             assert InferencePlan(g).run(x).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("parts", [1, 2])
+def test_plan_with_no_head_hands_the_batch_to_its_first_step(parts):
+    """LeNet's fused stem leaves the plan no per-image head, so a batch of
+    two chunks and more reaches the first step as the caller's array, not a
+    copy assembled chunk by chunk, and gives the graph's logits."""
+    g = _trained_like("lenet", {})
+    p = InferencePlan(g)
+    assert p._head == 0
+    seen, (key, reads, step, done) = [], p._steps[0]
+    p._steps[0] = (key, reads, lambda *v: seen.append(v) or step(*v), done)
+    x = np.random.default_rng(parts).normal(0, 1, (2 * plan._CHUNK * parts + 5, 1, 28, 28))
+    x = x.astype(np.float32)
+    with split_in(parts):
+        got = p.run(x)
+    assert seen[0][0] is x
+    assert got.tobytes() == g.forward(x, training=False).value.tobytes()
+
+
 def _graph_evaluate(model, ds, batch_size):
     """evaluate as it ran before the plan: the graph on every batch."""
     correct1 = correct5 = total = 0
