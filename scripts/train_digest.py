@@ -51,7 +51,7 @@ from bnn.autodiff import Tape  # noqa: E402
 from bnn.plan import InferencePlan  # noqa: E402
 
 STEPS = 3
-PLAN_IMAGES = 37  # more than the plan runs per chunk, with a short last chunk
+PLAN_IMAGES = 37  # an odd batch: uneven parts, and a short sub-block in the stem
 
 # (label, model spec, scaling mode, preset, input shape, batch size, weight decay)
 RUNS = [

@@ -62,6 +62,9 @@ class DenseNetSpec:
             raise ValueError("k and b must be positive")
         if not 0 < self.reduction <= 1:
             raise ValueError("reduction must be in (0, 1]")
+        if transition_width(self.k, self.reduction) < 1:
+            raise ValueError(f"k={self.k} and reduction={self.reduction} give transitions "
+                             f"int(5.5 * k * reduction) = 0 channels")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
 

@@ -115,6 +115,8 @@ class QLayerConfig:
 
     def __post_init__(self):
         check_scaling_mode(self.scaling_mode)
+        if min(self.in_channels, self.out_channels) < 1:
+            raise ValueError("in_channels and out_channels must be >= 1")
         if min(self.kernel) < 1 or self.stride < 1:
             raise ValueError("kernel and stride must be >= 1")
         if self.padding < 0:

@@ -44,9 +44,7 @@ Like training, the plan runs the packer, the gather, the GEMM, the
 transpose and the stem's gather and GEMM in parts, one per CPU
 (bittensor.in_parts): the first of them sets numpy's OpenBLAS to one
 thread, so the float GEMMs of the stem and the head run on one BLAS
-thread here too.  The per-image steps before the first binary GEMM run
-_CHUNK images a part, split_parts() parts at a time; the fused stem
-runs its own sub-blocks over the whole batch instead.
+thread here too.  Every step runs once over the whole batch.
 
 Thresholds come from calling the BatchNorm layer, not from a copy of its
 arithmetic: its eval forward runs bn_normalize, the training normalize,
@@ -94,12 +92,6 @@ def _floats(k) -> np.ndarray:
 
 
 _KEY_MIN, _KEY_MAX = (int(k) for k in _keys([-np.inf, np.inf]))
-# The steps before the first one that is not per-image (a binary layer's
-# GEMM, a dense layer) run on this many images a part (split_parts() of
-# them a chunk): the LeNet stem's patches and output for 32 images take
-# 4 MB, so each part's stay in its core's cache and their memory is reused
-# chunk after chunk instead of faulted in per batch.
-_CHUNK = 32
 # The fused stem runs its images through patches, GEMM and packer in
 # sub-blocks of about this many bytes of patches and float output
 _STEM_BLOCK_BYTES = 1 << 20
@@ -160,11 +152,11 @@ def count_thresholds(th: Thresholds, scale, k) -> np.ndarray:
     passes, scale(float32(count)) >= th.thr, found by evaluating that
     expression at every count; k + 1 where none does.  With scale monotone
     (x -> x, or x -> x * alpha, alpha > 0 and finite) the counts that pass
-    are exactly those at or above it."""
-    counts = np.arange(-k, k + 1, dtype=np.float32)[:, None]
+    are exactly those at or above it, and the route's values over the
+    counts are sorted, so one search finds each channel's first."""
     with np.errstate(over="ignore"):  # overflow to inf is the expression's own
-        passes = scale(counts) >= th.thr
-    return np.where(passes.any(axis=0), passes.argmax(axis=0) - k, k + 1)
+        v = scale(np.arange(-k, k + 1, dtype=np.float32))
+    return np.searchsorted(v, th.thr, side="left") - k
 
 
 def _writes_bits(op) -> bool:
@@ -177,15 +169,6 @@ def _writes_bits(op) -> bool:
 def _binary_input(op) -> bool:
     """A layer that multiplies its input's signs by its weights' signs."""
     return isinstance(op, QConv2d) and op.cfg.binarize_input
-
-
-def _per_image(op) -> bool:
-    """Whether op's eval output for an image is the same bits whatever
-    else is in the batch: elementwise and window ops, and a float-input
-    convolution, whose batched GEMM runs image by image."""
-    if isinstance(op, QConv2d):
-        return not (op.cfg.binarize_input or isinstance(op, QDense))
-    return isinstance(op, (BatchNorm, MaxPool2d, Flatten))
 
 
 class InferencePlan:
@@ -243,12 +226,6 @@ class InferencePlan:
         # last time); a key is (node id, True) for sign bits, (node id, False)
         # for the float output
         steps = []
-        self._head = None  # the leading steps that run image by image
-
-        def add(key, reads, step, per_image):
-            if self._head is None and not per_image:
-                self._head = len(steps)
-            steps.append((key, reads, step))
 
         def input_bits(conv):  # the key of a binary conv's input bits, its channels
             src = alias.get(conv.inputs[0], conv.inputs[0])
@@ -262,28 +239,26 @@ class InferencePlan:
             if n.id not in no_float:
                 if _binary_input(n.op):
                     key, c = input_bits(n)
-                    add((n.id, False), [key], self._binary_step(n.op, c), False)
+                    steps.append(((n.id, False), [key], self._binary_step(n.op, c)))
                 else:
-                    add((n.id, False), [(i, False) for i in n.inputs], self._layer_step(n),
-                        _per_image(n.op))
+                    steps.append(((n.id, False), [(i, False) for i in n.inputs],
+                                  self._layer_step(n)))
             if n.id in want_bits:
                 pool, th, conv = pools.get(n.id), thresholds.get(n.id), fused.get(n.id)
                 pool_op = pool and pool.op
                 if conv and _binary_input(conv.op):
                     key, c = input_bits(conv)
-                    add((n.id, True), [key], self._binary_step(conv.op, c, th, pool_op), False)
-                elif conv:  # batch-wide: it runs its own cache-sized sub-blocks
-                    add((n.id, True), [(conv.inputs[0], False)],
-                        self._stem_step(conv, th, pool_op), False)
+                    steps.append(((n.id, True), [key], self._binary_step(conv.op, c, th, pool_op)))
+                elif conv:
+                    steps.append(((n.id, True), [(conv.inputs[0], False)],
+                                  self._stem_step(conv, th, pool_op)))
                 else:
                     src = pool.inputs[0] if pool else n.inputs[0] if th else n.id
-                    add((n.id, True), [(src, False)], self._bits_step(th, pool_op), True)
+                    steps.append(((n.id, True), [(src, False)], self._bits_step(th, pool_op)))
         last = {k: i for i, (_, reads, _) in enumerate(steps) for k in reads}
         self._output = (out, False)
         self._steps = [(key, reads, step, [k for k in reads if last[k] == i and k != self._output])
                        for i, (key, reads, step) in enumerate(steps)]
-        if self._head is None:
-            self._head = len(steps)
 
     def run(self, x) -> np.ndarray:
         """Logits of the batch x."""
@@ -293,27 +268,12 @@ class InferencePlan:
                 f"input shape {x.shape[1:]} does not match model input "
                 f"{self.graph.input_shape}"
             )
-        head, tail = self._steps[: self._head], self._steps[self._head:]
-        chunk = _CHUNK * bittensor.split_parts()
-        if len(x) <= chunk or not head:
-            values = self._execute(head, {self._input: x})
-        else:  # the head's values for the later steps, assembled chunk by chunk
-            values = {}
-            for lo in range(0, len(x), chunk):
-                part = self._execute(head, {self._input: x[lo: lo + chunk]})
-                for k, v in part.items():
-                    if lo == 0:
-                        values[k] = np.empty((len(x),) + v.shape[1:], v.dtype)
-                    values[k][lo: lo + len(v)] = v
-        return self._execute(tail, values)[self._output]
-
-    @staticmethod
-    def _execute(steps, values):
-        for key, reads, step, done in steps:
+        values = {self._input: x}
+        for key, reads, step, done in self._steps:
             values[key] = step(*(values[k] for k in reads))
             for k in done:  # freed at once, for the next steps to reuse
                 del values[k]
-        return values
+        return values[self._output]
 
     @staticmethod
     def _layer_step(node):
@@ -340,8 +300,7 @@ class InferencePlan:
         the layer's forward, then the bits step, with the same bytes.  The
         LeNet stem at batch 256 by images a sub-block (131 KB an image;
         medians of 40 interleaved minima of 5, 2-vCPU Xeon):
-          2: 3.54 ms, 4: 2.57 ms, 8: 2.34 ms, 16: 2.36 ms, 32: 2.75 ms
-        Run batch-wide it was 4% faster than in the plan's chunks of 64."""
+          2: 3.54 ms, 4: 2.57 ms, 8: 2.34 ms, 16: 2.36 ms, 32: 2.75 ms"""
         layer, (k, ks) = node.op, (pool.kernel, pool.stride) if pool else (1, 1)
         cfg, layer_step, bits_step = layer.cfg, cls._layer_step(node), cls._bits_step(th, pool)
         (kh, kw), c, o, s, p = cfg.kernel, cfg.in_channels, cfg.out_channels, cfg.stride, cfg.padding

@@ -183,6 +183,24 @@ class TestExport:
             os.path.join(trained, "model.bnn")
         )
 
+    def test_zero_width_transition_in_a_file_exits_3(self, tmp_path, capsys):
+        """A saved densenet:k=4,b=1 whose build_args ask for reduction 0.01,
+        a transition of int(5.5 * 4 * 0.01) = 0 channels, is a bad model
+        file: load raises ModelFormatError and export exits 3 with one
+        line naming k and reduction."""
+        path = str(tmp_path / "d.bnn")
+        modelio.save(arch.build_densenet(arch.DenseNetSpec(k=4, b=1, num_classes=10),
+                                         preset="cifar"), path)
+        edit_descriptor(path, lambda d: d["build_args"].update(reduction=0.01))
+        with pytest.raises(modelio.ModelFormatError, match="k=4 and reduction=0.01"):
+            modelio.load(path)
+        capsys.readouterr()
+        assert cli.main(["export", "--model-file", path,
+                         "--out", str(tmp_path / "fp.bnn")]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "k=4 and reduction=0.01" in err and "Traceback" not in err
+
 
 class TestSize:
     def test_lenet(self, capsys):
@@ -225,6 +243,8 @@ class TestSize:
         ("densenet:k=4,b=1,k=8", "'k'"),
         ("densenet:k=x,b=1", "model option k must be an integer, got 'x'"),
         ("densenet:k=4,b=1,reduction=abc", "model option reduction must be a number, got 'abc'"),
+        # transitions of int(5.5 * 4 * 0.01) = 0 channels
+        ("densenet:k=4,b=1,reduction=0.01", "k=4 and reduction=0.01"),
         ("foo", f"unknown model 'foo'; valid: {arch.MODEL_SPEC_HELP}")])
     def test_malformed_option_exits_2_naming_it(self, spec, option, capsys):
         assert cli.main(["size", "--model", spec]) == cli.EXIT_USAGE

@@ -1274,6 +1274,11 @@ class TestScalingModes:
         with pytest.raises(ValueError):
             QDense(2, 2, scaling_mode="fb")
 
+    @pytest.mark.parametrize("channels", [(0, 2), (2, 0), (-1, 2)])
+    def test_channel_count_below_one_rejected(self, channels):
+        with pytest.raises(ValueError, match="in_channels and out_channels must be >= 1"):
+            QLayerConfig(*channels)
+
 
 class TestBatchNorm:
     def test_normalizes_in_training(self):

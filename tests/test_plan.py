@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bnn import arch, bittensor, layers, plan, train
+from bnn import arch, bittensor, layers, train
 from bnn.autodiff import NAN_INPUT, Slot, Tape
 from bnn.data import Dataset
 from bnn.errors import NumericError
@@ -78,7 +78,6 @@ def test_plan_matches_graph_bit_for_bit(spec, kw, monkeypatch):
     """The plan's logits are the graph's, and each binary layer's GEMM
     reads the sign bits of its input in the graph, folded or not."""
     g = _trained_like(spec, kw)
-    # more images than the plan runs per chunk, with a short last chunk
     x = np.random.default_rng(1).normal(0, 1, (37,) + g.input_shape).astype(np.float32)
     values = _eval_values(g, x)
     ref = g.forward(x).value
@@ -190,16 +189,15 @@ def test_nan_image_raises_on_the_fused_routes(fold_bn0, kernels):
 
 @pytest.mark.parametrize("parts", [1, 2, 3])
 @pytest.mark.parametrize("spec,kw", [MODELS[0], MODELS[5]])  # ResNet: a padded stem
-def test_plan_chunks_hold_32_images_a_part(spec, kw, parts):
-    """The plan runs its per-image head (ResNet's stem) split_parts() * 32
-    images at a time, and LeNet's fused stem runs batch-wide in sub-blocks
-    of 8 images; batches one below, at and one above a chunk, and two
-    chunks and a short one, give the graph's logits in 1, 2 and 3 parts."""
+def test_plan_matches_graph_at_batches_around_32_images_a_part(spec, kw, parts):
+    """Every step runs once over the whole batch and splits it over
+    split_parts() parts, and LeNet's fused stem runs sub-blocks of 8
+    images: batches one below, at and one above 32 images a part, and
+    twice that and 5 more, give the graph's logits in 1, 2 and 3 parts."""
     g = _trained_like(spec, kw)
     rng = np.random.default_rng(parts)
-    chunk = plan._CHUNK * parts
     with split_in(parts):
-        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+        for n in (32 * parts - 1, 32 * parts, 32 * parts + 1, 64 * parts + 5):
             x = rng.normal(0, 1, (n,) + g.input_shape).astype(np.float32)
             ref = g.forward(x, training=False).value
             assert InferencePlan(g).run(x).tobytes() == ref.tobytes()
@@ -207,20 +205,23 @@ def test_plan_chunks_hold_32_images_a_part(spec, kw, parts):
 
 @pytest.mark.parametrize("parts", [1, 2])
 def test_plan_with_no_head_hands_the_batch_to_its_first_step(parts):
-    """LeNet's fused stem leaves the plan no per-image head, so a batch of
-    two chunks and more reaches the first step as the caller's array, not a
-    copy assembled chunk by chunk, and gives the graph's logits."""
-    g = _trained_like("lenet", {})
-    p = InferencePlan(g)
-    assert p._head == 0
-    seen, (key, reads, step, done) = [], p._steps[0]
-    p._steps[0] = (key, reads, lambda *v: seen.append(v) or step(*v), done)
-    x = np.random.default_rng(parts).normal(0, 1, (2 * plan._CHUNK * parts + 5, 1, 28, 28))
-    x = x.astype(np.float32)
-    with split_in(parts):
-        got = p.run(x)
-    assert seen[0][0] is x
-    assert got.tobytes() == g.forward(x, training=False).value.tobytes()
+    """The plan runs each step once over the whole batch, with no head of
+    per-image steps run a slice at a time: a batch of 2 * 64 + 5 images
+    reaches the first step as the caller's array, not a slice or a copy,
+    in LeNet (whose first step is its fused stem) and in the CIFAR ResNet
+    and DenseNet (whose first is the float stem conv), and the logits are
+    the graph's."""
+    for spec, kw in (MODELS[0], MODELS[5], MODELS[4]):
+        g = _trained_like(spec, kw)
+        p = InferencePlan(g)
+        seen, (key, reads, step, done) = [], p._steps[0]
+        p._steps[0] = (key, reads, lambda *v: seen.append(v) or step(*v), done)
+        x = np.random.default_rng(parts).normal(0, 1, (2 * 64 + 5,) + g.input_shape)
+        x = x.astype(np.float32)
+        with split_in(parts):
+            got = p.run(x)
+        assert len(seen) == 1 and seen[0][0] is x
+        assert got.tobytes() == g.forward(x, training=False).value.tobytes()
 
 
 def _graph_evaluate(model, ds, batch_size):
