@@ -14,11 +14,15 @@ the bytes modelio.save writes for it after the steps, its packed sign
 bits among them.  The line "builders: <digest>" covers the graphs the
 builders make for BUILDS, untrained: each node's id, inputs and op (a
 layer's spec, STE t_clip and scaling mode), the initial parameters and
-buffers and the build_args.  The last line covers the training steps of
+buffers and the build_args.  The next line covers the training steps of
 a CIFAR-preset densenet:k=64,b=1 at batch 8 (PER_OFFSET), whose 32x32
 binary convs are large enough to take the per-offset weight gradient of
-layers.bits_weight_grad.  The native kernels and their numpy
-twins give the same bytes, so the five commands
+layers.bits_weight_grad.  The last line, "loaded plans: <digest>",
+covers the plan logits of every RUNS model that modelio.load reads back
+from its saved file, on the same PLAN_IMAGES images (the file keeps an
+FB weight's sign bits only, so "lenet FB" loads with alpha = 1 and gives
+other logits than its "plan" line covers).  The native kernels and their
+numpy twins give the same bytes, so the five commands
 
     python scripts/train_digest.py
     CC=false XDG_CACHE_HOME="$(mktemp -d)" python scripts/train_digest.py
@@ -116,13 +120,14 @@ def digest(arrays):
     return h.hexdigest()
 
 
-def file_digest(model):
-    """SHA-256 of the bytes modelio.save writes for model."""
+def save_and_load(model):
+    """SHA-256 of the bytes modelio.save writes for model, and the model
+    modelio.load reads back from them."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "model.bnn")
         modelio.save(model, path)
         with open(path, "rb") as f:
-            return hashlib.sha256(f.read()).hexdigest()
+            return hashlib.sha256(f.read()).hexdigest(), modelio.load(path)[0]
 
 
 def graph_arrays(model):
@@ -144,19 +149,22 @@ def graph_arrays(model):
 
 def main():
     print(f"kernel: {bittensor.native_kernels() and 'native' or 'numpy'}", file=sys.stderr)
-    files = []
+    files, loaded = [], []
     for label, *run in RUNS:
         model, arrays = train_trace(*run)
         print(f"{label}: {digest(arrays)}")
         images = np.random.default_rng(1).standard_normal(
             (PLAN_IMAGES,) + model.input_shape).astype(np.float32)
         print(f"{label} plan: {digest([InferencePlan(model).run(images)])}")
-        files.append(f"{label} file: {file_digest(model)}")
+        file_sha, back = save_and_load(model)
+        files.append(f"{label} file: {file_sha}")
+        loaded.append(InferencePlan(back).run(images))
     print("\n".join(files))
     built = (arch.build_model(spec, **kw) for spec, kw in BUILDS)
     print(f"builders: {digest(a for model in built for a in graph_arrays(model))}")
     label, *run = PER_OFFSET
     print(f"{label}: {digest(train_trace(*run)[1])}")
+    print(f"loaded plans: {digest(loaded)}")
 
 
 if __name__ == "__main__":

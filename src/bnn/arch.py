@@ -28,7 +28,6 @@ DenseNet share _input_shape, _stem and _classifier.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -369,6 +368,23 @@ def _number(opts, key, kind, default=None):
         raise ValueError(f"model option {key} must be {what}, got {val!r}") from None
 
 
+def build(build_args: dict) -> ModelGraph:
+    """The graph a ModelGraph.build_args dict describes, as every model file
+    stores it: "model" names the builder (a densenet's k, b, reduction and
+    num_classes make its DenseNetSpec) and the other keys are its keywords.
+    Any other model kind raises ValueError."""
+    args = dict(build_args)
+    model = args.pop("model")
+    if model == "lenet":
+        return build_lenet(**args)
+    if model == "resnet":
+        return build_resnet(**args)
+    if model == "densenet":
+        spec = DenseNetSpec(*(args.pop(key) for key in ("k", "b", "reduction", "num_classes")))
+        return build_densenet(spec, **args)
+    raise ValueError(f"unknown model kind {model!r}")
+
+
 def build_model(spec_str: str, num_classes=None, binary=True, t_clip=0.5,
                 scaling_mode="N", seed=0, preset=None) -> ModelGraph:
     """Build a model from a spec string like 'densenet:k=128,b=2'.  An
@@ -385,32 +401,27 @@ def build_model(spec_str: str, num_classes=None, binary=True, t_clip=0.5,
             raise ValueError(f"model option {key!r} given twice in {spec_str!r}")
         opts[key] = val
     name = name.strip().lower()
-    if num_classes is not None and num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
     classes = 1000 if num_classes is None else num_classes
     preset = preset or "imagenet"
+    args = dict(binary=binary, t_clip=t_clip, scaling_mode=scaling_mode, seed=seed)
     if name == "lenet":
-        kind, build = name, functools.partial(
-            build_lenet, num_classes=10 if num_classes is None else num_classes)
+        args.update(model=name, num_classes=10 if num_classes is None else num_classes)
     elif name == "densenet":
         if "k" not in opts or "b" not in opts:
             raise ValueError(f"densenet spec needs k and b, e.g. densenet:k=128,b=2 "
                              f"(got {spec_str!r})")
-        spec = DenseNetSpec(k=_number(opts, "k", int), b=_number(opts, "b", int),
-                            reduction=_number(opts, "reduction", float, "0.5"),
-                            num_classes=classes)
         bottleneck = opts.pop("bottleneck", "false").lower()
         if bottleneck not in ("true", "false"):
             raise ValueError(f"densenet option bottleneck must be true or false, "
                              f"got {bottleneck!r}")
-        kind, build = name, functools.partial(build_densenet, spec, preset=preset,
-                                              bottleneck=bottleneck == "true")
+        args.update(model=name, k=_number(opts, "k", int), b=_number(opts, "b", int),
+                     reduction=_number(opts, "reduction", float, "0.5"),
+                     bottleneck=bottleneck == "true", num_classes=classes, preset=preset)
     elif name.startswith("resnet") and name[len("resnet"):].isdigit():
-        kind, build = "resnet", functools.partial(
-            build_resnet, depth=int(name[len("resnet"):]), width=opts.pop("width", "thin"),
-            num_classes=classes, preset=preset)
+        args.update(model="resnet", depth=int(name[len("resnet"):]),
+                    width=opts.pop("width", "thin"), num_classes=classes, preset=preset)
     else:
         raise ValueError(f"unknown model {spec_str!r}; valid: {MODEL_SPEC_HELP}")
     if opts:
-        raise ValueError(f"unknown {kind} options {sorted(opts)}")
-    return build(binary=binary, t_clip=t_clip, scaling_mode=scaling_mode, seed=seed)
+        raise ValueError(f"unknown {args['model']} options {sorted(opts)}")
+    return build(args)

@@ -274,12 +274,11 @@ def pack_signs(x, thr=None, flip=None, pool=(1, 1)) -> np.ndarray:
     covers is NaN.  thr and flip may be None.
 
     float32 x and thr on a plane of 32 pixels or more run the native
-    pack_signs, which reads x once.  Otherwise numpy compares: under 32
-    pixels (a dense layer's (N, F, 1, 1), a 4 x 4 map, a conv weight) over
-    the channels-last view into one np.packbits, 3-50x faster than the
-    kernel there; else it ORs the 8 channel planes of each byte, 12x faster
-    than np.packbits at (8, 352, 32, 32).  Both give the kernel's bytes.
-    The kernel runs in parts of the images, each with its own plane."""
+    pack_signs, which reads x once, in parts of the images, each with its
+    own plane.  Otherwise numpy compares over the channels-last view into
+    one np.packbits, with the kernel's bytes: under 32 pixels (a dense
+    layer's (N, F, 1, 1), a 4 x 4 map, a conv weight) it is 3-50x faster
+    than the kernel."""
     n, c, h, w = x.shape
     cb, (k, s) = -(-c // 8), pool
     oh, ow = (h - k) // s + 1, (w - k) // s + 1
@@ -306,20 +305,9 @@ def pack_signs(x, thr=None, flip=None, pool=(1, 1)) -> np.ndarray:
     x = x[:, :, : (oh - 1) * s + k, : (ow - 1) * s + k]  # what some window covers
     if np.isnan(np.max(x, initial=0)):
         raise NumericError(NAN_INPUT)
-    t = 0 if thr is None else thr
-    if h * w < 32:
-        bits = np.ones((n,) + x.shape[2:] + (8 * cb,), dtype=bool)
-        np.greater_equal(x.transpose(0, 2, 3, 1), t, out=bits[..., :c])
-        b = np.packbits(bits, axis=-1, bitorder="little")
-    else:
-        bits = np.ones((n, 8 * cb) + x.shape[2:], dtype=bool)
-        np.greater_equal(x, np.reshape(t, (-1, 1, 1)), out=bits[:, :c])
-        planes = bits.view(np.uint8).reshape(n, cb, 8, *x.shape[2:])  # 8 channels a byte
-        b = planes[:, :, 0].copy()
-        for i in range(1, 8):
-            b |= planes[:, :, i] << i
-        b = b.transpose(0, 2, 3, 1)
-    return pool_bits(b, pool, flip)
+    bits = np.ones((n,) + x.shape[2:] + (8 * cb,), dtype=bool)
+    np.greater_equal(x.transpose(0, 2, 3, 1), 0 if thr is None else thr, out=bits[..., :c])
+    return pool_bits(np.packbits(bits, axis=-1, bitorder="little"), pool, flip)
 
 
 def pool_bits(b, pool=(1, 1), flip=None) -> np.ndarray:

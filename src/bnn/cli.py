@@ -112,6 +112,9 @@ def cmd_export(args):
 
 
 def cmd_sweep(args):
+    if args.kind != "tclip" and args.grid is not None:
+        raise ValueError(f"--grid sets the t_clip values of a tclip sweep; "
+                         f"--kind {args.kind} takes none")
     train_ds, test_ds = _load_dataset(args.dataset, args.data_dir)
     cfg = _train_config(args)
     os.makedirs(args.out_dir, exist_ok=True)

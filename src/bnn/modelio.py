@@ -28,7 +28,6 @@ predicted by file_size().
 
 from __future__ import annotations
 
-import functools
 import json
 import struct
 import zlib
@@ -178,30 +177,13 @@ def export_fp(g: arch.ModelGraph, path, normalization=None):
     _write(g, path, binary_storage=False, normalization=normalization)
 
 
-def _builder(build_args: dict):
-    """The call that rebuilds the graph build_args describe: the model
-    kind and the densenet spec are checked now, the rest when it runs."""
-    args = dict(build_args)
-    model = args.pop("model")
-    if model == "lenet":
-        return functools.partial(arch.build_lenet, **args)
-    if model == "resnet":
-        return functools.partial(arch.build_resnet, **args)
-    if model == "densenet":
-        spec = arch.DenseNetSpec(
-            k=args.pop("k"), b=args.pop("b"),
-            reduction=args.pop("reduction"),
-            num_classes=args.pop("num_classes"),
-        )
-        return functools.partial(arch.build_densenet, spec, **args)
-    raise ModelFormatError(f"unknown model kind {model!r} in file")
-
-
 def load(path):
     """Read a model file; returns (ModelGraph with weights, normalization).
 
-    The reconstructed model produces bit-exact logits relative to the
-    model that was saved.
+    In scaling modes N and B the reconstructed model gives bit-exact
+    logits relative to the model that was saved.  In FB it does not: the
+    file keeps only a binary weight's sign bits, so alpha = mean|w| comes
+    out as 1 from the loaded +-1 values (ROADMAP item 1).
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -223,11 +205,6 @@ def load(path):
         desc = json.loads(data[desc_start:desc_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"corrupt descriptor: {exc}") from exc
-    try:
-        build = _builder(desc["build_args"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"cannot rebuild the model from build_args: "
-                               f"{type(exc).__name__}: {exc}") from exc
     # the file's own descriptor must account for its payload before a
     # graph of the size build_args ask for is allocated
     try:
@@ -247,7 +224,7 @@ def load(path):
     if zlib.crc32(blob) != crc_stored:
         raise ModelFormatError("checksum failure: payload corrupted")
     try:
-        g = build()
+        g = arch.build(desc["build_args"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"cannot rebuild the model from build_args: "
                                f"{type(exc).__name__}: {exc}") from exc

@@ -304,7 +304,7 @@ class InferencePlan:
         layer, (k, ks) = node.op, (pool.kernel, pool.stride) if pool else (1, 1)
         cfg, layer_step, bits_step = layer.cfg, cls._layer_step(node), cls._bits_step(th, pool)
         (kh, kw), c, o, s, p = cfg.kernel, cfg.in_channels, cfg.out_channels, cfg.stride, cfg.padding
-        wb = layers.swap_axes(layer.weight.value.reshape(o, c, kh * kw)).reshape(o, -1)
+        wb = layer._weight_matrix()[1]()
 
         def step(x):
             n, _, h, w = x.shape

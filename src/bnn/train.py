@@ -51,6 +51,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr < 0:  # lr = 0 is allowed as a degenerate no-op (tested)
             raise ValueError("lr must be >= 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.t_clip <= 0:

@@ -364,9 +364,8 @@ def test_pack_channels_native_equals_numpy(c, nhw, pool, with_thr, with_flip, ba
     bytes of the step-by-step oracle, or the same NumericError, with thr
     (x on its thresholds: ties), flip and a pool window, on +-0.0, NaN and
     infinite values, on planes of 1 to 81 pixels: the
-    native kernel packs those of 32 or more, numpy's np.packbits the
-    smaller ones and its 8-plane OR the larger ones.  (n, c, h, w) also
-    stands for an (O, C, kh, kw) weight."""
+    native kernel packs those of 32 or more, numpy's np.packbits all of
+    them.  (n, c, h, w) also stands for an (O, C, kh, kw) weight."""
     n, h, w = nhw
     if pool[0] > min(h, w):
         pool = (1, 1)

@@ -91,6 +91,16 @@ class TestTrain:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_weight_decay_exits_2(self, mnist_data, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = cli.main([
+            "train", "--model", "lenet", "--dataset", "mnist", "--data-dir", mnist_data,
+            "--out-dir", str(out), "--epochs", "1", "--weight-decay", "-5",
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == ["error: weight_decay must be >= 0"]
+        assert not out.exists()
+
     def test_label_out_of_range(self, tmp_path, capsys):
         d = write_mnist_dir(str(tmp_path / "m"), n_train=10, n_test=5)
         path = os.path.join(d, "train-labels-idx1-ubyte")
@@ -302,6 +312,21 @@ class TestSweep:
         ).splitlines()
         assert lines[0] == "epoch,N,B,FB"
         assert len(lines) == 2
+
+    def test_grid_in_a_scaling_sweep_exits_2(self, mnist_data, tmp_path, capsys):
+        """--grid sets a tclip sweep's values: a scaling sweep refuses it
+        before it loads the data or writes anything."""
+        out = tmp_path / "sweep"
+        rc = cli.main([
+            "sweep", "--kind", "scaling", "--grid", "0.5", "1.0",
+            "--model", "lenet", "--dataset", "mnist",
+            "--data-dir", mnist_data, "--out-dir", str(out),
+            "--epochs", "1", "--batch-size", "30",
+        ])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--grid" in err[0]
+        assert not out.exists()
 
 
 def test_cifar10_train_eval_and_sweep(tmp_path, monkeypatch):

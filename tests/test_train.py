@@ -62,6 +62,8 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=-1.0)
+        with pytest.raises(ValueError, match="weight_decay must be >= 0"):
+            TrainConfig(weight_decay=-5.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
